@@ -3,7 +3,7 @@ proportional similarity and the command line.
 
 Usage, from the repository root:
 
-    python3 benchmark/run.py --workload corpus --seed 1 --seconds 24 --trace 0
+    python3 benchmark/run.py --workload corpus --seed 1 --seconds 26 --trace 0
 
 ``--workload`` is one of corpus, fuzz, codim2-propsim, cli, or all.
 With ``--trace 0`` the run prints the end-to-end metrics; with
@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import pickle
 import resource
 import shutil
 import statistics
@@ -35,9 +36,8 @@ from tracer import SPAN, TARGETS, Tracer
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 7
 IMPORT_SAMPLES = 3
-WARMUP_S = 1.0  # untimed blocks first, so that lazy set-up and caches settle
 
 END_TO_END = (
     ("setup_s", "s"),
@@ -102,7 +102,7 @@ class Tally:
             self.problems.append(what)
 
 
-def execute(op, tally: Tally, in_process: bool = False, tracer=None, record: bool = True):
+def execute(op, tally: Tally, in_process: bool = False, tracer=None):
     """Time one operation, then check its result outside the timing (a
     result equal to one already checked for this operation is not checked
     again)."""
@@ -115,9 +115,7 @@ def execute(op, tally: Tally, in_process: bool = False, tracer=None, record: boo
         tally.failed += 1
         tally.note(f"{op.kind} failed: {traceback.format_exc(limit=3)}")
         return None
-    dt = perf_counter() - t0
-    if record:
-        tally.record(op, dt)
+    tally.record(op, perf_counter() - t0)
     try:
         sig = wl.signature(op, out)
         ok = sig == op.verified or op.check(out)
@@ -132,13 +130,19 @@ def execute(op, tally: Tally, in_process: bool = False, tracer=None, record: boo
     return out
 
 
-def _ms_p50(times) -> float:
-    return statistics.median(times) * 1e3
+def _ms_p50(times) -> float | None:
+    """None when every operation of the kind failed: the metric reads null
+    in the result line and the run is not correct."""
+    return statistics.median(times) * 1e3 if times else None
 
 
-def _ms_p95(times) -> float:
+def _ms_p95(times) -> float | None:
     ordered = sorted(times)
-    return ordered[max(0, math.ceil(0.95 * len(ordered)) - 1)] * 1e3
+    return ordered[max(0, math.ceil(0.95 * len(ordered)) - 1)] * 1e3 if times else None
+
+
+def _difference(a, b):
+    return None if a is None or b is None else a - b
 
 
 def load_program():
@@ -155,29 +159,40 @@ def load_program():
     return solvlie
 
 
-def make_plan(workload: str, seed: int, work_dir: Path):
+def build_ops(inputs_path: Path) -> tuple:
+    """The program's half of set-up, from the inputs the benchmark drew."""
+    sl = load_program()
+    with open(inputs_path, "rb") as fh:
+        inputs = pickle.load(fh)
+    return sl, wl.build_ops(sl, inputs, wl.Cli(sl, str(SRC), str(ROOT)))
+
+
+def make_plan(workload: str, seed: int, work_dir: Path) -> tuple:
+    """Draw the workload's inputs (the benchmark's half of set-up, off the
+    clock), save them for the set-up samples, then build the operations.
+    Returns (solvlie, operations, path of the saved inputs)."""
     sl = load_program()
     work_dir.mkdir(parents=True, exist_ok=True)
-    cli = wl.Cli(sl, str(SRC), str(ROOT))
-    return sl, wl.build_plan(sl, workload, seed, cli, str(work_dir))
+    inputs_path = work_dir / "inputs.pickle"
+    with open(inputs_path, "wb") as fh:
+        pickle.dump(wl.make_inputs(sl, workload, seed, str(work_dir)), fh)
+    return (*build_ops(inputs_path), inputs_path)
 
 
-def setup_sample(workload: str, seed: int) -> float:
+def setup_sample(inputs_path: Path) -> float | None:
     """Wall time from starting a fresh interpreter until it has imported
-    solvlie and built the workload's inputs."""
+    solvlie and built the program's objects for the saved inputs, or None
+    if the child failed."""
     t0 = perf_counter()
     with subprocess.Popen(
-        [sys.executable, str(HERE / "run.py"), "--setup-only",
-         "--workload", workload, "--seed", str(seed)],
+        [sys.executable, str(HERE / "run.py"), "--setup-from", str(inputs_path)],
         cwd=str(ROOT), stdout=subprocess.PIPE, text=True,
     ) as child:
         line = child.stdout.readline()
         elapsed = perf_counter() - t0
         child.stdout.read()
         code = child.wait(timeout=120)
-    if line.strip() != "ready" or code != 0:
-        raise RuntimeError(f"set-up child exited {code} before its inputs were ready")
-    return elapsed
+    return elapsed if line.strip() == "ready" and code == 0 else None
 
 
 def import_ms() -> float:
@@ -193,33 +208,43 @@ def import_ms() -> float:
 
 
 def measure(workload: str, seed: int, seconds: float, work_dir: Path) -> tuple:
-    """Untraced run: untimed warm-up blocks, then whole blocks until the
-    time is up, so that every operation kind is sampled across the whole
-    run.  The set-up samples are spread evenly from the start to the end,
-    off the clock.
+    """Untraced run: whole blocks until the time is up, so that every
+    operation kind is sampled across the whole run.  No warm-up is needed:
+    the fastest repeat of an operation is never its cold first call.  The set-up samples are spread evenly from the start to the end,
+    off the clock, and each counts as one operation.
     Returns (tally, end-to-end metrics)."""
-    _, plan = make_plan(workload, seed, work_dir)
-    setup = [setup_sample(workload, seed)]
+    _, ops, inputs_path = make_plan(workload, seed, work_dir)
     tally = Tally()
-    warm_until = perf_counter() + WARMUP_S
-    while perf_counter() < warm_until:
-        for op in plan.block:
-            execute(op, tally, record=False)
-    busy = 0.0
+    setup: list = []
+
+    def sample_setup():
+        tally.attempted += 1
+        elapsed = setup_sample(inputs_path)
+        if elapsed is None:
+            tally.failed += 1
+            tally.note("set-up child failed")
+        else:
+            setup.append(elapsed)
+
+    sample_setup()
+    busy, sampled = 0.0, 1
     while busy < seconds:
         start = perf_counter()
-        for op in plan.block:
+        for op in ops:
             execute(op, tally)
         busy += perf_counter() - start
-        if len(setup) < SETUP_SAMPLES - 1 and busy >= len(setup) * seconds / (SETUP_SAMPLES - 1):
-            setup.append(setup_sample(workload, seed))
-    setup.append(setup_sample(workload, seed))
+        while sampled < SETUP_SAMPLES - 1 and busy >= sampled * seconds / (SETUP_SAMPLES - 1):
+            sample_setup()
+            sampled += 1
+    while sampled < SETUP_SAMPLES:
+        sample_setup()
+        sampled += 1
     classify = tally.latencies(wl.CLASSIFY)
     metrics = {
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(setup) if setup else None,
         "classify_ms_p50": _ms_p50(classify),
         "classify_ms_p95": _ms_p95(classify),
-        "classify_per_s": len(classify) / sum(classify),
+        "classify_per_s": len(classify) / sum(classify) if classify else None,
         "codim2_iso_ms_p50": _ms_p50(tally.latencies(wl.CODIM2_ISO)),
         "propsim_witness_ms_p50": _ms_p50(tally.latencies(wl.PROPSIM_WITNESS)),
         "propsim_decide_ms_p50": _ms_p50(tally.latencies(wl.PROPSIM_DECIDE)),
@@ -257,47 +282,37 @@ class Observed:
 
 
 def measure_traced(workload: str, seed: int, seconds: float, work_dir: Path) -> tuple:
-    """Whole blocks with the CLI calls replayed in-process: untraced for
-    half the time, then traced for the other half.  A block is always the
-    same operations, so per-operation call counts repeat exactly for a
-    seed however many blocks fit."""
-    sl, plan = make_plan(workload, seed, work_dir)
+    """Whole blocks with the CLI calls replayed in-process, untraced and
+    traced in turn, so that both see the same phases of the machine.  A
+    block is always the same operations, so per-operation call counts
+    repeat exactly for a seed however many blocks fit."""
+    _, ops, _ = make_plan(workload, seed, work_dir)
+    plain, traced, observed, tracer = Tally(), Tally(), Observed(), Tracer()
+    start = perf_counter()
+    while perf_counter() - start < seconds:
+        for op in ops:
+            execute(op, plain, in_process=True)
+        tracer.install()
+        try:
+            for op in ops:
+                observed.add(op, execute(op, traced, in_process=True, tracer=tracer))
+        finally:
+            tracer.uninstall()
 
-    def run_blocks(tally, span, tracer=None, observed=None, record=True):
-        start = perf_counter()
-        while True:
-            for op in plan.block:
-                out = execute(op, tally, in_process=True, tracer=tracer, record=record)
-                if observed is not None:
-                    observed.add(op, out)
-            if perf_counter() - start >= span:
-                return
-
-    plain = Tally()
-    run_blocks(plain, WARMUP_S, record=False)
-    run_blocks(plain, seconds / 2)
-    tracer = Tracer(sl.__name__)
-    traced, observed = Tally(), Observed()
-    tracer.install()
-    try:
-        run_blocks(traced, seconds / 2, tracer, observed)
-    finally:
-        tracer.uninstall()
-
-    ops = traced.attempted
+    n_traced = traced.attempted
     self_s, calls = tracer.layer_totals()
     metrics = {}
     for _, _, name, _ in TARGETS:
-        metrics[name + ".self_ms"] = self_s.get(name, 0.0) * 1e3 / ops
-        metrics[name + ".calls"] = calls.get(name, 0) / ops
+        metrics[name + ".self_ms"] = self_s.get(name, 0.0) * 1e3 / n_traced
+        metrics[name + ".calls"] = calls.get(name, 0) / n_traced
     metrics.update({
         "scalars.quad_witness_share": observed.quad_witnesses / max(1, observed.classified),
         "scalars.input_bits_max": observed.input_bits,
         "scalars.witness_bits_max": observed.witness_bits,
         "propsim.numeric_share": observed.numeric / max(1, observed.verdicts),
         "cli.import_ms": import_ms(),
-        "trace.overhead_ms": _ms_p50(traced.latencies(*traced.best))
-        - _ms_p50(plain.latencies(*plain.best)),
+        "trace.overhead_ms": _difference(_ms_p50(traced.latencies(*traced.best)),
+                                         _ms_p50(plain.latencies(*plain.best))),
     })
     tally = Tally()
     for part in (plain, traced):
@@ -309,18 +324,27 @@ def measure_traced(workload: str, seed: int, seconds: float, work_dir: Path) -> 
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    """One workload's result.  An exception from the program while the
+    operations are built counts as one failed operation, with every
+    metric None."""
     work_dir = HERE / ".work" / f"{os.getpid()}-{workload}"
     try:
         fn = measure_traced if trace else measure
         tally, metrics = fn(workload, seed, seconds, work_dir)
+    except Exception:  # noqa: BLE001 - reported as a failed run, not a crash
+        tally = Tally()
+        tally.attempted = tally.failed = 1
+        tally.note(f"set-up failed: {traceback.format_exc(limit=5)}")
+        metrics = {name: (None, unit) for name, unit in (_per_layer() if trace else END_TO_END)}
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
     for problem in tally.problems:
         print(problem, file=sys.stderr)
     for name, (value, unit) in metrics.items():
-        print(f"{workload:>15} {name:<40} {value:>14.6g} {unit}")
+        shown = "-" if value is None else f"{value:.6g}"
+        print(f"{workload:>15} {name:<40} {shown:>14} {unit}")
     return {
-        "correct": tally.wrong == 0,
+        "correct": tally.wrong == 0 and all(value is not None for value, _ in metrics.values()),
         "attempted": tally.attempted,
         "failed": tally.failed,
         "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
@@ -331,19 +355,16 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", default="all", choices=wl.WORKLOADS + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=24.0)
+    p.add_argument("--seconds", type=float, default=26.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--setup-only", action="store_true",
-                   help="build the inputs, print 'ready' and exit (set-up timing)")
+    p.add_argument("--setup-from", type=Path, metavar="INPUTS",
+                   help="build the program's objects for saved inputs, print 'ready' "
+                        "and exit (one set-up sample)")
     args = p.parse_args(argv)
 
-    if args.setup_only:
-        work_dir = HERE / ".work" / f"{os.getpid()}-setup"
-        try:
-            make_plan(args.workload, args.seed, work_dir)
-            print("ready", flush=True)
-        finally:
-            shutil.rmtree(work_dir, ignore_errors=True)
+    if args.setup_from:
+        build_ops(args.setup_from)
+        print("ready", flush=True)
         return 0
 
     names = wl.WORKLOADS if args.workload == "all" else (args.workload,)

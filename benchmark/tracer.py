@@ -52,9 +52,11 @@ TARGETS = (
 )
 
 
+PACKAGE = "solvlie"
+
+
 class Tracer:
-    def __init__(self, package: str = "solvlie"):
-        self.package = package
+    def __init__(self):
         self.spans: list = []  # (name, start, end, parent index, op id)
         self.stack: list = []
         self.counts: Counter = Counter()
@@ -63,14 +65,13 @@ class Tracer:
 
     # --- installation --------------------------------------------------
     def _modules(self) -> list:
-        pre = self.package + "."
         return [m for name, m in list(sys.modules.items())
-                if m is not None and (name == self.package or name.startswith(pre))]
+                if m is not None and (name == PACKAGE or name.startswith(PACKAGE + "."))]
 
     def install(self):
         modules = self._modules()
         for modname, attr, metric, mode in TARGETS:
-            mod = sys.modules.get(f"{self.package}.{modname}")
+            mod = sys.modules.get(f"{PACKAGE}.{modname}")
             if mod is None:
                 continue
             if "." in attr:

@@ -1,11 +1,16 @@
 """Inputs and operations for the four workloads.
 
-Each workload is a fixed *round* of operations built once during set-up.
-An operation is one timed call into the program plus an independent check
-of what it returned (see ``checker``).  The ground truth of every check is
-known by construction: a corpus input is built from its label by a
-unimodular scramble, a propsim pair is built as c * P^-1 A P or proven
-inequivalent by a scale invariant, and so on.
+Set-up has two halves.  ``make_inputs`` is the benchmark's own work: it
+draws each workload's inputs as plain data (bracket tables, matrices,
+JSON files) and proves what it must about them with ``checker``.  Each
+input it returns is a picklable ``functools.partial`` of one of the
+``*_ops`` builders below; called with the program and a ``Cli``, it does
+the program's half of set-up (its tensors, matrices and reference normal
+forms) and returns the operations.  An operation is one timed call into
+the program plus an independent check of what it returned.  The ground
+truth of every check is known by construction: a corpus input is built
+from its label by a unimodular scramble, a propsim pair is built as
+c * P^-1 A P or proven inequivalent by a scale invariant, and so on.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Optional
 
 import checker as ck
@@ -30,7 +36,7 @@ PROPSIM_DECIDE = "propsim_decide"
 CLI = "cli"
 
 WORKLOADS = ("corpus", "fuzz", "codim2-propsim", "cli")
-# operation kinds each workload runs natively; build_plan adds probes of
+# operation kinds each workload runs natively; make_inputs adds probes of
 # the others so that every end-to-end metric exists in every run
 NATIVE = {
     "corpus": (CLASSIFY,),
@@ -39,9 +45,7 @@ NATIVE = {
     "cli": (CLI,),
 }
 
-# fuzz inputs kept per dimension: the mix harness.fuzz_stream produces
-# (n <= 8), fixed so that the latency percentiles do not move with the seed
-FUZZ_QUOTA = {3: 20, 4: 40, 5: 14, 6: 19, 7: 15, 8: 12}
+FUZZ_INPUTS = 120
 CODIM2_KS = (3, 4, 5, 6)
 SHAPES = ("left", "right")
 PROPSIM_NS = (2, 3, 4)
@@ -62,21 +66,13 @@ class Op:
     run: Callable[[], Any]  # the timed call into the program
     check: Callable[[Any], bool]  # independent check of its result
     replay: Optional[Callable[[], Any]] = None  # in-process form of a CLI call
-    argv: Optional[list] = None  # arguments of a CLI call
     table: Optional[tuple] = None  # classify input, for bit heights
     verified: Any = None  # signature of a result that passed the check
 
 
-@dataclass
-class Plan:
-    """One block of a run: the workload's native round, then the probes."""
-
-    native: list
-    probes: list
-
-    @property
-    def block(self) -> list:
-        return self.native + self.probes
+def build_ops(sl, inputs: list, cli: "Cli") -> list:
+    """The program's half of set-up: the operations of every input."""
+    return [op for make in inputs for op in make(sl, cli)]
 
 
 def _rows(m) -> Optional[list]:
@@ -157,11 +153,11 @@ def _fields(label) -> dict:
     }
 
 
-def _expected(label) -> tuple:
+def _expected(fields: dict) -> tuple:
     """Key and canonical table the classifier must report for a corpus
     label: lam is normalised to |lam| >= 1 and keyed by
     j = (1 + lam)^2 / lam, the documented lam <-> 1/lam identification."""
-    f = _fields(label)
+    f = dict(fields)
     if f["family"] == "G3_2_1":
         lam = Fraction(f["lam"])
         f["j"] = (1 + lam) ** 2 / lam
@@ -173,8 +169,9 @@ def _witness_rows(classification) -> list:
     return ck.matrix_of(classification.witness.transform.matrix)
 
 
-def _check_corpus(table, want_key, want_table):
+def _check_corpus(table, fields):
     def check(out) -> bool:
+        want_key, want_table = _expected(fields)
         if _label_key(**_fields(out.label)) != want_key:
             return False
         return ck.transports(table, _witness_rows(out), want_table)
@@ -186,42 +183,31 @@ def _tensor(sl, table):
     return sl.StructureTensor(table[0], dict(table[1]))
 
 
-def corpus_ops(sl, seed, name: str, scrambles: int = CORPUS_SCRAMBLES) -> list:
+def corpus_ops(sl, cli, table, fields) -> list:
+    t = _tensor(sl, table)
+    return [Op(CLASSIFY, lambda: sl.classify_n2(t), _check_corpus(table, fields), table=table)]
+
+
+def corpus_inputs(sl, seed, name: str, scrambles: int = CORPUS_SCRAMBLES) -> list:
     """Every corpus label ``scrambles`` times, each under its own unimodular
     scramble times a seeded signed permutation."""
     rng, fixed = _rng(seed, name), _reference_rng("corpus")
-    ops = []
+    inputs = []
     for label in sl.harness.corpus_labels() * scrambles:
         f = _fields(label)
         table = _presented(rng, _scrambled(fixed, ck.canonical_table(**f)))
-        want_key, want_table = _expected(label)
-        t = _tensor(sl, table)
-        ops.append(
-            Op(CLASSIFY, lambda t=t: sl.classify_n2(t), _check_corpus(table, want_key, want_table),
-               table=table)
-        )
-    return ops
+        inputs.append(partial(corpus_ops, table=table, fields=f))
+    return inputs
 
 
-def _check_fuzz(table, target_dims: dict):
-    """``target_dims`` caches the series dimensions of canonical tables,
-    shared by all fuzz checks of a plan."""
-    input_dims: list = []
-
+def _check_fuzz(table):
     def check(out) -> bool:
         w = _witness_rows(out)
         f = _fields(out.label)
         if f["family"] == "TwoStepNilpotent_OutOfScope":
             return _two_step_ok(table, w)
         target = ck.canonical_table(**f)
-        if not ck.transports(table, w, target):
-            return False
-        if not input_dims:
-            input_dims.append(ck.series_dims(table))
-        key = (target[0], tuple(sorted(target[1].items())))
-        if key not in target_dims:
-            target_dims[key] = ck.series_dims(target)
-        return target_dims[key] == input_dims[0]
+        return ck.transports(table, w, target) and ck.series_dims(table) == ck.series_dims(target)
 
     return check
 
@@ -239,23 +225,19 @@ def _two_step_ok(table, w) -> bool:
     return all(not any(ck.bracket(table, e, v)) for e in basis for v in front)
 
 
-def fuzz_ops(sl, seed, name: str) -> list:
-    """A fixed population of harness.fuzz_stream inputs (n <= 8, FUZZ_QUOTA
-    per n), each in a seeded signed permutation of its basis."""
+def fuzz_ops(sl, cli, table) -> list:
+    t = _tensor(sl, table)
+    return [Op(CLASSIFY, lambda: sl.classify_n2(t), _check_fuzz(table), table=table)]
+
+
+def fuzz_inputs(sl, seed, name: str) -> list:
+    """The first FUZZ_INPUTS inputs of harness.fuzz_stream (n <= 8) from a
+    fixed generator, each in a seeded signed permutation of its basis."""
     rng = _rng(seed, name)
-    left = dict(FUZZ_QUOTA)
-    ops: list = []
-    target_dims: dict = {}
-    for t in sl.harness.fuzz_stream(_reference_rng("fuzz"), 10**9, max_dim=8):
-        if left.get(t.n, 0) == 0:
-            continue
-        left[t.n] -= 1
-        table = _presented(rng, ck.table_of(t))
-        t = _tensor(sl, table)
-        ops.append(Op(CLASSIFY, lambda t=t: sl.classify_n2(t), _check_fuzz(table, target_dims), table=table))
-        if not any(left.values()):
-            return ops
-    raise AssertionError("unreachable: the fuzz stream is infinite")
+    return [
+        partial(fuzz_ops, table=_presented(rng, ck.table_of(t)))
+        for t in sl.harness.fuzz_stream(_reference_rng("fuzz"), FUZZ_INPUTS, max_dim=8)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +312,13 @@ def _form_ok(table, form, shape) -> bool:
     return ck.transports(table, ck.matrix_of(form.witness.matrix), ck.codim2_table(ck.matrix_of(form.a_bar)))
 
 
+def _m_f_ok(form, m_f, ref_form) -> bool:
+    """M_f carries the table of ``form`` onto that of ``ref_form``."""
+    return ck.transports(
+        ck.codim2_table(ck.matrix_of(form.a_bar)), m_f, ck.codim2_table(ck.matrix_of(ref_form.a_bar))
+    )
+
+
 def _check_codim2(ref_table, ref_form, table, shape, isomorphic):
     def check(out) -> bool:
         form, verdict = out
@@ -339,48 +328,49 @@ def _check_codim2(ref_table, ref_form, table, shape, isomorphic):
             return False
         if not isomorphic:
             return True
-        # M_f carries the scrambled form's table onto the reference form's
-        return verdict.m_f is not None and ck.transports(
-            ck.codim2_table(ck.matrix_of(form.a_bar)),
-            ck.matrix_of(verdict.m_f),
-            ck.codim2_table(ck.matrix_of(ref_form.a_bar)),
-        )
+        return verdict.m_f is not None and _m_f_ok(form, ck.matrix_of(verdict.m_f), ref_form)
 
     return check
 
 
-def codim2_ops(sl, seed, name: str, pairs: int, negatives: bool = True) -> list:
+def codim2_ops(sl, cli, ref_table, shape, partners) -> list:
+    """Normalise the reference once; each partner (isomorphic, table) is
+    one operation: normalise it and decide it against the reference."""
+    ref_form = sl.normalize_codim2(_tensor(sl, ref_table))
+    ops = []
+    for isomorphic, table in partners:
+        t = _tensor(sl, table)
+
+        def run(t=t):
+            form = sl.normalize_codim2(t)
+            return form, sl.codim2_isomorphic(ref_form, form)
+
+        ops.append(Op(CODIM2_ISO, run, _check_codim2(ref_table, ref_form, table, shape, isomorphic)))
+    return ops
+
+
+def codim2_inputs(seed, name: str, pairs: int, negatives: bool = True) -> list:
     """``pairs`` reference structures per k in 3..6 and block shape, each
     with a scrambled isomorphic copy (a scaled conjugate structure matrix)
     and, with ``negatives``, a proven non-isomorphic one; each copy, in a
     seeded signed permutation of its basis, is normalised and decided
     against the reference form."""
     rng, fixed = _rng(seed, name), _reference_rng("codim2")
-    ops = []
+    inputs = []
     for _ in range(pairs):
         for k in CODIM2_KS:
             for shape in SHAPES:
                 a = _rand_gl(fixed, k - 1)
                 full = _embed(a, shape)
-                ref_table = ck.codim2_table(full)
-                ref_form = sl.normalize_codim2(_tensor(sl, ref_table))
                 partners = [(True, _isomorphic_structure(fixed, a, shape))]
                 if negatives:
                     # the proof must separate the whole structure matrices: for
                     # the right shape, inequivalent inner blocks do not suffice
                     partners.append((False, _inequivalent_partner(
                         full, lambda: _embed(_rand_gl(fixed, k - 1), shape))))
-                for isomorphic, b in partners:
-                    table = _presented(rng, _scrambled(fixed, ck.codim2_table(b)))
-                    t = _tensor(sl, table)
-
-                    def run(t=t, ref_form=ref_form):
-                        form = sl.normalize_codim2(t)
-                        return form, sl.codim2_isomorphic(ref_form, form)
-
-                    ops.append(Op(CODIM2_ISO, run,
-                                  _check_codim2(ref_table, ref_form, table, shape, isomorphic)))
-    return ops
+                partners = [(iso, _presented(rng, _scrambled(fixed, ck.codim2_table(b)))) for iso, b in partners]
+                inputs.append(partial(codim2_ops, ref_table=ck.codim2_table(full), shape=shape, partners=partners))
+    return inputs
 
 
 def _check_propsim(a, b, equivalent, witness):
@@ -396,22 +386,28 @@ def _check_propsim(a, b, equivalent, witness):
     return check
 
 
-def _mat(sl, rows):
-    return sl.Mat([list(r) for r in rows])
-
-
 def _companion(n: int, last_col: list) -> list:
     """Ones on the subdiagonal and the given last column."""
     return [[last_col[i] if j == n - 1 else int(i == j + 1) for j in range(n)] for i in range(n)]
 
 
-def propsim_ops(sl, seed, name: str, pairs: int = PROPSIM_PAIRS, numeric: bool = False) -> list:
+def propsim_ops(sl, cli, a, b, equivalent) -> list:
+    """The pair decided with and without a witness."""
+    am, bm = sl.Mat([list(r) for r in a]), sl.Mat([list(r) for r in b])
+    return [
+        Op(PROPSIM_WITNESS, lambda: sl.prop_similar(am, bm), _check_propsim(a, b, equivalent, True)),
+        Op(PROPSIM_DECIDE, lambda: sl.prop_similar(am, bm, want_witness=False),
+           _check_propsim(a, b, equivalent, False)),
+    ]
+
+
+def propsim_inputs(seed, name: str, pairs: int = PROPSIM_PAIRS, numeric: bool = False) -> list:
     """n x n pairs, n = 2..4: c * P^-1 A P partners and proven
     inequivalent ones, each matrix conjugated by a seeded signed
-    permutation, and each pair decided with and without a witness.
-    With ``numeric``, two more proven-inequivalent pairs whose scale
-    c^n = 2 has no root in Q or Q(sqrt d), which only the 128-bit numeric
-    test decides: companions of x^n - 1 and x^n - 2x - 2, n = 3, 4."""
+    permutation.  With ``numeric``, two more proven-inequivalent pairs
+    whose scale c^n = 2 has no root in Q or Q(sqrt d), which only the
+    128-bit numeric test decides: companions of x^n - 1 and
+    x^n - 2x - 2, n = 3, 4."""
     rng, fixed = _rng(seed, name), _reference_rng("propsim")
     cases = []
     for _ in range(pairs):
@@ -422,15 +418,10 @@ def propsim_ops(sl, seed, name: str, pairs: int = PROPSIM_PAIRS, numeric: bool =
     if numeric:
         for n in (3, 4):
             cases.append((_companion(n, [1] + [0] * (n - 1)), False, _companion(n, [2, 2] + [0] * (n - 2))))
-    ops = []
-    for a, equivalent, b in cases:
-        a, b = _presented_matrix(rng, a), _presented_matrix(rng, b)
-        am, bm = _mat(sl, a), _mat(sl, b)
-        ops.append(Op(PROPSIM_WITNESS, lambda am=am, bm=bm: sl.prop_similar(am, bm),
-                      _check_propsim(a, b, equivalent, True)))
-        ops.append(Op(PROPSIM_DECIDE, lambda am=am, bm=bm: sl.prop_similar(am, bm, want_witness=False),
-                      _check_propsim(a, b, equivalent, False)))
-    return ops
+    return [
+        partial(propsim_ops, a=_presented_matrix(rng, a), b=_presented_matrix(rng, b), equivalent=equivalent)
+        for a, equivalent, b in cases
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -491,12 +482,12 @@ class Cli:
             raise CliFailure(f"exit {code}: {err.getvalue().strip()[-300:]}")
         return out.getvalue()
 
-    def op(self, argv: list, check) -> Op:
-        return Op(CLI, lambda: self.call(argv), lambda out: check(json.loads(out)),
-                  replay=lambda: self.replay(argv), argv=argv)
+    def ops(self, argv: list, check) -> list:
+        return [Op(CLI, lambda: self.call(argv), lambda out: check(json.loads(out)),
+                   replay=lambda: self.replay(argv))]
 
 
-def _cli_classify_check(table, want_key, want_table):
+def cli_classify_ops(sl, cli, path, table, fields) -> list:
     def check(d) -> bool:
         f = {
             "family": d["family"], "abelian_ext": d["abelian_ext"],
@@ -505,17 +496,17 @@ def _cli_classify_check(table, want_key, want_table):
         for ours, theirs in (("lam", "lambda"), ("j", "j")):
             if theirs in d["params"]:
                 f[ours] = ck.from_json_scalar(d["params"][theirs])
+        want_key, want_table = _expected(fields)
         if _label_key(**f) != want_key:
             return False
         return ck.transports(table, ck.matrix_from_json(d["witness"]), want_table)
 
-    return check
+    return cli.ops(["classify", "--witness", path], check)
 
 
-def _cli_invariants_check(table):
-    want = ck.series_dims(table)
-
+def cli_invariants_ops(sl, cli, path, table) -> list:
     def check(d) -> bool:
+        want = ck.series_dims(table)
         return (
             d["dim"] == table[0]
             and d["derived_series_dims"] == want["derived"]
@@ -523,109 +514,109 @@ def _cli_invariants_check(table):
             and d["center_dim"] == want["center"]
         )
 
-    return check
+    return cli.ops(["invariants", "--format", "json", path], check)
 
 
-def _cli_codim2_check(table, shape):
+def cli_codim2_ops(sl, cli, path, table, shape) -> list:
     def check(d) -> bool:
         if d.get("case") != "structure_matrix" or d.get("shape") != shape:
             return False
         a_bar = ck.matrix_from_json(d["Abar"])
         return ck.transports(table, ck.matrix_from_json(d["witness"]), ck.codim2_table(a_bar))
 
-    return check
+    return cli.ops(["codim2", path], check)
 
 
-def _cli_iso_check(ref_form, form):
+def cli_iso_ops(sl, cli, ref_path, iso_path, ref_table, iso_table, shape) -> list:
+    """M_f relates the normal forms the CLI computes internally.  The check
+    recomputes them with the library and verifies both by transport before
+    it trusts them as ground truth for M_f."""
     def check(d) -> bool:
         if d.get("isomorphic") is not True or "M_f" not in d:
             return False
-        return ck.transports(
-            ck.codim2_table(ck.matrix_of(form.a_bar)),
-            ck.matrix_from_json(d["M_f"]),
-            ck.codim2_table(ck.matrix_of(ref_form.a_bar)),
-        )
+        ref_form = sl.normalize_codim2(_tensor(sl, ref_table))
+        iso_form = sl.normalize_codim2(_tensor(sl, iso_table))
+        if not (_form_ok(ref_table, ref_form, shape) and _form_ok(iso_table, iso_form, shape)):
+            return False
+        return _m_f_ok(iso_form, ck.matrix_from_json(d["M_f"]), ref_form)
 
-    return check
+    return cli.ops(["codim2-iso", "--witness", ref_path, iso_path], check)
 
 
-def _cli_propsim_check(a, b):
+def cli_propsim_ops(sl, cli, a_path, b_path, a, b) -> list:
     def check(d) -> bool:
         if d.get("equivalent") is not True or d.get("mode") != "exact" or "C" not in d:
             return False
         return ck.is_prop_similar_witness(a, b, ck.from_json_scalar(d["c"]), ck.matrix_from_json(d["C"]))
 
-    return check
+    return cli.ops(["propsim", "--witness", a_path, b_path], check)
 
 
 CLI_COMMANDS = ("classify", "invariants", "codim2", "codim2-iso", "propsim")
 
 
-def cli_ops(sl, seed, name: str, cli: Cli, work_dir: str, commands=CLI_COMMANDS) -> list:
+def cli_inputs(sl, seed, name: str, work_dir: str, commands=CLI_COMMANDS) -> list:
     """One child process per command in ``commands``, on JSON files
     written here: a scrambled corpus algebra of dimension 6 (classify,
     invariants), a scrambled codim-2 algebra with k = 4 and its reference
     (codim2, codim2-iso), and a 3 x 3 propsim pair."""
     rng, fixed = _rng(seed, name), _reference_rng("cli")
     pre = os.path.join(work_dir, name)
-    ops = []
-    if "classify" in commands or "invariants" in commands:
-        label = next(lab for lab in sl.harness.corpus_labels() if lab.family == "G5p2k_2" and lab.abelian_ext == 1)
-        table = _presented(rng, _scrambled(fixed, ck.canonical_table(**_fields(label))))
-        want_key, want_table = _expected(label)
-        alg = _write(pre + "-alg.json", _algebra_json(table))
-        ops.append(cli.op(["classify", "--witness", alg], _cli_classify_check(table, want_key, want_table)))
-        ops.append(cli.op(["invariants", "--format", "json", alg], _cli_invariants_check(table)))
-    if "codim2" in commands or "codim2-iso" in commands:
-        a = _rand_gl(fixed, 3)
-        ref_table = ck.codim2_table(_embed(a, "left"))
-        iso_table = _presented(rng, _scrambled(fixed, ck.codim2_table(_isomorphic_structure(fixed, a, "left"))))
-        ref = _write(pre + "-ref.json", _algebra_json(ref_table))
-        iso = _write(pre + "-iso.json", _algebra_json(iso_table))
-        ops.append(cli.op(["codim2", iso], _cli_codim2_check(iso_table, "left")))
-        # the normal forms the CLI computes internally, for checking M_f
-        ref_form = sl.normalize_codim2(_tensor(sl, ref_table))
-        iso_form = sl.normalize_codim2(_tensor(sl, iso_table))
-        ops.append(cli.op(["codim2-iso", "--witness", ref, iso], _cli_iso_check(ref_form, iso_form)))
-    if "propsim" in commands:
-        pa = _presented_matrix(rng, _rand_gl(fixed, 3))
-        pb = _presented_matrix(rng, _scaled_conjugate(fixed, pa))
-        fa = _write(pre + "-A.json", _matrix_json(pa))
-        fb = _write(pre + "-B.json", _matrix_json(pb))
-        ops.append(cli.op(["propsim", "--witness", fa, fb], _cli_propsim_check(pa, pb)))
-    return [op for op in ops if op.argv[0] in commands]
+    inputs = []
+    label = next(lab for lab in sl.harness.corpus_labels() if lab.family == "G5p2k_2" and lab.abelian_ext == 1)
+    fields = _fields(label)
+    table = _presented(rng, _scrambled(fixed, ck.canonical_table(**fields)))
+    alg = _write(pre + "-alg.json", _algebra_json(table))
+    a = _rand_gl(fixed, 3)
+    ref_table = ck.codim2_table(_embed(a, "left"))
+    iso_table = _presented(rng, _scrambled(fixed, ck.codim2_table(_isomorphic_structure(fixed, a, "left"))))
+    ref = _write(pre + "-ref.json", _algebra_json(ref_table))
+    iso = _write(pre + "-iso.json", _algebra_json(iso_table))
+    pa = _presented_matrix(rng, _rand_gl(fixed, 3))
+    pb = _presented_matrix(rng, _scaled_conjugate(fixed, pa))
+    fa = _write(pre + "-A.json", _matrix_json(pa))
+    fb = _write(pre + "-B.json", _matrix_json(pb))
+    every = {
+        "classify": partial(cli_classify_ops, path=alg, table=table, fields=fields),
+        "invariants": partial(cli_invariants_ops, path=alg, table=table),
+        "codim2": partial(cli_codim2_ops, path=iso, table=iso_table, shape="left"),
+        "codim2-iso": partial(cli_iso_ops, ref_path=ref, iso_path=iso, ref_table=ref_table,
+                              iso_table=iso_table, shape="left"),
+        "propsim": partial(cli_propsim_ops, a_path=fa, b_path=fb, a=pa, b=pb),
+    }
+    return [every[c] for c in commands]
 
 
 # ----------------------------------------------------------------------
-# Plans
+# Workloads
 # ----------------------------------------------------------------------
 
 
-def build_plan(sl, workload: str, seed, cli: Cli, work_dir: str) -> Plan:
-    """The workload's native round, plus small probes of the operation
-    kinds it does not run itself, so that every end-to-end metric is
-    measured in every run: every corpus label once, one positive codim-2
-    copy per (k, shape), half of the propsim pairs, and classify,
-    invariants and propsim CLI calls (invariants is the one command that
-    builds a LieAlgebra).  Every block runs all of them, so each operation is
-    repeated every second or two and meets the machine's fast phases."""
+def make_inputs(sl, workload: str, seed, work_dir: str) -> list:
+    """The benchmark's half of set-up: the workload's native round, plus
+    small probes of the operation kinds it does not run itself, so that
+    every end-to-end metric is measured in every run: every corpus label
+    once, one positive codim-2 copy per (k, shape), half of the propsim
+    pairs, and classify, invariants and propsim CLI calls (invariants is
+    the one command that builds a LieAlgebra).  Every block of a run runs
+    all of them, so each operation is repeated every second or two and
+    meets the machine's fast phases."""
     native_kinds = NATIVE[workload]
     if workload == "corpus":
-        native = corpus_ops(sl, seed, workload)
+        inputs = corpus_inputs(sl, seed, workload)
     elif workload == "fuzz":
-        native = fuzz_ops(sl, seed, workload)
+        inputs = fuzz_inputs(sl, seed, workload)
     elif workload == "codim2-propsim":
-        native = codim2_ops(sl, seed, workload, CODIM2_PAIRS) + propsim_ops(sl, seed, workload, numeric=True)
+        inputs = codim2_inputs(seed, workload, CODIM2_PAIRS) + propsim_inputs(seed, workload, numeric=True)
     else:
-        native = cli_ops(sl, seed, workload, cli, work_dir)
+        inputs = cli_inputs(sl, seed, workload, work_dir)
     # probes are presented the same way for every seed: their figures move
     # only with the program and the machine
-    probes = []
     if CLASSIFY not in native_kinds:
-        probes += corpus_ops(sl, PROBE_SEED, "corpus", scrambles=1)
+        inputs += corpus_inputs(sl, PROBE_SEED, "corpus", scrambles=1)
     if CODIM2_ISO not in native_kinds:
-        probes += codim2_ops(sl, PROBE_SEED, "codim2", 1, negatives=False)
-        probes += propsim_ops(sl, PROBE_SEED, "propsim", pairs=PROPSIM_PAIRS // 2)
+        inputs += codim2_inputs(PROBE_SEED, "codim2", 1, negatives=False)
+        inputs += propsim_inputs(PROBE_SEED, "propsim", pairs=PROPSIM_PAIRS // 2)
     if CLI not in native_kinds:
-        probes += cli_ops(sl, PROBE_SEED, "cli", cli, work_dir, commands=("classify", "invariants", "propsim"))
-    return Plan(native, probes)
+        inputs += cli_inputs(sl, PROBE_SEED, "cli", work_dir, commands=("classify", "invariants", "propsim"))
+    return inputs
