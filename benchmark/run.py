@@ -30,6 +30,7 @@ from pathlib import Path
 from time import perf_counter
 
 import checker as ck
+import speed as sp
 import workloads as wl
 from tracer import SPAN, TARGETS, Tracer
 
@@ -76,26 +77,27 @@ def _per_layer():
 class Tally:
     """Operation counts, latencies and the first few problems.
 
-    An operation runs many times in a run; its latency is the fastest of
-    those repeats.  The machine the benchmark was tuned on shares its cores
-    with other tenants and runs up to 1.7 times slower for seconds at a
-    time, and the fastest repeat is the figure such stalls leave alone.
-    Percentiles are then taken over the distinct operations of a kind."""
+    An operation runs many times in a run.  Its latency is the median of
+    its repeats, each scaled to the reference speed by the reference timings
+    taken nearest to it (see speed.py); percentiles are then taken over
+    the distinct operations of a kind."""
 
     def __init__(self):
         self.attempted = 0
         self.failed = 0
         self.wrong = 0
-        self.best: dict = {}  # kind -> {id(op): fastest seconds}
+        self.samples: dict = {}  # kind -> {id(op): [(start, seconds)]}
         self.problems: list = []
 
-    def record(self, op, seconds: float):
-        per_op = self.best.setdefault(op.kind, {})
-        key = id(op)
-        per_op[key] = min(seconds, per_op.get(key, seconds))
+    def record(self, op, start: float, seconds: float):
+        self.samples.setdefault(op.kind, {}).setdefault(id(op), []).append((start, seconds))
 
-    def latencies(self, *kinds) -> list:
-        return [t for kind in kinds for t in self.best.get(kind, {}).values()]
+    def latencies(self, *kinds, speed=None) -> list:
+        """Per-operation latencies in seconds, scaled by ``speed`` if given."""
+        return [
+            statistics.median(s * (1.0 if speed is None else speed.scale(t)) for t, s in runs)
+            for kind in kinds for runs in self.samples.get(kind, {}).values()
+        ]
 
     def note(self, what: str):
         if len(self.problems) < 10:
@@ -115,7 +117,7 @@ def execute(op, tally: Tally, in_process: bool = False, tracer=None):
         tally.failed += 1
         tally.note(f"{op.kind} failed: {traceback.format_exc(limit=3)}")
         return None
-    tally.record(op, perf_counter() - t0)
+    tally.record(op, t0, perf_counter() - t0)
     try:
         sig = wl.signature(op, out)
         ok = sig == op.verified or op.check(out)
@@ -179,10 +181,13 @@ def make_plan(workload: str, seed: int, work_dir: Path) -> tuple:
     return (*build_ops(inputs_path), inputs_path)
 
 
-def setup_sample(inputs_path: Path) -> float | None:
+def setup_sample(inputs_path: Path, starts: sp.Speed) -> float | None:
     """Wall time from starting a fresh interpreter until it has imported
-    solvlie and built the program's objects for the saved inputs, or None
-    if the child failed."""
+    solvlie and built the program's objects for the saved inputs, scaled
+    to the reference speed by process-start timings taken just before and
+    just after it; None if the child failed."""
+    for _ in range(sp.NEAREST):
+        starts.tick(force=True)
     t0 = perf_counter()
     with subprocess.Popen(
         [sys.executable, str(HERE / "run.py"), "--setup-from", str(inputs_path)],
@@ -192,7 +197,9 @@ def setup_sample(inputs_path: Path) -> float | None:
         elapsed = perf_counter() - t0
         child.stdout.read()
         code = child.wait(timeout=120)
-    return elapsed if line.strip() == "ready" and code == 0 else None
+    for _ in range(sp.NEAREST):
+        starts.tick(force=True)
+    return elapsed * starts.scale(t0) if line.strip() == "ready" and code == 0 else None
 
 
 def import_ms() -> float:
@@ -208,49 +215,61 @@ def import_ms() -> float:
 
 
 def measure(workload: str, seed: int, seconds: float, work_dir: Path) -> tuple:
-    """Untraced run: whole blocks until the time is up, so that every
-    operation kind is sampled across the whole run.  No warm-up is needed:
-    the fastest repeat of an operation is never its cold first call.  The set-up samples are spread evenly from the start to the end,
-    off the clock, and each counts as one operation.
+    """Untraced run: whole blocks until ``seconds`` have passed, so that
+    every operation kind is sampled across the whole run, with the
+    reference kernel timed between operations every speed.INTERVAL
+    seconds and a reference process started before every CLI call.  The
+    set-up samples are spread evenly from the start to the end, and each
+    counts as one operation.
     Returns (tally, end-to-end metrics)."""
     _, ops, inputs_path = make_plan(workload, seed, work_dir)
-    tally = Tally()
+    tally, kernel, starts = Tally(), sp.interpreter(), sp.process_start(str(ROOT))
     setup: list = []
 
     def sample_setup():
         tally.attempted += 1
-        elapsed = setup_sample(inputs_path)
+        elapsed = setup_sample(inputs_path, starts)
         if elapsed is None:
             tally.failed += 1
             tally.note("set-up child failed")
         else:
             setup.append(elapsed)
 
+    start = perf_counter()
     sample_setup()
-    busy, sampled = 0.0, 1
-    while busy < seconds:
-        start = perf_counter()
+    sampled = 1
+    while True:  # at least one block, however short the run
         for op in ops:
+            kernel.tick()
+            if op.kind == wl.CLI:
+                starts.tick(force=True)
             execute(op, tally)
-        busy += perf_counter() - start
-        while sampled < SETUP_SAMPLES - 1 and busy >= sampled * seconds / (SETUP_SAMPLES - 1):
+        while (sampled < SETUP_SAMPLES - 1
+               and perf_counter() - start >= sampled * seconds / (SETUP_SAMPLES - 1)):
             sample_setup()
             sampled += 1
+        if perf_counter() - start >= seconds:
+            break
+    kernel.tick(force=True)
+    starts.tick(force=True)
     while sampled < SETUP_SAMPLES:
         sample_setup()
         sampled += 1
-    classify = tally.latencies(wl.CLASSIFY)
+    classify = tally.latencies(wl.CLASSIFY, speed=kernel)
     metrics = {
         "setup_s": statistics.median(setup) if setup else None,
         "classify_ms_p50": _ms_p50(classify),
         "classify_ms_p95": _ms_p95(classify),
         "classify_per_s": len(classify) / sum(classify) if classify else None,
-        "codim2_iso_ms_p50": _ms_p50(tally.latencies(wl.CODIM2_ISO)),
-        "propsim_witness_ms_p50": _ms_p50(tally.latencies(wl.PROPSIM_WITNESS)),
-        "propsim_decide_ms_p50": _ms_p50(tally.latencies(wl.PROPSIM_DECIDE)),
-        "cli_call_ms_p50": _ms_p50(tally.latencies(wl.CLI)),
+        "codim2_iso_ms_p50": _ms_p50(tally.latencies(wl.CODIM2_ISO, speed=kernel)),
+        "propsim_witness_ms_p50": _ms_p50(tally.latencies(wl.PROPSIM_WITNESS, speed=kernel)),
+        "propsim_decide_ms_p50": _ms_p50(tally.latencies(wl.PROPSIM_DECIDE, speed=kernel)),
+        "cli_call_ms_p50": _ms_p50(tally.latencies(wl.CLI, speed=starts)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    for name, ref in (("kernel", kernel), ("process start", starts)):
+        print(f"{workload:>15} {'reference ' + name + ', median (raw)':<40} "
+              f"{statistics.median(ref.seconds) * 1e3:>14.6g} ms")
     return tally, {name: (metrics[name], unit) for name, unit in END_TO_END}
 
 
@@ -311,8 +330,8 @@ def measure_traced(workload: str, seed: int, seconds: float, work_dir: Path) -> 
         "scalars.witness_bits_max": observed.witness_bits,
         "propsim.numeric_share": observed.numeric / max(1, observed.verdicts),
         "cli.import_ms": import_ms(),
-        "trace.overhead_ms": _difference(_ms_p50(traced.latencies(*traced.best)),
-                                         _ms_p50(plain.latencies(*plain.best))),
+        "trace.overhead_ms": _difference(_ms_p50(traced.latencies(*traced.samples)),
+                                         _ms_p50(plain.latencies(*plain.samples))),
     })
     tally = Tally()
     for part in (plain, traced):
