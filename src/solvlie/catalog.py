@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import labels
-from .errors import ParamOutOfDomain
+from .errors import ImpossibleBranch, ParamOutOfDomain
 from .labels import ClassLabel
 from .liealg import (
     BasisChange,
@@ -341,5 +341,6 @@ def codim2_algebra(a_z: Mat, bracket_zy_index: Optional[int] = None) -> LieAlgeb
             vec[i] = col[i]
         br.append((n, j + 1, vec))
     t = tensor_from_brackets(n, br)
-    assert validate(t).ok
+    if not validate(t).ok:
+        raise ImpossibleBranch("codimension-2 structure must satisfy Jacobi")
     return LieAlgebra(t)

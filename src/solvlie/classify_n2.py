@@ -1,32 +1,32 @@
 """Classifier for solvable algebras with a 2-dimensional derived ideal.
 
-The normalization runs as a pipeline of elementary basis changes; every
-step is recorded, and the accumulated transform is verified at the end by
-transporting the input tensor onto the canonical tensor of the reported
-class.  Dispatch is on the dimension of the adjoint-restriction span:
-0 is the two-step nilpotent regime (labelled, not classified further),
-1 runs the singular/non-singular pipelines, 2 runs the commuting-pair
-pipeline.
+The normalization runs as a pipeline of elementary basis changes on one
+`liealg.Frame`.  The steps are audited, not logged: the accumulated
+transform is verified at the end by transporting the input tensor onto the
+canonical tensor of the reported class.  Dispatch is on the dimension of
+the adjoint-restriction span: 0 is the two-step nilpotent regime (labelled,
+not classified further), 1 runs the singular/non-singular pipelines, 2 runs
+the commuting-pair pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import catalog, labels
 from .errors import ImpossibleBranch, NotInClass
 from .labels import ClassLabel
 from .liealg import (
     BasisChange,
+    Frame,
     LieAlgebra,
     StructureTensor,
     validate,
 )
 from .matrices import (
     Mat,
-    Vec,
     common_eigendirections_2x2,
     det,
     inverse,
@@ -55,147 +55,13 @@ class Classification:
     label: ClassLabel
     witness: Witness
 
-    def canonical_algebra(self) -> Optional[LieAlgebra]:
-        if self.witness.canonical is None:
-            return None
-        return LieAlgebra(self.witness.canonical)
 
-
-class _Pipe:
-    """Running tensor plus the accumulated (audited) basis change.
-
-    Steps with sparse structure (column shears, permutations) update both
-    the tensor and the running transform without full matrix products.
-    """
-
-    def __init__(self, tensor: StructureTensor):
-        self.t = tensor
-        self.n = tensor.n
-        self._tot_cols = [
-            tuple(1 if r == c else 0 for r in range(tensor.n)) for c in range(tensor.n)
-        ]
-        self.steps: list[tuple[str, Mat]] = []
-
-    @property
-    def total(self) -> Mat:
-        return Mat.from_columns(self._tot_cols)
-
-    def _tot_mul_sparse(self, repl: dict):
-        n = self.n
-        new_cols = {}
-        for j, v in repl.items():
-            acc = [0] * n
-            for i, c in enumerate(v):
-                if c != 0:
-                    col = self._tot_cols[i]
-                    for r in range(n):
-                        x = col[r]
-                        if x != 0:
-                            acc[r] = acc[r] + c * x
-            new_cols[j] = tuple(acc)
-        for j, col in new_cols.items():
-            self._tot_cols[j] = col
-
-    def apply(self, name: str, mat: Mat, inv: Optional[Mat] = None):
-        if inv is None:
-            inv = inverse(mat)
-        self.t = self.t.transform(mat, inv)
-        total = self.total @ mat
-        self._tot_cols = total.columns()
-        self.steps.append((name, mat))
-
-    # --- elementary step builders -------------------------------------
-    def ident_cols(self) -> list[list]:
-        return [[1 if r == c else 0 for r in range(self.n)] for c in range(self.n)]
-
-    def step_cols(self, name: str, replacements: dict):
-        """Replace the given columns (new basis vectors in current
-        coordinates).
-
-        When every replacement touches, besides its own coordinate, only
-        coordinates outside the replaced set (scaled shears: the common
-        case here), the inverse is written down directly and the tensor is
-        transformed along the sparse path.
-        """
-        n = self.n
-        replaced = set(replacements)
-        shear = all(
-            v[j] != 0 and all(v[i] == 0 for i in replaced if i != j)
-            for j, v in replacements.items()
-        )
-        cols = self.ident_cols()
-        for j, v in replacements.items():
-            cols[j] = list(v)
-        mat = Mat.from_columns(cols)
-        if not shear:
-            self.apply(name, mat)
-            return
-        inv_cols = {}
-        for j, v in replacements.items():
-            cj = v[j]
-            col = [0] * n
-            col[j] = exdiv(1, cj)
-            for i in range(n):
-                if i != j and v[i] != 0:
-                    col[i] = exdiv(-v[i], cj)
-            inv_cols[j] = col
-        self.t = self.t.transform_sparse(replacements, inv_cols)
-        self._tot_mul_sparse(replacements)
-        self.steps.append((name, mat))
-
-    def step_perm(self, name: str, order: Sequence[int]):
-        """Column j of the step is e_{order[j]}: new X_j := old X_{order[j]}."""
-        self.t = self.t.permute(order)
-        self._tot_cols = [self._tot_cols[order[j]] for j in range(self.n)]
-        cols = []
-        for j in range(self.n):
-            col = [0] * self.n
-            col[order[j]] = 1
-            cols.append(col)
-        self.steps.append((name, Mat.from_columns(cols)))
-
-    # --- readers -------------------------------------------------------
-    def g1_part(self, vec: Vec) -> tuple:
-        if any(vec[i] != 0 for i in range(2, self.n)):
-            raise ImpossibleBranch("bracket left the derived ideal span")
-        return (vec[0], vec[1])
-
-    def adjoint(self, i: int) -> Mat:
-        """ad_{X_i} restricted to span(X_1, X_2), in that basis."""
-        c0 = self.g1_part(self.t.bracket_basis(i, 0))
-        c1 = self.g1_part(self.t.bracket_basis(i, 1))
-        return Mat.from_columns([c0, c1])
-
-    def g1_bracket(self, i: int, j: int) -> tuple:
-        return self.g1_part(self.t.bracket_basis(i, j))
-
-    def basis_vec(self, i: int, scale=1) -> list:
-        v: list = [0] * self.n
-        v[i] = scale
-        return v
-
-def _embed_g1(pipe: _Pipe, c: Mat) -> dict:
+def _embed_g1(pipe: Frame, c: Mat) -> dict:
     """Column replacements conjugating the derived-ideal basis by c."""
     return {
         0: [c[0, 0], c[1, 0]] + [0] * (pipe.n - 2),
         1: [c[0, 1], c[1, 1]] + [0] * (pipe.n - 2),
     }
-
-
-def _derived_front_transform(g1_rows: list, n: int) -> Mat:
-    pivots = []
-    for row in g1_rows:
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots.append(c)
-                break
-    rest = [c for c in range(n) if c not in set(pivots)]
-    cols = [list(r) for r in g1_rows]
-    for c in rest:
-        v: list = [0] * n
-        v[c] = 1
-        cols.append(v)
-    return Mat.from_columns(cols)
 
 
 def classify_n2(a) -> Classification:
@@ -218,8 +84,7 @@ def classify_n2(a) -> Classification:
         raise NotInClass("DerivedDimNot2", f"dim of derived ideal is {len(g1)}")
     n = tensor.n
 
-    pipe = _Pipe(tensor)
-    pipe.apply("derived-to-front", _derived_front_transform(g1, n))
+    pipe = Frame(tensor, g1)
 
     if not vec_is_zero(pipe.t.bracket_basis(0, 1)):
         raise ImpossibleBranch("derived ideal of a validated solvable algebra must be abelian")
@@ -245,13 +110,7 @@ def classify_n2(a) -> Classification:
         label = _adjoint_plane_pipeline(pipe)
 
     canonical = catalog.build_tensor(label)
-    transform = BasisChange(pipe.total)
-    final = tensor.transform(transform.matrix, transform.inverse)
-    if final != canonical or pipe.t != canonical:
-        raise ImpossibleBranch(
-            f"witness verification failed for {label}: got {final!r}, want {canonical!r}"
-        )
-    return Classification(label, Witness(transform, label, canonical))
+    return Classification(label, Witness(pipe.witness(canonical), label, canonical))
 
 
 # ----------------------------------------------------------------------
@@ -259,14 +118,14 @@ def classify_n2(a) -> Classification:
 # ----------------------------------------------------------------------
 
 
-def _adjoint_line_normalize(pipe: _Pipe) -> Mat:
+def _adjoint_line_normalize(pipe: Frame) -> Mat:
     """Arrange a_{X_3} spanning the adjoint line and a_{X_i} = 0, i >= 4."""
     n = pipe.n
     pivot = next(i for i in range(2, n) if not pipe.adjoint(i).is_zero())
     if pivot != 2:
         order = list(range(n))
         order[2], order[pivot] = order[pivot], order[2]
-        pipe.step_perm("adjoint-pivot-to-X3", order)
+        pipe.step_perm(order)
     a3 = pipe.adjoint(2)
     flat3 = [a3[r, c] for r in range(2) for c in range(2)]
     lead = next(k for k, x in enumerate(flat3) if x != 0)
@@ -278,40 +137,40 @@ def _adjoint_line_normalize(pipe: _Pipe) -> Mat:
         if any(flat[k] != alpha * flat3[k] for k in range(4)):
             raise ImpossibleBranch("adjoint line is not one-dimensional")
         if alpha != 0:
-            v = pipe.basis_vec(i)
+            v = pipe.unit(i)
             v[2] = -alpha
             reps[i] = v
     if reps:
-        pipe.step_cols("kill-adjoints-above-X3", reps)
+        pipe.step_cols(reps)
         for i in range(3, n):
             if not pipe.adjoint(i).is_zero():
                 raise ImpossibleBranch("line normalization left a nonzero adjoint")
     return pipe.adjoint(2)
 
 
-def _invertible_action_pipeline(pipe: _Pipe, a3: Mat) -> ClassLabel:
+def _invertible_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
     """Non-singular a_{X_3}: the algebra splits off an abelian tail and the
     core is one of the three 3-dimensional families."""
     n = pipe.n
     for i in range(3, n):
         for j in range(i + 1, n):
-            if pipe.g1_bracket(i, j) != (0, 0):
+            if pipe.bracket(i, j) != (0, 0):
                 raise ImpossibleBranch("brackets beyond X3 must vanish when a_X3 is invertible")
     a3inv = inverse(a3)
     reps = {}
     for k in range(3, n):
-        w = pipe.g1_bracket(2, k)
+        w = pipe.bracket(2, k)
         if w != (0, 0):
             y, z = a3inv.apply(w)
-            v = pipe.basis_vec(k)
+            v = pipe.unit(k)
             v[0], v[1] = -y, -z
             reps[k] = v
     if reps:
-        pipe.step_cols("kill-X3-brackets", reps)
+        pipe.step_cols(reps)
     cls = propsim_classify_gl2(a3)
     gl2 = _embed_g1(pipe, cls.cmat)
-    gl2[2] = pipe.basis_vec(2, cls.c)
-    pipe.step_cols("gl2-normalize", gl2)
+    gl2[2] = pipe.unit(2, cls.c)
+    pipe.step_cols(gl2)
     d = n - 3
     if cls.family == "diag":
         return ClassLabel(labels.G3_2_1, abelian_ext=d, lam=cls.lam, j=Fraction(cls.j))
@@ -320,7 +179,7 @@ def _invertible_action_pipeline(pipe: _Pipe, a3: Mat) -> ClassLabel:
     return ClassLabel(labels.G3_2_3, abelian_ext=d, j=Fraction(cls.j), cos_sign=cls.cos_sign)
 
 
-def _singular_action_pipeline(pipe: _Pipe, a3: Mat) -> ClassLabel:
+def _singular_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
     """Singular nonzero a_{X_3}; the trace decides between the projector
     and nilpotent shapes, then chain reduction sorts the skew data."""
     n = pipe.n
@@ -336,7 +195,7 @@ def _singular_action_pipeline(pipe: _Pipe, a3: Mat) -> ClassLabel:
     return _case2_assemble(pipe, anchored, pairs, leftover)
 
 
-def _case1_shape(pipe: _Pipe, a3: Mat, tr):
+def _case1_shape(pipe: Frame, a3: Mat, tr):
     """Normalize a_{X_3} to the rank-one projector and clear the
     X_1-components of all remaining brackets."""
     n = pipe.n
@@ -344,26 +203,26 @@ def _case1_shape(pipe: _Pipe, a3: Mat, tr):
     v_eig = kernel_basis(shifted)[0]
     v_ker = kernel_basis(a3)[0]
     gl2 = _embed_g1(pipe, Mat.from_columns([v_eig, v_ker]))
-    gl2[2] = pipe.basis_vec(2, exdiv(1, tr))
-    pipe.step_cols("projector-shape", gl2)
+    gl2[2] = pipe.unit(2, exdiv(1, tr))
+    pipe.step_cols(gl2)
     if pipe.adjoint(2) != Mat([[1, 0], [0, 0]]):
         raise ImpossibleBranch("projector normalization failed")
     reps = {}
     for k in range(3, n):
-        y, _ = pipe.g1_bracket(2, k)
+        y, _ = pipe.bracket(2, k)
         if y != 0:
-            v = pipe.basis_vec(k)
+            v = pipe.unit(k)
             v[0] = -y
             reps[k] = v
     if reps:
-        pipe.step_cols("kill-X1-components", reps)
+        pipe.step_cols(reps)
     for i in range(3, n):
         for j in range(i + 1, n):
-            if pipe.g1_bracket(i, j)[0] != 0:
+            if pipe.bracket(i, j)[0] != 0:
                 raise ImpossibleBranch("X1-component of a far bracket survived Jacobi")
 
 
-def _case2_shape(pipe: _Pipe, a3: Mat):
+def _case2_shape(pipe: Frame, a3: Mat):
     """Nilpotent a_{X_3}: reach [X_3, X_1] = X_2, [X_3, X_4] = X_1 with all
     other [X_3, .] zero."""
     n = pipe.n
@@ -374,49 +233,49 @@ def _case2_shape(pipe: _Pipe, a3: Mat):
             break
     if w is None:
         raise ImpossibleBranch("nonzero nilpotent adjoint acts nontrivially somewhere")
-    pipe.step_cols("nilpotent-shape", _embed_g1(pipe, Mat.from_columns([w, a3.apply(w)])))
+    pipe.step_cols(_embed_g1(pipe, Mat.from_columns([w, a3.apply(w)])))
     if pipe.adjoint(2) != Mat([[0, 0], [1, 0]]):
         raise ImpossibleBranch("nilpotent normalization failed")
     reps = {}
     for k in range(3, n):
-        _, c2 = pipe.g1_bracket(2, k)
+        _, c2 = pipe.bracket(2, k)
         if c2 != 0:
-            v = pipe.basis_vec(k)
+            v = pipe.unit(k)
             v[0] = -c2
             reps[k] = v
     if reps:
-        pipe.step_cols("kill-X2-components", reps)
+        pipe.step_cols(reps)
     for i in range(3, n):
         for j in range(i + 1, n):
-            if pipe.g1_bracket(i, j)[0] != 0:
+            if pipe.bracket(i, j)[0] != 0:
                 raise ImpossibleBranch("X1-component of a far bracket survived Jacobi")
-    zs = [(k, pipe.g1_bracket(2, k)[0]) for k in range(3, n)]
+    zs = [(k, pipe.bracket(2, k)[0]) for k in range(3, n)]
     k0 = next((k for k, z in zs if z != 0), None)
     if k0 is None:
         raise ImpossibleBranch("derived ideal cannot be 2-dimensional without a z-coefficient")
     if k0 != 3:
         order = list(range(n))
         order[3], order[k0] = order[k0], order[3]
-        pipe.step_perm("z-pivot-to-X4", order)
-    z4 = pipe.g1_bracket(2, 3)[0]
-    reps = {3: pipe.basis_vec(3, exdiv(1, z4))}
-    pipe.step_cols("scale-X4", reps)
+        pipe.step_perm(order)
+    z4 = pipe.bracket(2, 3)[0]
+    reps = {3: pipe.unit(3, exdiv(1, z4))}
+    pipe.step_cols(reps)
     reps = {}
     for k in range(4, n):
-        zk = pipe.g1_bracket(2, k)[0]
+        zk = pipe.bracket(2, k)[0]
         if zk != 0:
-            v = pipe.basis_vec(k)
+            v = pipe.unit(k)
             v[3] = -zk
             reps[k] = v
     if reps:
-        pipe.step_cols("kill-X3-brackets-beyond-X4", reps)
-    if pipe.g1_bracket(2, 3) != (1, 0) or any(
-        pipe.g1_bracket(2, k) != (0, 0) for k in range(4, pipe.n)
+        pipe.step_cols(reps)
+    if pipe.bracket(2, 3) != (1, 0) or any(
+        pipe.bracket(2, k) != (0, 0) for k in range(4, pipe.n)
     ):
         raise ImpossibleBranch("chain seed normalization failed")
 
 
-def _chain_normalize(pipe: _Pipe, anchor: int, block: list, comp: int):
+def _chain_normalize(pipe: Frame, anchor: int, block: list, comp: int):
     """Greedy chain reduction of the component-`comp` skew data on `block`
     seeded at `anchor`, followed by the parity telescopings and the same
     procedure on the untouched residual.
@@ -428,7 +287,7 @@ def _chain_normalize(pipe: _Pipe, anchor: int, block: list, comp: int):
     """
 
     def omega(i, j):
-        return pipe.g1_bracket(i, j)[comp]
+        return pipe.bracket(i, j)[comp]
 
     remaining = list(block)
     chains: list[tuple[int, list[int]]] = []  # (head index, chain vertices)
@@ -443,18 +302,18 @@ def _chain_normalize(pipe: _Pipe, anchor: int, block: list, comp: int):
                 break
             val = omega(current, nxt)
             if val != 1:
-                pipe.step_cols(f"chain-scale-{nxt + 1}", {nxt: pipe.basis_vec(nxt, exdiv(1, val))})
+                pipe.step_cols({nxt: pipe.unit(nxt, exdiv(1, val))})
             reps = {}
             for k in remaining:
                 if k == nxt:
                     continue
                 c = omega(current, k)
                 if c != 0:
-                    v = pipe.basis_vec(k)
+                    v = pipe.unit(k)
                     v[nxt] = -c
                     reps[k] = v
             if reps:
-                pipe.step_cols(f"chain-eliminate-at-{nxt + 1}", reps)
+                pipe.step_cols(reps)
             chain.append(nxt)
             remaining.remove(nxt)
             current = nxt
@@ -483,7 +342,7 @@ def _chain_normalize(pipe: _Pipe, anchor: int, block: list, comp: int):
     return anchored, pairs, leftover
 
 
-def _telescope(pipe: _Pipe, verts: list, pinned: bool, comp: int):
+def _telescope(pipe: Frame, verts: list, pinned: bool, comp: int):
     """Decouple a path of unit skew edges into disjoint pairs.
 
     verts[0] is the path head; when `pinned` the head is the anchor and the
@@ -499,9 +358,9 @@ def _telescope(pipe: _Pipe, verts: list, pinned: bool, comp: int):
         # odd number of edges: head keeps its partner, rest pair up
         for pos in range(L - 3, 0, -2):
             v, w = verts[pos], verts[pos + 2]
-            vec = pipe.basis_vec(v)
+            vec = pipe.unit(v)
             vec[w] = ONE
-            pipe.step_cols(f"telescope-{v + 1}", {v: vec})
+            pipe.step_cols({v: vec})
         partner = verts[1]
         pairs = [(verts[i], verts[i + 1]) for i in range(2, L - 1, 2)]
         if pinned:
@@ -510,9 +369,9 @@ def _telescope(pipe: _Pipe, verts: list, pinned: bool, comp: int):
     # even number of edges: head decouples entirely
     for pos in range(L - 3, -1, -2):
         v, w = verts[pos], verts[pos + 2]
-        vec = pipe.basis_vec(v)
+        vec = pipe.unit(v)
         vec[w] = ONE
-        pipe.step_cols(f"telescope-{v + 1}", {v: vec})
+        pipe.step_cols({v: vec})
     pairs = [(verts[i], verts[i + 1]) for i in range(1, L - 1, 2)]
     return None, pairs
 
@@ -528,14 +387,14 @@ def _assert_chain_clean(pipe, anchor, block, comp, anchored, pairs):
     idxs = [anchor] + block
     for x, i in enumerate(idxs):
         for j in idxs[x + 1 :]:
-            val = pipe.g1_bracket(i, j)[comp]
+            val = pipe.bracket(i, j)[comp]
             if val != oriented.get((i, j), ZERO):
                 raise ImpossibleBranch(
                     f"chain normalization left [{i + 1},{j + 1}] component {val}"
                 )
 
 
-def _case1_assemble(pipe: _Pipe, anchored, pairs, leftover) -> ClassLabel:
+def _case1_assemble(pipe: Frame, anchored, pairs, leftover) -> ClassLabel:
     n = pipe.n
     order = [0, 1, 2]
     if anchored is not None:
@@ -545,7 +404,7 @@ def _case1_assemble(pipe: _Pipe, anchored, pairs, leftover) -> ClassLabel:
     order += leftover
     if sorted(order) != list(range(n)):
         raise ImpossibleBranch("case-1 assembly permutation is not a bijection")
-    pipe.step_perm("canonical-order", order)
+    pipe.step_perm(order)
     p = len(pairs)
     if anchored is not None:
         if p == 0:
@@ -556,7 +415,7 @@ def _case1_assemble(pipe: _Pipe, anchored, pairs, leftover) -> ClassLabel:
     return ClassLabel(labels.AFFR_PLUS_HEIS, abelian_ext=n - 3 - 2 * p, m=p)
 
 
-def _case2_assemble(pipe: _Pipe, anchored, pairs, leftover) -> ClassLabel:
+def _case2_assemble(pipe: Frame, anchored, pairs, leftover) -> ClassLabel:
     n = pipe.n
     order = [0, 1, 2, 3]
     if anchored is not None:
@@ -566,12 +425,12 @@ def _case2_assemble(pipe: _Pipe, anchored, pairs, leftover) -> ClassLabel:
     order += leftover
     if sorted(order) != list(range(n)):
         raise ImpossibleBranch("case-2 assembly permutation is not a bijection")
-    pipe.step_perm("canonical-order", order)
+    pipe.step_perm(order)
     p = len(pairs)
     if anchored is not None:
         return ClassLabel(labels.G5P2K_2, abelian_ext=n - 5 - 2 * p, k=p)
     if p == 0:
-        pipe.step_perm("swap-derived-roles", [1, 0] + list(range(2, n)))
+        pipe.step_perm([1, 0] + list(range(2, n)))
         return ClassLabel(labels.G4_2_2, abelian_ext=n - 4)
     return ClassLabel(labels.G6P2K_2_2, abelian_ext=n - 6 - 2 * (p - 1), k=p - 1)
 
@@ -581,7 +440,7 @@ def _case2_assemble(pipe: _Pipe, anchored, pairs, leftover) -> ClassLabel:
 # ----------------------------------------------------------------------
 
 
-def _adjoint_plane_pipeline(pipe: _Pipe) -> ClassLabel:
+def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
     n = pipe.n
     pos3 = next(i for i in range(2, n) if not pipe.adjoint(i).is_zero())
     base = pipe.adjoint(pos3)
@@ -599,7 +458,7 @@ def _adjoint_plane_pipeline(pipe: _Pipe) -> ClassLabel:
     order[2], order[pos3] = order[pos3], order[2]
     i4 = order.index(pos4)  # pos4 > pos3 >= 2, so it was not moved to slot 2
     order[3], order[i4] = order[i4], order[3]
-    pipe.step_perm("adjoint-pair-to-front", order)
+    pipe.step_perm(order)
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     if a3 @ a4 != a4 @ a3:
         raise ImpossibleBranch("adjoint pair must commute")
@@ -618,11 +477,11 @@ def _adjoint_plane_pipeline(pipe: _Pipe) -> ClassLabel:
             raise ImpossibleBranch("adjoint outside the two-dimensional span")
         alpha, beta = coords
         if alpha != 0 or beta != 0:
-            v = pipe.basis_vec(i)
+            v = pipe.unit(i)
             v[2], v[3] = -alpha, -beta
             reps[i] = v
     if reps:
-        pipe.step_cols("kill-adjoints-above-X4", reps)
+        pipe.step_cols(reps)
 
     s3 = spectral_classify_2x2(a3)
     s4 = spectral_classify_2x2(a4)
@@ -636,36 +495,36 @@ def _adjoint_plane_pipeline(pipe: _Pipe) -> ClassLabel:
     return _plane_one_eigenline_case(pipe)
 
 
-def _residual_cleanup_a4_identity(pipe: _Pipe):
+def _residual_cleanup_a4_identity(pipe: Frame):
     """With a_{X_4} = I (and a_{X_3} arbitrary in its centralizer), kill all
     remaining brackets involving indices >= 3 except those inside G^1."""
     n = pipe.n
     reps = {}
     for k in range(4, n):
-        w = pipe.g1_bracket(3, k)
+        w = pipe.bracket(3, k)
         if w != (0, 0):
-            v = pipe.basis_vec(k)
+            v = pipe.unit(k)
             v[0], v[1] = -w[0], -w[1]
             reps[k] = v
     if reps:
-        pipe.step_cols("kill-X4-brackets", reps)
+        pipe.step_cols(reps)
     for k in range(4, n):
-        if pipe.g1_bracket(2, k) != (0, 0):
+        if pipe.bracket(2, k) != (0, 0):
             raise ImpossibleBranch("Jacobi should have cleared [X3, X_k] once [X4, X_k] = 0")
         for j in range(k + 1, n):
-            if pipe.g1_bracket(k, j) != (0, 0):
+            if pipe.bracket(k, j) != (0, 0):
                 raise ImpossibleBranch("far brackets must vanish when a_X4 is the identity")
-    u = pipe.g1_bracket(2, 3)
+    u = pipe.bracket(2, 3)
     if u != (0, 0):
-        v = pipe.basis_vec(2)
+        v = pipe.unit(2)
         v[0], v[1] = u[0], u[1]
-        pipe.step_cols("kill-X3X4-bracket", {2: v})
+        pipe.step_cols({2: v})
 
 
-def _plane_complex_case(pipe: _Pipe) -> ClassLabel:
+def _plane_complex_case(pipe: Frame) -> ClassLabel:
     n = pipe.n
     if spectral_classify_2x2(pipe.adjoint(2)).kind != "complex_pair":
-        pipe.step_perm("complex-to-X3", [0, 1, 3, 2] + list(range(4, n)))
+        pipe.step_perm([0, 1, 3, 2] + list(range(4, n)))
     a3 = pipe.adjoint(2)
     a4 = pipe.adjoint(3)
     # the centralizer of a complex-pair 2x2 is span(I, a3)
@@ -683,7 +542,7 @@ def _plane_complex_case(pipe: _Pipe) -> ClassLabel:
         raise ImpossibleBranch("independent partner cannot be a pure multiple")
     v4 = [ZERO] * n
     v4[2], v4[3] = exdiv(-t, s), exdiv(1, s)
-    pipe.step_cols("partner-to-identity", {3: v4})
+    pipe.step_cols({3: v4})
     if pipe.adjoint(3) != Mat.identity(2):
         raise ImpossibleBranch("identity normalization failed")
     _residual_cleanup_a4_identity(pipe)
@@ -694,7 +553,7 @@ def _plane_complex_case(pipe: _Pipe) -> ClassLabel:
     beta = exdiv(-alpha * tau, 2)
     v3 = [ZERO] * n
     v3[2], v3[3] = alpha, beta
-    pipe.step_cols("unit-complex-shape", {2: v3})
+    pipe.step_cols({2: v3})
     a3 = pipe.adjoint(2)
     if a3.trace() != 0 or det(a3) != 1:
         raise ImpossibleBranch("trace/determinant normalization failed")
@@ -703,16 +562,16 @@ def _plane_complex_case(pipe: _Pipe) -> ClassLabel:
         pm = Mat.from_columns([(ONE, ZERO), a3.apply((ONE, ZERO))])
         pj = Mat.from_columns([(ONE, ZERO), target.apply((ONE, ZERO))])
         cmat = pm @ inverse(pj)
-        pipe.step_cols("rotate-complex-frame", _embed_g1(pipe, cmat))
+        pipe.step_cols(_embed_g1(pipe, cmat))
         if pipe.adjoint(2) != target:
             raise ImpossibleBranch("quarter-turn conjugation failed")
     return ClassLabel(labels.G4_2_4_AFFC, abelian_ext=n - 4)
 
 
-def _plane_split_case(pipe: _Pipe, dirs) -> ClassLabel:
+def _plane_split_case(pipe: Frame, dirs) -> ClassLabel:
     n = pipe.n
     cmat = Mat.from_columns([dirs[0], dirs[1]])
-    pipe.step_cols("common-eigenframe", _embed_g1(pipe, cmat))
+    pipe.step_cols(_embed_g1(pipe, cmat))
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     for m in (a3, a4):
         if m[0, 1] != 0 or m[1, 0] != 0:
@@ -723,38 +582,38 @@ def _plane_split_case(pipe: _Pipe, dirs) -> ClassLabel:
     v3[2], v3[3] = inv[0, 0], inv[0, 1]
     v4 = [ZERO] * n
     v4[2], v4[3] = inv[1, 0], inv[1, 1]
-    pipe.step_cols("weight-mixing", {2: v3, 3: v4})
+    pipe.step_cols({2: v3, 3: v4})
     if pipe.adjoint(2) != Mat([[1, 0], [0, 0]]) or pipe.adjoint(3) != Mat([[0, 0], [0, 1]]):
         raise ImpossibleBranch("weight mixing did not reach the projector pair")
     reps = {}
     for k in range(4, n):
-        w3 = pipe.g1_bracket(2, k)
-        w4 = pipe.g1_bracket(3, k)
+        w3 = pipe.bracket(2, k)
+        w4 = pipe.bracket(3, k)
         if w3[1] != 0 or w4[0] != 0:
             raise ImpossibleBranch("cross components survive Jacobi in the split case")
         if w3[0] != 0 or w4[1] != 0:
-            v = pipe.basis_vec(k)
+            v = pipe.unit(k)
             v[0], v[1] = -w3[0], -w4[1]
             reps[k] = v
     if reps:
-        pipe.step_cols("kill-diagonal-components", reps)
+        pipe.step_cols(reps)
     for k in range(4, n):
         for j in range(k + 1, n):
-            if pipe.g1_bracket(k, j) != (0, 0):
+            if pipe.bracket(k, j) != (0, 0):
                 raise ImpossibleBranch("far brackets must vanish in the split case")
-    alpha, beta = pipe.g1_bracket(2, 3)
+    alpha, beta = pipe.bracket(2, 3)
     if (alpha, beta) != (0, 0):
-        v3 = pipe.basis_vec(2)
+        v3 = pipe.unit(2)
         v3[1] = beta
-        v4 = pipe.basis_vec(3)
+        v4 = pipe.unit(3)
         v4[0] = -alpha
-        pipe.step_cols("kill-X3X4-bracket", {2: v3, 3: v4})
-    if pipe.g1_bracket(2, 3) != (0, 0):
+        pipe.step_cols({2: v3, 3: v4})
+    if pipe.bracket(2, 3) != (0, 0):
         raise ImpossibleBranch("[X3, X4] must vanish after the correction")
     return ClassLabel(labels.AFFR_PLUS_AFFR, abelian_ext=n - 4)
 
 
-def _plane_one_eigenline_case(pipe: _Pipe) -> ClassLabel:
+def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
     n = pipe.n
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     stacked = Mat.from_columns(
@@ -776,7 +635,7 @@ def _plane_one_eigenline_case(pipe: _Pipe) -> ClassLabel:
     v3[2], v3[3] = mu4, -mu3
     v4 = [ZERO] * n
     v4[2], v4[3] = x, y
-    pipe.step_cols("nilpotent-identity-pair", {2: v3, 3: v4})
+    pipe.step_cols({2: v3, 3: v4})
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     if a4 != Mat.identity(2) or a3.trace() != 0 or not (a3 @ a3).is_zero() or a3.is_zero():
         raise ImpossibleBranch("expected a nonzero nilpotent with the identity partner")
@@ -785,7 +644,7 @@ def _plane_one_eigenline_case(pipe: _Pipe) -> ClassLabel:
         if a3.apply(cand) != (0, 0):
             w = cand
             break
-    pipe.step_cols("jordan-frame", _embed_g1(pipe, Mat.from_columns([a3.apply(w), w])))
+    pipe.step_cols(_embed_g1(pipe, Mat.from_columns([a3.apply(w), w])))
     if pipe.adjoint(2) != Mat([[0, 1], [0, 0]]) or pipe.adjoint(3) != Mat.identity(2):
         raise ImpossibleBranch("jordan-frame normalization failed")
     _residual_cleanup_a4_identity(pipe)

@@ -7,6 +7,9 @@ case), or the pair ([Z, Y] = X_{n-2}, a_Z = Abar) with Abar in one of the
 two rank-(n-3) block shapes; two structure matrices give isomorphic
 algebras exactly when they are proportionally similar, and the isomorphism
 is materialized as a block matrix and checked by exact bracket transport.
+The normalizing basis change is audited the same way: `normalize_codim2`
+returns a witness only after an independent dense transport of the input
+by it has reproduced the normalized tensor.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Optional
 from .errors import ImpossibleBranch, NotInClass, ShapeMismatch, Unsupported
 from .liealg import (
     BasisChange,
+    Frame,
     LieAlgebra,
     StructureTensor,
     derived_series_t,
@@ -69,45 +73,6 @@ def codim2_tensor(a_bar: Mat) -> StructureTensor:
     return StructureTensor(n, table)
 
 
-class _Frame:
-    """Accumulated basis change for the codim-2 pipeline."""
-
-    def __init__(self, tensor: StructureTensor):
-        self.t = tensor
-        self.n = tensor.n
-        self.total = Mat.identity(tensor.n)
-
-    def apply(self, mat: Mat):
-        inv = inverse(mat)
-        self.t = self.t.transform(mat, inv)
-        self.total = self.total @ mat
-
-    def sub_vec(self, vec) -> tuple:
-        if any(vec[i] != 0 for i in range(self.n - 2, self.n)):
-            raise ImpossibleBranch("bracket left the derived ideal")
-        return tuple(vec[: self.n - 2])
-
-    def adjoint(self, i: int) -> Mat:
-        cols = [self.sub_vec(self.t.bracket_basis(i, j)) for j in range(self.n - 2)]
-        return Mat.from_columns(cols)
-
-
-def _front_transform(rows: list, n: int) -> Mat:
-    pivots = []
-    for row in rows:
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots.append(c)
-                break
-    rest = [c for c in range(n) if c not in set(pivots)]
-    cols = [list(r) for r in rows]
-    for c in rest:
-        v = [0] * n
-        v[c] = 1
-        cols.append(v)
-    return Mat.from_columns(cols)
-
-
 def normalize_codim2(a) -> Codim2Form:
     tensor = a.tensor if isinstance(a, LieAlgebra) else a
     rep = validate(tensor)
@@ -125,8 +90,7 @@ def normalize_codim2(a) -> Codim2Form:
     if len(series) > 2 and series[2]:
         raise NotInClass("DerivedNotAbelian")
 
-    fr = _Frame(tensor)
-    fr.apply(_front_transform(g1, n))
+    fr = Frame(tensor, g1)
     k = n - 2
 
     a_y = fr.adjoint(n - 2)
@@ -140,41 +104,38 @@ def normalize_codim2(a) -> Codim2Form:
         raise Unsupported("two-dimensional adjoint span on a codimension-2 derived ideal")
 
     if a_z.is_zero():
-        swap = list(range(n))
-        swap[n - 2], swap[n - 1] = swap[n - 1], swap[n - 2]
-        fr.apply(Mat.from_columns([_unit(n, swap[j]) for j in range(n)]))
+        fr.step_perm(list(range(n - 2)) + [n - 1, n - 2])
         a_y, a_z = fr.adjoint(n - 2), fr.adjoint(n - 1)
     if not a_y.is_zero():
         lead = next(
             (r, c) for r in range(k) for c in range(k) if a_z[r, c] != 0
         )
         y = exdiv(a_y[lead[0], lead[1]], a_z[lead[0], lead[1]])
-        cols = [_unit(n, j) for j in range(n)]
-        cols[n - 2][n - 1] = -y
-        fr.apply(Mat.from_columns(cols))
+        ycol = fr.unit(n - 2)
+        ycol[n - 1] = -y
+        fr.step_cols({n - 2: ycol})
         if not fr.adjoint(n - 2).is_zero():
             raise ImpossibleBranch("a_Y must vanish after the line correction")
         a_z = fr.adjoint(n - 1)
 
-    w = fr.sub_vec(fr.t.bracket_basis(n - 1, n - 2))  # [Z, Y] in derived coords
+    w = fr.bracket(n - 1, n - 2)  # [Z, Y] in derived coords
     r = rank(a_z)
     if r < k - 1:
         raise ImpossibleBranch("rank of a_Z cannot drop below n - 3")
 
     if not vec_is_zero(w) and r == k:
         u = solve(a_z, w)
-        cols = [_unit(n, j) for j in range(n)]
+        ycol = fr.unit(n - 2)
         for i in range(k):
-            cols[n - 2][i] = -u[i]
-        fr.apply(Mat.from_columns(cols))
-        w = fr.sub_vec(fr.t.bracket_basis(n - 1, n - 2))
+            ycol[i] = -u[i]
+        fr.step_cols({n - 2: ycol})
+        w = fr.bracket(n - 1, n - 2)
         if not vec_is_zero(w):
             raise ImpossibleBranch("[Z, Y] must vanish after the inverse correction")
 
     if vec_is_zero(w):
         # decomposable: move the split line (Y) to the last position
-        order = list(range(n - 2)) + [n - 1, n - 2]
-        fr.apply(Mat.from_columns([_unit(n, order[j]) for j in range(n)]))
+        fr.step_perm(list(range(n - 2)) + [n - 1, n - 2])
         inner_table = {}
         for (i, j), vec in fr.t.brackets.items():
             if i >= n - 1 or j >= n - 1:
@@ -187,7 +148,7 @@ def normalize_codim2(a) -> Codim2Form:
         inner = LieAlgebra(StructureTensor(n - 1, inner_table))
         return Codim2Form(
             case="decomposable",
-            witness=BasisChange(fr.total),
+            witness=fr.witness(),
             ambient_dim=n,
             inner=inner,
         )
@@ -211,14 +172,12 @@ def normalize_codim2(a) -> Codim2Form:
             raise ImpossibleBranch("[Z, Y] cannot lie in the image here")
         vvec = tuple(vcoef * x for x in kvec)
         new_basis = [list(row) for row in im_rows] + [list(vvec)]
-        cols = [vec + [0, 0] for vec in new_basis]
-        step = [list(c) for c in cols]
-        ycol = _unit(n, n - 2)
+        step = {j: vec + [0, 0] for j, vec in enumerate(new_basis)}
+        ycol = fr.unit(n - 2)
         for i in range(k):
             ycol[i] = -u[i]
-        step.append(ycol)
-        step.append(_unit(n, n - 1))
-        fr.apply(Mat.from_columns(step))
+        step[n - 2] = ycol
+        fr.step_cols(step)
         shape = LEFT
     else:
         # B2: kernel sits inside the image
@@ -230,14 +189,11 @@ def normalize_codim2(a) -> Codim2Form:
         if len(basis) != k - 1:
             raise ImpossibleBranch("image completion failed")
         basis.append(list(w))
-        cols = [vec + [0, 0] for vec in basis]
-        cols.append(_unit(n, n - 2))
-        cols.append(_unit(n, n - 1))
-        fr.apply(Mat.from_columns(cols))
+        fr.step_cols({j: vec + [0, 0] for j, vec in enumerate(basis)})
         shape = RIGHT
 
     a_bar = fr.adjoint(n - 1)
-    w = fr.sub_vec(fr.t.bracket_basis(n - 1, n - 2))
+    w = fr.bracket(n - 1, n - 2)
     want = tuple(1 if i == k - 1 else 0 for i in range(k))
     if w != want:
         raise ImpossibleBranch("[Z, Y] must be the last derived basis vector")
@@ -255,22 +211,14 @@ def normalize_codim2(a) -> Codim2Form:
 
     if not ok_shape or det(a_in) == 0:
         raise ImpossibleBranch(f"structure matrix is not in {shape} block shape")
-    if fr.t != codim2_tensor(a_bar):
-        raise ImpossibleBranch("normalized tensor does not match its structure matrix")
     return Codim2Form(
         case="structure_matrix",
-        witness=BasisChange(fr.total),
+        witness=fr.witness(codim2_tensor(a_bar)),
         ambient_dim=n,
         shape=shape,
         a_inner=a_in,
         a_bar=a_bar,
     )
-
-
-def _unit(n: int, i: int) -> list:
-    v = [0] * n
-    v[i] = 1
-    return v
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, ImpossibleBranch
 from .matrices import Mat, Vec, inverse, rref, solve, vec_add, vec_is_zero, vec_scale
 from .scalars import ONE, ZERO, Scalar, exdiv
 
@@ -35,10 +35,6 @@ def padd(p: Poly, q: Poly) -> Poly:
     return pnormalize(
         [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
     )
-
-
-def psub(p: Poly, q: Poly) -> Poly:
-    return padd(p, [-x for x in q])
 
 
 def pmul(p: Poly, q: Poly) -> Poly:
@@ -94,12 +90,6 @@ def pgcd(p: Poly, q: Poly) -> Poly:
     while b:
         a, b = b, pdivmod(a, b)[1]
     return pmonic(a)
-
-
-def plcm(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return []
-    return pmonic(pquo(pmul(p, q), pgcd(p, q)))
 
 
 def pdivides(p: Poly, q: Poly) -> bool:
@@ -191,7 +181,8 @@ def local_min_poly(m: Mat, v: Vec) -> tuple[Poly, list[Vec]]:
         chain.append(w)
         w = m.apply(w)
     coeffs = solve(Mat.from_columns(chain), w)
-    assert coeffs is not None
+    if coeffs is None:
+        raise ImpossibleBranch("Krylov chain must annihilate its next vector")
     poly = pnormalize([-c for c in coeffs] + [ONE])
     return poly, chain
 
@@ -263,18 +254,20 @@ def cyclic_decomposition(m: Mat) -> list[tuple[Vec, Poly]]:
             if not vec_is_zero(r):
                 sys = Mat.from_columns([papply(f, m, b) for b in chain_vectors])
                 x = solve(sys, r)
-                assert x is not None, "cyclic decomposition correction must solve"
+                if x is None:
+                    raise ImpossibleBranch("cyclic decomposition correction must solve")
                 for c, b in zip(x, chain_vectors):
                     if c != 0:
                         v = vec_add(v, vec_scale(-c, b))
-                assert vec_is_zero(papply(f, m, v))
-        if gens:
-            assert pdivides(f, gens[-1][1]), "invariant factors must divide"
+                if not vec_is_zero(papply(f, m, v)):
+                    raise ImpossibleBranch("corrected lift must be annihilated by f")
+        if gens and not pdivides(f, gens[-1][1]):
+            raise ImpossibleBranch("invariant factors must divide")
         gens.append((v, f))
         w = v
         for _ in range(pdeg(f)):
-            added = span.add(w)
-            assert added, "Krylov chain must be independent"
+            if not span.add(w):
+                raise ImpossibleBranch("Krylov chain must be independent")
             chain_vectors.append(w)
             w = m.apply(w)
     return gens

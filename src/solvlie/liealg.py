@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import DimensionError, NonAbelianDerivedIdeal, SingularTransform
+from .errors import (
+    DimensionError,
+    ImpossibleBranch,
+    NonAbelianDerivedIdeal,
+    SingularTransform,
+)
 from .matrices import (
     Mat,
     Vec,
@@ -22,9 +27,8 @@ from .matrices import (
     solve,
     vec_add,
     vec_is_zero,
-    vec_scale,
 )
-from .scalars import Scalar, compact
+from .scalars import Scalar, compact, exdiv
 
 
 class StructureTensor:
@@ -233,6 +237,113 @@ class BasisChange:
         return f"BasisChange({self.matrix!r})"
 
 
+class Frame:
+    """Running tensor plus the accumulated basis change of a normalization.
+
+    Built from a tensor and the reduced-echelon basis of an ideal of
+    dimension k, which it first moves to the front, so that X_1..X_k span
+    the ideal.  Every step updates the tensor and the total together, and
+    `witness` audits the total by an independent dense transport.
+    """
+
+    __slots__ = ("input", "t", "n", "k", "_tot_cols")
+
+    def __init__(self, tensor: StructureTensor, ideal_rows: Sequence[Vec]):
+        n = tensor.n
+        self.input = self.t = tensor
+        self.n, self.k = n, len(ideal_rows)
+        self._tot_cols = standard_basis(n)
+        # each reduced-echelon row is 1 at its own pivot and 0 at the other
+        # pivots, so putting the rows on their pivot columns is a shear
+        pivots = [next(c for c, x in enumerate(row) if x != 0) for row in ideal_rows]
+        self.step_cols(dict(zip(pivots, ideal_rows)))
+        taken = set(pivots)
+        self.step_perm(pivots + [c for c in range(n) if c not in taken])
+
+    @property
+    def total(self) -> Mat:
+        return Mat.from_columns(self._tot_cols)
+
+    def step_cols(self, repl: Mapping[int, Sequence[Scalar]]):
+        """Replace the given columns of the identity by new basis vectors
+        in current coordinates.
+
+        When every replacement is nonzero at its own coordinate and zero at
+        the other replaced ones (a scaled shear), the inverse is written
+        down directly and the tensor takes the sparse path; any other
+        replacement is a dense transform.
+        """
+        n = self.n
+        shear = all(
+            v[j] != 0 and all(v[i] == 0 for i in repl if i != j)
+            for j, v in repl.items()
+        )
+        if shear:
+            inv_cols = {}
+            for j, v in repl.items():
+                cj = v[j]
+                col = [0] * n
+                col[j] = exdiv(1, cj)
+                for i in range(n):
+                    if i != j and v[i] != 0:
+                        col[i] = exdiv(-v[i], cj)
+                inv_cols[j] = col
+            self.t = self.t.transform_sparse(repl, inv_cols)
+        else:
+            cols = standard_basis(n)
+            for j, v in repl.items():
+                cols[j] = v
+            mat = Mat.from_columns(cols)
+            self.t = self.t.transform(mat, inverse(mat))
+        # total @ step differs from total only in the replaced columns
+        new_cols = {}
+        for j, v in repl.items():
+            acc = [0] * n
+            for i, c in enumerate(v):
+                if c != 0:
+                    for r, x in enumerate(self._tot_cols[i]):
+                        if x != 0:
+                            acc[r] = acc[r] + c * x
+            new_cols[j] = tuple(acc)
+        for j, col in new_cols.items():
+            self._tot_cols[j] = col
+
+    def step_perm(self, order: Sequence[int]):
+        """Column j of the step is e_{order[j]}: new X_j := old X_{order[j]}."""
+        self.t = self.t.permute(order)
+        self._tot_cols = [self._tot_cols[o] for o in order]
+
+    def unit(self, i: int, scale: Scalar = 1) -> list:
+        v: list = [0] * self.n
+        v[i] = scale
+        return v
+
+    def bracket(self, i: int, j: int) -> tuple:
+        """[X_i, X_j] in the coordinates of X_1..X_k; it must lie there."""
+        vec = self.t.bracket_basis(i, j)
+        if any(vec[r] != 0 for r in range(self.k, self.n)):
+            raise ImpossibleBranch("bracket left the front ideal")
+        return tuple(vec[: self.k])
+
+    def adjoint(self, i: int) -> Mat:
+        """ad_{X_i} restricted to span(X_1..X_k), in that basis."""
+        return Mat.from_columns([self.bracket(i, j) for j in range(self.k)])
+
+    def witness(self, target: Optional[StructureTensor] = None) -> BasisChange:
+        """The accumulated basis change, once an independent dense
+        transport of the input by it gives the running tensor, and the
+        running tensor is `target` when one is given."""
+        if target is not None and self.t != target:
+            raise ImpossibleBranch(f"normalized to {self.t!r}, want {target!r}")
+        change = BasisChange(self.total)
+        moved = self.input.transform(change.matrix, change.inverse)
+        if moved != self.t:
+            raise ImpossibleBranch(
+                f"witness transport failed: got {moved!r}, want {self.t!r}"
+            )
+        return change
+
+
 def span_rows(vectors: Sequence[Vec], n: int) -> list[Vec]:
     if not vectors:
         return []
@@ -315,11 +426,6 @@ def upper_central_dims_t(t: StructureTensor) -> list[int]:
             rows, piv = red.data, pivots
         else:
             rows, piv = [], []
-        stacked = []
-        for m in ads:
-            for i in range(n):
-                row = [m[i, j] for j in range(n)]
-                stacked.append(row)
         # reduce each [x, e_j] modulo C_k: drop components along pivot coords
         proj_rows = []
         for m in ads:

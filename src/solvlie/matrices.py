@@ -139,13 +139,6 @@ class Mat:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def power(self, k: int) -> "Mat":
-        self._require_square()
-        out = Mat.identity(self.rows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def _same_shape(self, other: "Mat"):
         if self.shape != other.shape:
             raise DimensionError(f"{self.shape} vs {other.shape}")
@@ -164,9 +157,6 @@ def vec_is_zero(v: Sequence[Scalar]) -> bool:
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):
@@ -283,10 +273,6 @@ def row_space(m: Mat) -> list[Vec]:
     is plain equality of these row lists."""
     red, pivots = rref(m)
     return [tuple(compact(x) for x in red.data[i]) for i in range(len(pivots))]
-
-
-def column_space(m: Mat) -> list[Vec]:
-    return row_space(m.transpose())
 
 
 def solve(m: Mat, b: Sequence[Scalar]) -> Optional[Vec]:

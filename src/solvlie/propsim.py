@@ -18,7 +18,7 @@ from typing import Optional
 
 import mpmath
 
-from .errors import DimensionMismatch, SingularInput
+from .errors import DimensionMismatch, ImpossibleBranch, SingularInput
 from .frobenius import similar, similarity_witness
 from .matrices import Mat, char_poly, det, kernel_basis, normalize_leading, spectral_classify_2x2
 from .scalars import (
@@ -177,11 +177,14 @@ def _numeric_similar(am: mpmath.matrix, bm: mpmath.matrix) -> bool:
     norm = max(mpmath.mnorm(am, 1), mpmath.mnorm(bm, 1), mpmath.mpf(1))
     tol = mpmath.mpf("1e-20") * norm
     ea = mpmath.eig(am, left=False, right=False)
-    eb = mpmath.eig(bm, left=False, right=False)
-    ea = sorted(ea, key=lambda z: (mpmath.re(z), mpmath.im(z)))
-    eb = sorted(eb, key=lambda z: (mpmath.re(z), mpmath.im(z)))
-    if any(abs(x - y) > tol * 100 for x, y in zip(ea, eb)):
-        return False
+    unmatched = list(mpmath.eig(bm, left=False, right=False))
+    # pair by distance, not by sorting: conjugates whose real parts differ
+    # in the last bits would sort in opposite orders
+    for x in ea:
+        y = min(unmatched, key=lambda z: abs(x - z))
+        if abs(x - y) > tol * 100:
+            return False
+        unmatched.remove(y)
     eye = mpmath.eye(n)
     seen: list = []
     for mu in ea:
@@ -243,7 +246,8 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
             rep = Mat([[0, -j], [1, j]])
             c = exdiv(j, t)
         cmat = similarity_witness(a.scale(c), rep)
-        assert cmat is not None
+        if cmat is None:
+            raise ImpossibleBranch("a complex pair is proportionally similar to its rotation")
         cls = GL2Class("rotation", j, rep, c, cmat, cos_sign=scalar_sign(t))
     elif sc.kind == "repeated_jordan":
         mu = sc.mu1
@@ -268,7 +272,8 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
         cls = GL2Class("diag", j, rep, exdiv(1, base), cmat, lam=lam)
     from .matrices import inverse
 
-    assert (inverse(cls.cmat) @ a @ cls.cmat).scale(cls.c) == cls.rep
+    if (inverse(cls.cmat) @ a @ cls.cmat).scale(cls.c) != cls.rep:
+        raise ImpossibleBranch(f"GL2 normalization of {a!r} missed {cls.rep!r}")
     return cls
 
 

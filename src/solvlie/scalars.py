@@ -299,10 +299,6 @@ def format_rational(x: Rational) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 def format_scalar(x: Scalar) -> str:
     if isinstance(x, QuadExt):
         return f"{format_rational(x.a)} + {format_rational(x.b)}*sqrt({x.d})"

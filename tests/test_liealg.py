@@ -13,19 +13,22 @@ from solvlie.catalog import (
     scramble_matrix,
     tensor_from_brackets,
 )
-from solvlie.errors import NonAbelianDerivedIdeal, SingularTransform
+from solvlie.errors import ImpossibleBranch, NonAbelianDerivedIdeal, SingularTransform
 from solvlie.jsonio import algebra_from_json, algebra_to_json, dumps
 from solvlie.liealg import (
     BasisChange,
+    Frame,
     LieAlgebra,
     StructureTensor,
+    abelian_tensor,
     adjoint_algebra_t,
     bracket_span,
+    derived_series_t,
     direct_sum,
     standard_basis,
     validate,
 )
-from solvlie.matrices import Mat, solve
+from solvlie.matrices import Mat, inverse, solve
 
 
 def test_validate_examples():
@@ -187,3 +190,52 @@ def test_json_round_trip_bit_exact():
     again = algebra_from_json(__import__("json").loads(blob))
     assert again == alg
     assert dumps(algebra_to_json(again)) == blob
+
+
+def _scrambled_corpus_frame(index, seed):
+    from solvlie import catalog
+    from solvlie.harness import corpus_labels
+
+    t, _ = catalog.scramble_tensor(catalog.build_tensor(corpus_labels()[index]), seed)
+    return Frame(t, derived_series_t(t)[1])
+
+
+def test_frame_steps_keep_tensor_and_total_consistent():
+    rng = random.Random(5)
+    for index, seed in ((15, 1), (27, 2), (47, 3)):
+        fr = _scrambled_corpus_frame(index, seed)
+        n = fr.n
+        # the ideal sits in front: its brackets stay inside X_1..X_k
+        assert all(fr.adjoint(i).shape == (fr.k, fr.k) for i in range(n))
+        for _ in range(8):
+            kind = rng.choice(("shear", "mixing", "perm"))
+            if kind == "perm":
+                order = list(range(n))
+                rng.shuffle(order)
+                fr.step_perm(order)
+                continue
+            a, b = rng.sample(range(n), 2)
+            repl = {}
+            for j in (a, b):
+                repl[j] = [0 if i in (a, b) else rng.randint(-2, 2) for i in range(n)]
+            if kind == "shear":
+                repl[a][a] = rng.choice((1, -1, 2, Fraction(1, 3)))
+                repl[b][b] = rng.choice((1, -2, Fraction(-3, 2)))
+            else:
+                # columns a, b become e_a + e_b and e_a - e_b (plus tails)
+                repl[a][a], repl[a][b] = 1, 1
+                repl[b][a], repl[b][b] = 1, -1
+            fr.step_cols(repl)
+            total = fr.total
+            assert fr.t == fr.input.transform(total, inverse(total))
+        assert fr.witness().matrix == fr.total
+
+
+def test_frame_witness_rejects_a_broken_audit():
+    fr = _scrambled_corpus_frame(27, 1)
+    fr.witness(fr.t)
+    with pytest.raises(ImpossibleBranch):
+        fr.witness(abelian_tensor(fr.n))
+    fr.t = abelian_tensor(fr.n)  # running tensor no longer what the total gives
+    with pytest.raises(ImpossibleBranch):
+        fr.witness()

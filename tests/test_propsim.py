@@ -60,6 +60,10 @@ def test_numeric_fallback_cube_root():
     assert v.equivalent and v.mode == NUMERIC and v.witness is None
     v = prop_similar(a, Mat([[0, 0, 4], [1, 0, 0], [0, 1, 1]]))
     assert not v.equivalent
+    # x^3 - 1 against x^3 - 2: the complex conjugate eigenvalues must be
+    # paired by distance, whatever order the solver lists them in
+    v = prop_similar(Mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), a)
+    assert v.equivalent and v.mode == NUMERIC
 
 
 def test_dimension_mismatch():
