@@ -1,9 +1,10 @@
 """Classifier for solvable algebras with a 2-dimensional derived ideal.
 
 The normalization runs as a pipeline of elementary basis changes on one
-`liealg.Frame`.  The steps are audited, not logged: the accumulated
-transform is verified at the end by transporting the input tensor onto the
-canonical tensor of the reported class.  Dispatch is on the dimension of
+`liealg.Frame`.  The steps are audited, not logged: at the end the
+running tensor must be the canonical tensor of the reported class, and
+transporting it back by the inverse of the accumulated transform must give
+the input tensor.  Dispatch is on the dimension of
 the adjoint-restriction span: 0 is the two-step nilpotent regime (labelled,
 not classified further), 1 runs the singular/non-singular pipelines, 2 runs
 the commuting-pair pipeline.
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import catalog, labels
-from .errors import ImpossibleBranch, NotInClass
+from .errors import ImpossibleBranch, NotInClass, Unsupported
 from .labels import ClassLabel
 from .liealg import (
     BasisChange,
@@ -37,7 +38,7 @@ from .matrices import (
     vec_is_zero,
 )
 from .propsim import propsim_classify_gl2
-from .scalars import ONE, ZERO, exdiv, sqrt_exact
+from .scalars import ONE, ZERO, exdiv, format_scalar, is_rational, sqrt_exact
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,8 @@ def _invertible_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
     if reps:
         pipe.step_cols(reps)
     cls = propsim_classify_gl2(a3)
+    if not is_rational(cls.j):
+        raise Unsupported(f"irrational key j = {format_scalar(cls.j)} of the 3-dimensional action")
     gl2 = _embed_g1(pipe, cls.cmat)
     gl2[2] = pipe.unit(2, cls.c)
     pipe.step_cols(gl2)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import catalog, harness, labels
 from .classify_n2 import classify_n2
 from .codim2 import codim2_isomorphic, normalize_codim2
-from .errors import NotInClass, ParamOutOfDomain, SolvlieError, Unsupported
+from .errors import NotInClass, ParamOutOfDomain, SolvlieError
 from .jsonio import (
     FormatError,
     algebra_from_json,
@@ -112,6 +112,8 @@ def cmd_classify(args) -> int:
         print(f"abelian_ext: {c.label.abelian_ext}")
         if c.witness.canonical is None:
             print("canonical: (two-step nilpotent regime, no canonical tensor)")
+        if args.witness:
+            print(f"witness: {dumps(out['witness'])}")
     return 0
 
 
@@ -261,7 +263,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="classify a dim-2 derived ideal algebra")
     sp.add_argument("file")
-    sp.add_argument("--witness", action="store_true")
+    sp.add_argument("--witness", action="store_true",
+                    help="print the witness in text format (JSON always has it)")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_classify)
 
@@ -320,7 +323,7 @@ def run(argv=None) -> int:
     except ParamOutOfDomain as exc:
         print(f"parameter out of domain: {exc}", file=sys.stderr)
         return 1
-    except (NotInClass, Unsupported) as exc:
+    except NotInClass as exc:
         print(f"not in class: {exc}", file=sys.stderr)
         return 2
     except SolvlieError as exc:

@@ -8,8 +8,8 @@ two rank-(n-3) block shapes; two structure matrices give isomorphic
 algebras exactly when they are proportionally similar, and the isomorphism
 is materialized as a block matrix and checked by exact bracket transport.
 The normalizing basis change is audited the same way: `normalize_codim2`
-returns a witness only after an independent dense transport of the input
-by it has reproduced the normalized tensor.
+returns a witness only after an independent transport of the normalized
+tensor back by its inverse has reproduced the input.
 """
 
 from __future__ import annotations

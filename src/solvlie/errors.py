@@ -52,7 +52,8 @@ class NotInClass(SolvlieError):
 
 class Unsupported(SolvlieError):
     """Regime the underlying theory leaves open (e.g. two-dimensional
-    adjoint algebra on a codimension-2 derived ideal)."""
+    adjoint algebra on a codimension-2 derived ideal), or arithmetic the
+    exact layer does not do yet (a square root in Q(sqrt(d)))."""
 
 
 class ShapeMismatch(SolvlieError):

@@ -228,8 +228,7 @@ def cyclic_decomposition(m: Mat) -> list[tuple[Vec, Poly]]:
             v, f = _max_vector(m)
         else:
             comp = [c for c in range(n) if c not in set(span.pivots)]
-            red = rref(Mat(span.rows))[0]
-            rpiv = rref(Mat(span.rows))[1]
+            red, rpiv = rref(Mat(span.rows))
 
             def project(w: Vec) -> Vec:
                 x = list(w)

@@ -52,8 +52,8 @@ def matrix_to_json(m: Mat) -> list:
 
 
 def matrix_from_json(v) -> Mat:
-    if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
-        raise FormatError("matrix must be a non-empty array of arrays")
+    if not isinstance(v, list) or not v or not all(isinstance(r, list) and r for r in v):
+        raise FormatError("matrix must be a non-empty array of non-empty arrays")
     if any(len(r) != len(v[0]) for r in v):
         raise FormatError("matrix rows must all have the same length")
     return Mat([[scalar_from_json(x) for x in row] for row in v])

@@ -71,8 +71,12 @@ class StructureTensor:
     def bracket(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
         out: list = [0] * self.n
         for (i, j), c in self.brackets.items():
-            s = u[i] * v[j] - u[j] * v[i]
-            if s != 0:
+            # products with a zero factor are skipped, not formed
+            ui, uj = u[i], u[j]
+            s = ui * v[j] if ui and v[j] else 0
+            if uj and v[i]:
+                s = s - uj * v[i]
+            if s:
                 for k, ck in enumerate(c):
                     if ck != 0:
                         out[k] = out[k] + s * ck
@@ -243,7 +247,8 @@ class Frame:
     Built from a tensor and the reduced-echelon basis of an ideal of
     dimension k, which it first moves to the front, so that X_1..X_k span
     the ideal.  Every step updates the tensor and the total together, and
-    `witness` audits the total by an independent dense transport.
+    `witness` audits the total by transporting the normal form back to the
+    input by its inverse.
     """
 
     __slots__ = ("input", "t", "n", "k", "_tot_cols")
@@ -330,16 +335,21 @@ class Frame:
         return Mat.from_columns([self.bracket(i, j) for j in range(self.k)])
 
     def witness(self, target: Optional[StructureTensor] = None) -> BasisChange:
-        """The accumulated basis change, once an independent dense
-        transport of the input by it gives the running tensor, and the
-        running tensor is `target` when one is given."""
+        """The accumulated basis change, once the running tensor is
+        `target` (when one is given) and an independent transport of the
+        running tensor back by the exact inverse gives the input.
+
+        Transport is invertible, so this proves the same identity as
+        transporting the input forward by the total; it is run from the
+        normal form, which has few and sparse brackets, and still checks
+        every pair (i, j) exactly."""
         if target is not None and self.t != target:
             raise ImpossibleBranch(f"normalized to {self.t!r}, want {target!r}")
         change = BasisChange(self.total)
-        moved = self.input.transform(change.matrix, change.inverse)
-        if moved != self.t:
+        back = self.t.transform(change.inverse, change.matrix)
+        if back != self.input:
             raise ImpossibleBranch(
-                f"witness transport failed: got {moved!r}, want {self.t!r}"
+                f"witness transport failed: got {back!r}, want {self.input!r}"
             )
         return change
 

@@ -105,25 +105,23 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionError(f"{self.shape} @ {other.shape}")
-        ocols = other.cols
+        # products with a zero factor are skipped, not formed
+        orows = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
         out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            out.append(
-                [
-                    sum(ri[k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(ocols)
-                ]
-            )
+        for ri in self.data:
+            acc: list = [0] * other.cols
+            for k, a in enumerate(ri):
+                if a:
+                    for j, b in orows[k]:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return Mat(out)
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         if len(v) != self.cols:
             raise DimensionError("vector length mismatch")
-        return tuple(
-            sum(self.data[i][j] * v[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        nz = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum(row[j] * x for j, x in nz if row[j]) for row in self.data)
 
     def transpose(self) -> "Mat":
         return Mat([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -194,13 +192,18 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        piv = a[r][c]
+        prow = a[r]
+        piv = prow[c]
+        nz = [q for q in range(c, nc) if prow[q]]  # columns before c are 0
         if piv != 1:
-            a[r] = [exdiv(x, piv) for x in a[r]]
+            for q in nz:
+                prow[q] = exdiv(prow[q], piv)
         for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            if i != r and row[c]:
+                f = row[c]
+                for q in nz:
+                    row[q] = row[q] - f * prow[q]
         pivots.append(c)
         r += 1
         if r == nr:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .errors import FieldMismatch
+from .errors import FieldMismatch, Unsupported
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadExt"]
@@ -245,7 +245,12 @@ def scalar_abs(x: Scalar) -> Scalar:
 
 
 def sqrt_exact(r: Rational):
-    """Exact square root of a nonnegative rational: a rational or a QuadExt."""
+    """Exact square root of a nonnegative rational: a rational or a QuadExt.
+
+    Square roots of irrational elements of Q(sqrt(d)) are not taken yet:
+    they raise :class:`Unsupported`, which the CLI reports as out of regime."""
+    if isinstance(r, QuadExt):
+        raise Unsupported(f"square root of the quadratic irrational {format_scalar(r)}")
     r = as_fraction(r)
     if r < 0:
         raise ValueError("sqrt_exact needs a nonnegative rational")

@@ -57,6 +57,8 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     ragged = write(tmp_path, "ragged.json", [["1", "2"], ["3"]])
     square = write(tmp_path, "square.json", [["1", "2"], ["3", "4"]])
     assert run(["propsim", ragged, square]) == 1
+    empty_row = write(tmp_path, "empty_row.json", [[]])
+    assert run(["propsim", empty_row, square]) == 1
 
 
 def test_classify_affc(tmp_path, capsys):
@@ -66,6 +68,59 @@ def test_classify_affc(tmp_path, capsys):
     assert data["family"] == "G4_2_4_AffC"
     assert data["abelian_ext"] == 0
     assert data["canonical"]["dim"] == 4
+
+
+def test_classify_text_prints_witness_only_with_flag(tmp_path, capsys):
+    path = write(tmp_path, "affc.json", AFFC)
+    assert run(["classify", path]) == 0
+    witness = json.loads(_capture(capsys))["witness"]
+    assert run(["classify", path, "--format", "text"]) == 0
+    text = _capture(capsys)
+    assert "family: G4_2_4_AffC" in text and "witness" not in text
+    assert run(["classify", path, "--format", "text", "--witness"]) == 0
+    lines = _capture(capsys).splitlines()
+    assert lines[: len(text.splitlines())] == text.splitlines()
+    assert lines[-1].startswith("witness: ")
+    assert json.loads(lines[-1][len("witness: "):]) == witness
+
+
+MINUS_SQRT2 = {"a": "0", "b": "-1", "d": 2}
+
+
+def test_classify_quadratic_actions_out_of_regime_exit_2(tmp_path, capsys):
+    # [X3,X1] = sqrt2 X1 + X2, [X3,X2] = -X1 + X2: the key j = 1 + sqrt2 is
+    # irrational; with the AffC partner [X4,X1] = X1, [X4,X2] = X2 the
+    # quarter-turn scale needs the square root of 1/4 + sqrt2/2; with
+    # [X3,X1] = sqrt2 X1, [X3,X2] = X1 + X2 the eigenvalues need the square
+    # root of 3 - 2 sqrt2
+    rotation = [
+        {"i": 1, "j": 3, "coeffs": [MINUS_SQRT2, "-1", "0"]},
+        {"i": 2, "j": 3, "coeffs": ["1", "-1", "0"]},
+    ]
+    affc = [
+        {"i": 1, "j": 3, "coeffs": [MINUS_SQRT2, "-1", "0", "0"]},
+        {"i": 2, "j": 3, "coeffs": ["1", "-1", "0", "0"]},
+        {"i": 1, "j": 4, "coeffs": ["-1", "0", "0", "0"]},
+        {"i": 2, "j": 4, "coeffs": ["0", "-1", "0", "0"]},
+    ]
+    triangular = [
+        {"i": 1, "j": 3, "coeffs": [MINUS_SQRT2, "0", "0"]},
+        {"i": 2, "j": 3, "coeffs": ["-1", "-1", "0"]},
+    ]
+    for n, brackets in ((3, rotation), (4, affc), (3, triangular)):
+        path = write(tmp_path, "q.json", {"dim": n, "brackets": brackets})
+        assert run(["classify", path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+    # a Q(sqrt2) action whose key j = 8 is rational still classifies
+    diag = [
+        {"i": 1, "j": 3, "coeffs": [{"a": "-1/2", "b": "-1/2", "d": 2}, "0", "0"]},
+        {"i": 2, "j": 3, "coeffs": ["0", {"a": "1/2", "b": "-1/2", "d": 2}, "0"]},
+    ]
+    path = write(tmp_path, "q.json", {"dim": 3, "brackets": diag})
+    assert run(["classify", path]) == 0
+    data = json.loads(_capture(capsys))
+    assert data["family"] == "G3_2_1" and data["params"]["j"] == "8"
 
 
 def test_classify_not_in_class_exit_2(tmp_path, capsys):

@@ -1,0 +1,145 @@
+"""The exact kernels that skip zero factors against their plain loop forms.
+
+The reference functions below are the kernels as they were before zero
+factors were skipped: every product is formed, zero or not.  Skipping a
+product whose factor is zero changes no value, so the results must be
+equal, on integer, rational and Q(sqrt(d)) entries alike, half of them zero.
+"""
+
+import random
+from fractions import Fraction
+
+from solvlie.liealg import StructureTensor
+from solvlie.matrices import Mat, det, inverse, rref
+from solvlie.scalars import QuadExt, exdiv
+
+KINDS = ("int", "fraction", "quad2", "quad3")
+
+
+def _scalar(rng, kind):
+    """A random entry of the given kind; zero half of the time."""
+    if rng.random() < 0.5:
+        return 0
+    a = rng.randint(-4, 4)
+    if kind == "int":
+        return a
+    b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if kind == "fraction":
+        return Fraction(a, rng.randint(1, 3)) or b
+    return QuadExt.make(a, b, int(kind[-1]))
+
+
+def _mat(rng, kind, r, c):
+    return Mat([[_scalar(rng, kind) for _ in range(c)] for _ in range(r)])
+
+
+def _invertible(rng, kind, n):
+    while True:
+        m = _mat(rng, kind, n, n)
+        if det(m) != 0:
+            return m
+
+
+def _tensor(rng, kind, n):
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                brackets[(i, j)] = [_scalar(rng, kind) for _ in range(n)]
+    return StructureTensor(n, brackets)
+
+
+def ref_matmul(a, b):
+    return Mat(
+        [[sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols)]
+         for i in range(a.rows)]
+    )
+
+
+def ref_apply(m, v):
+    return tuple(sum(m.data[i][j] * v[j] for j in range(m.cols)) for i in range(m.rows))
+
+
+def ref_rref(m):
+    a = [list(r) for r in m.data]
+    nr, nc = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        piv = a[r][c]
+        if piv != 1:
+            a[r] = [exdiv(x, piv) for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Mat(a), tuple(pivots)
+
+
+def ref_bracket(t, u, v):
+    out = [0] * t.n
+    for (i, j), c in t.brackets.items():
+        s = u[i] * v[j] - u[j] * v[i]
+        if s != 0:
+            for k, ck in enumerate(c):
+                if ck != 0:
+                    out[k] = out[k] + s * ck
+    return tuple(out)
+
+
+def ref_transform(t, m, minv):
+    n = t.n
+    cols = m.columns()
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = ref_bracket(t, cols[i], cols[j])
+            if any(x != 0 for x in w):
+                out[(i, j)] = ref_apply(minv, w)
+    return StructureTensor(n, out)
+
+
+def test_matmul_and_apply_match_the_loop_forms():
+    rng = random.Random(41)
+    for kind in KINDS:
+        for _ in range(25):
+            r, k, c = (rng.randint(1, 5) for _ in range(3))
+            a, b = _mat(rng, kind, r, k), _mat(rng, kind, k, c)
+            assert a @ b == ref_matmul(a, b)
+            v = tuple(_scalar(rng, kind) for _ in range(k))
+            assert a.apply(v) == ref_apply(a, v)
+
+
+def test_rref_matches_the_loop_form():
+    rng = random.Random(43)
+    for kind in KINDS:
+        for _ in range(25):
+            m = _mat(rng, kind, rng.randint(1, 5), rng.randint(1, 6))
+            assert rref(m) == ref_rref(m)
+        m = _invertible(rng, kind, 4)
+        assert inverse(m) @ m == Mat.identity(4)
+
+
+def test_bracket_and_transform_match_the_loop_forms():
+    rng = random.Random(47)
+    for kind in KINDS:
+        for _ in range(6):
+            n = rng.randint(2, 5)
+            t = _tensor(rng, kind, n)
+            for _ in range(5):
+                u = [_scalar(rng, kind) for _ in range(n)]
+                v = [_scalar(rng, kind) for _ in range(n)]
+                assert t.bracket(u, v) == ref_bracket(t, u, v)
+            m = _invertible(rng, kind, n)
+            minv = inverse(m)
+            moved = t.transform(m, minv)
+            assert moved == ref_transform(t, m, minv)
+            assert moved.transform(minv, m) == t

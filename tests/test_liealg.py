@@ -28,7 +28,7 @@ from solvlie.liealg import (
     standard_basis,
     validate,
 )
-from solvlie.matrices import Mat, inverse, solve
+from solvlie.matrices import Mat, det, inverse, solve
 
 
 def test_validate_examples():
@@ -239,3 +239,31 @@ def test_frame_witness_rejects_a_broken_audit():
     fr.t = abelian_tensor(fr.n)  # running tensor no longer what the total gives
     with pytest.raises(ImpossibleBranch):
         fr.witness()
+
+
+def test_frame_witness_rejects_a_corrupted_total():
+    rng = random.Random(13)
+    rejected = 0
+    for index, seed in ((15, 1), (27, 2), (47, 3)):
+        fr = _scrambled_corpus_frame(index, seed)
+        good = list(fr._tot_cols)
+        for _ in range(6):
+            j, r = rng.randrange(fr.n), rng.randrange(fr.n)
+            col = list(good[j])
+            col[r] = col[r] + rng.choice((1, -1, Fraction(1, 2)))
+            fr._tot_cols = good[:j] + [tuple(col)] + good[j + 1 :]
+            bad = fr.total
+            if det(bad) == 0:
+                continue
+            # a change of an entry along an automorphism of the running
+            # tensor is still a witness; the audit must agree with the
+            # forward transport either way
+            if fr.input.transform(bad, inverse(bad)) == fr.t:
+                assert fr.witness().matrix == bad
+                continue
+            rejected += 1
+            with pytest.raises(ImpossibleBranch):
+                fr.witness()
+        fr._tot_cols = good
+        assert fr.witness().matrix == fr.total
+    assert rejected >= 10
