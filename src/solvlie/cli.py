@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog, harness, labels
+from . import catalog, labels
 from .classify_n2 import classify_n2
 from .codim2 import codim2_isomorphic, normalize_codim2
 from .errors import NotInClass, ParamOutOfDomain, SolvlieError
@@ -23,6 +23,7 @@ from .jsonio import (
     load_path,
     matrix_from_json,
     matrix_to_json,
+    parse_rational,
     scalar_to_json,
 )
 from .labels import ClassLabel
@@ -49,7 +50,7 @@ GENERATORS = {
     "heisenberg": lambda args: catalog.heisenberg(args.m if args.m is not None else 1),
     "aff_r": lambda args: catalog.aff_r(),
     "l6gamma": lambda args: catalog.l6gamma(
-        Fraction(args.gamma) if args.gamma is not None else Fraction(1)
+        parse_rational(args.gamma) if args.gamma is not None else Fraction(1)
     ),
 }
 
@@ -178,8 +179,8 @@ def cmd_gen(args) -> int:
         lab = ClassLabel(
             fam,
             abelian_ext=args.d or 0,
-            lam=Fraction(args.lam) if args.lam is not None else None,
-            j=Fraction(args.j) if args.j is not None else None,
+            lam=parse_rational(args.lam) if args.lam is not None else None,
+            j=parse_rational(args.j) if args.j is not None else None,
             k=args.k,
             m=args.m,
         )
@@ -231,6 +232,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.scrambles < 1:
+        raise ParamOutOfDomain(f"--scrambles must be at least 1, got {args.scrambles}")
+    from . import harness
+
     rep = harness.full_sweep(seed=args.seed, scrambles=args.scrambles, fail_fast=args.fail_fast)
     if args.format == "json":
         print(dumps(rep))

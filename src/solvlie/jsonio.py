@@ -29,12 +29,17 @@ def scalar_to_json(x: Scalar):
     return format_rational(x)
 
 
+def parse_rational(v: str) -> Fraction:
+    """A rational from its "p/q" (or decimal) text; FormatError otherwise."""
+    try:
+        return Fraction(v.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad rational {v!r}") from exc
+
+
 def scalar_from_json(v) -> Scalar:
     if isinstance(v, str):
-        try:
-            return compact(Fraction(v.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad rational {v!r}") from exc
+        return compact(parse_rational(v))
     if isinstance(v, int):
         return v
     if isinstance(v, dict):

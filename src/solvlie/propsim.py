@@ -6,30 +6,33 @@ nonzero coefficient (of x^(n-k)) of A's characteristic polynomial, matching
 coefficients forces c^k = b_k / a_k, leaving at most two real candidates.
 Rational candidates, and quadratic-irrational ones in the k = 2 regime, are
 checked exactly through invariant factors; anything of higher algebraic
-degree drops to a high-precision numeric similarity test and the verdict is
-flagged accordingly.
+degree drops to a high-precision numeric similarity test (mpmath, imported
+there and nowhere else) and the verdict is flagged accordingly.  A ratio
+b_k / a_k outside Q, possible for entries in Q(sqrt(d)), raises Unsupported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import mpmath
-
-from .errors import DimensionMismatch, ImpossibleBranch, SingularInput
+from .errors import DimensionMismatch, ImpossibleBranch, SingularInput, Unsupported
 from .frobenius import similar, similarity_witness
 from .matrices import Mat, char_poly, det, kernel_basis, normalize_leading, spectral_classify_2x2
 from .scalars import (
     QuadExt,
     Scalar,
     exdiv,
+    is_rational,
     nth_root_rational,
     scalar_abs,
     scalar_sign,
     sqrt_exact,
 )
+
+if TYPE_CHECKING:
+    import mpmath
 
 EXACT = "exact"
 NUMERIC = "numeric"
@@ -78,6 +81,8 @@ def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
     if bk == 0:
         return PropSimVerdict(False)
     ratio = exdiv(bk, pa[n - k])
+    if not is_rational(ratio):
+        raise Unsupported(f"c^{k} = {ratio} has an irrational right-hand side")
     candidates = _real_root_candidates(ratio, k)
     if candidates is None:
         return _numeric_branch(a, b, ratio, k)
@@ -118,6 +123,8 @@ def _real_root_candidates(ratio, m: int) -> Optional[list]:
 
 
 def _numeric_branch(a: Mat, b: Mat, ratio, m: int) -> PropSimVerdict:
+    import mpmath
+
     with mpmath.workprec(128):
         mag = mpmath.root(abs(mpmath.mpf(ratio.numerator)) / mpmath.mpf(ratio.denominator), m)
         if m % 2 == 1:
@@ -134,6 +141,8 @@ def _numeric_branch(a: Mat, b: Mat, ratio, m: int) -> PropSimVerdict:
 
 
 def _to_mp(a: Mat) -> mpmath.matrix:
+    import mpmath
+
     m = mpmath.matrix(a.rows, a.cols)
     for i in range(a.rows):
         for j in range(a.cols):
@@ -173,6 +182,8 @@ def _numeric_rank(m: mpmath.matrix, tol) -> int:
 
 
 def _numeric_similar(am: mpmath.matrix, bm: mpmath.matrix) -> bool:
+    import mpmath
+
     n = am.rows
     norm = max(mpmath.mnorm(am, 1), mpmath.mnorm(bm, 1), mpmath.mpf(1))
     tol = mpmath.mpf("1e-20") * norm

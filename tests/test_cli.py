@@ -59,6 +59,10 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     assert run(["propsim", ragged, square]) == 1
     empty_row = write(tmp_path, "empty_row.json", [[]])
     assert run(["propsim", empty_row, square]) == 1
+    capsys.readouterr()
+    for argv in (["g3_2_1", "--lam", "abc"], ["g3_2_3", "--j", "1/0"], ["l6gamma", "--gamma", "x"]):
+        assert run(["gen", *argv]) == 1
+        assert capsys.readouterr().err.startswith("malformed input: ")
 
 
 def test_classify_affc(tmp_path, capsys):
@@ -121,6 +125,17 @@ def test_classify_quadratic_actions_out_of_regime_exit_2(tmp_path, capsys):
     assert run(["classify", path]) == 0
     data = json.loads(_capture(capsys))
     assert data["family"] == "G3_2_1" and data["params"]["j"] == "8"
+
+
+def test_propsim_irrational_ratio_out_of_regime_exit_2(tmp_path, capsys):
+    # [[sqrt2, 1], [0, 1]] against [[1, 1], [0, 1 + sqrt2]]: the trace ratio
+    # c = sqrt2 is not rational
+    sqrt2 = {"a": "0", "b": "1", "d": 2}
+    a = write(tmp_path, "a.json", [[sqrt2, "1"], ["0", "1"]])
+    b = write(tmp_path, "b.json", [["1", "1"], ["0", {"a": "1", "b": "1", "d": 2}]])
+    assert run(["propsim", a, b]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_classify_not_in_class_exit_2(tmp_path, capsys):
@@ -224,3 +239,10 @@ def test_sweep_reports_are_byte_identical(capsys):
     assert first == second
     data = json.loads(first)
     assert data["ok"] is True
+
+
+def test_sweep_rejects_scrambles_below_one(capsys):
+    for n in ("0", "-1"):
+        assert run(["sweep", "--scrambles", n]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("parameter out of domain: ")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from solvlie.errors import DimensionMismatch, SingularInput
+from solvlie.errors import DimensionMismatch, SingularInput, Unsupported
 from solvlie.matrices import Mat, det, inverse
 from solvlie.propsim import EXACT, NUMERIC, prop_similar, propsim_classify_gl2
 from solvlie.scalars import QuadExt
@@ -64,6 +64,15 @@ def test_numeric_fallback_cube_root():
     # paired by distance, whatever order the solver lists them in
     v = prop_similar(Mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), a)
     assert v.equivalent and v.mode == NUMERIC
+
+
+def test_irrational_scaling_ratio_is_unsupported():
+    # trace ratio (2 + sqrt2) / (1 + sqrt2) = sqrt2 is not rational
+    s2 = QuadExt(0, 1, 2)
+    a = Mat([[s2, 1], [0, 1]])
+    b = Mat([[1, 1], [0, 1 + s2]])
+    with pytest.raises(Unsupported):
+        prop_similar(a, b)
 
 
 def test_dimension_mismatch():
