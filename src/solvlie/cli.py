@@ -28,7 +28,7 @@ from .jsonio import (
 )
 from .labels import ClassLabel
 from .liealg import LieAlgebra, validate
-from .propsim import EXACT, prop_similar
+from .propsim import prop_similar
 
 FAMILY_ALIASES = {
     "g3_2_1": labels.G3_2_1,
@@ -158,7 +158,7 @@ def cmd_propsim(args) -> int:
     out = {
         "equivalent": v.equivalent,
         "c": scalar_to_json(v.c) if v.c is not None else None,
-        "mode": "exact" if v.mode == EXACT else "numeric",
+        "mode": v.mode,
     }
     if args.witness and v.witness is not None:
         out["C"] = matrix_to_json(v.witness)

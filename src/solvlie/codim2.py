@@ -226,23 +226,21 @@ class Codim2IsoVerdict:
     isomorphic: bool
     c: Optional[object] = None
     m_f: Optional[Mat] = None
-    mode: str = EXACT
+    mode = EXACT  # every verdict is exact; kept for JSON readers
 
 
 def codim2_isomorphic(f1: Codim2Form, f2: Codim2Form) -> Codim2IsoVerdict:
     """Isomorphism of two structure-matrix forms, with the block isomorphism
-    matrix when the proportional-similarity witness is exact."""
+    matrix when prop_similar constructs the scale c and its witness."""
     if f1.case != "structure_matrix" or f2.case != "structure_matrix":
         raise ShapeMismatch("isomorphism test needs structure-matrix forms")
     if f1.ambient_dim != f2.ambient_dim:
         raise ShapeMismatch("ambient dimensions differ")
     verdict: PropSimVerdict = prop_similar(f1.a_bar, f2.a_bar)
     if not verdict.equivalent:
-        return Codim2IsoVerdict(False, mode=verdict.mode)
-    if verdict.mode != EXACT:
-        return Codim2IsoVerdict(True, c=None, m_f=None, mode=verdict.mode)
-    m_f = _build_m_f(f1.a_bar, f2.a_bar, verdict.c, verdict.witness)
-    return Codim2IsoVerdict(True, c=verdict.c, m_f=m_f, mode=EXACT)
+        return Codim2IsoVerdict(False)
+    m_f = None if verdict.c is None else _build_m_f(f1.a_bar, f2.a_bar, verdict.c, verdict.witness)
+    return Codim2IsoVerdict(True, c=verdict.c, m_f=m_f)
 
 
 def _build_m_f(a_bar: Mat, b_bar: Mat, c, cmat: Mat) -> Mat:

@@ -3,25 +3,27 @@ with c != 0 and C invertible, producing explicit witnesses.
 
 The scaling c is pinned by characteristic coefficients: if a_k is the first
 nonzero coefficient (of x^(n-k)) of A's characteristic polynomial, matching
-coefficients forces c^k = b_k / a_k, leaving at most two real candidates.
-Rational candidates, and quadratic-irrational ones in the k = 2 regime, are
-checked exactly through invariant factors; anything of higher algebraic
-degree drops to a high-precision numeric similarity test (mpmath, imported
-there and nowhere else) and the verdict is flagged accordingly.  A ratio
-b_k / a_k outside Q, possible for entries in Q(sqrt(d)), raises Unsupported.
+coefficients forces c^k = b_k / a_k, leaving at most two real candidates,
+told apart by their sign.  Invariant factors do not depend on the field, so
+c*A ~ B holds over R exactly when every invariant factor g of B is
+c^deg(f) f(x / c) for the matching factor f of A.  That is tested
+coefficient by coefficient in the field of the entries, without c itself:
+a real q equals c^j exactly when q^k = (b_k / a_k)^j and sign(q) =
+sign(c)^j.  Every verdict is exact.  c and the witness C are returned when
+c = b_1 / a_1 (k = 1), or when c^k is rational and c has degree at most 2
+over Q; for any other c the verdict comes without them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .errors import DimensionMismatch, ImpossibleBranch, SingularInput, Unsupported
-from .frobenius import similar, similarity_witness
+from .errors import DimensionMismatch, ImpossibleBranch, SingularInput
+from .frobenius import Poly, invariant_factors, similar, similarity_witness
 from .matrices import Mat, char_poly, det, kernel_basis, normalize_leading, spectral_classify_2x2
 from .scalars import (
-    QuadExt,
     Scalar,
     exdiv,
     is_rational,
@@ -31,11 +33,7 @@ from .scalars import (
     sqrt_exact,
 )
 
-if TYPE_CHECKING:
-    import mpmath
-
 EXACT = "exact"
-NUMERIC = "numeric"
 
 
 @dataclass(frozen=True)
@@ -43,10 +41,10 @@ class PropSimVerdict:
     equivalent: bool
     c: Optional[Scalar] = None
     witness: Optional[Mat] = None  # C with c*A = C^-1 B C
-    mode: str = EXACT
+    mode = EXACT  # every verdict is exact; kept for JSON readers
 
     def verify(self, a: Mat, b: Mat) -> bool:
-        if not (self.equivalent and self.mode == EXACT):
+        if not self.equivalent or self.witness is None:
             return False
         from .matrices import inverse
 
@@ -81,135 +79,57 @@ def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
     if bk == 0:
         return PropSimVerdict(False)
     ratio = exdiv(bk, pa[n - k])
-    if not is_rational(ratio):
-        raise Unsupported(f"c^{k} = {ratio} has an irrational right-hand side")
-    candidates = _real_root_candidates(ratio, k)
-    if candidates is None:
-        return _numeric_branch(a, b, ratio, k)
-    for c in candidates:
-        if _coeffs_match(pa, pb, c) and similar(a.scale(c), b):
-            cmat = similarity_witness(b, a.scale(c)) if want_witness else None
+    if k % 2 == 1:
+        signs = [scalar_sign(ratio)]
+    else:
+        signs = [1, -1] if scalar_sign(ratio) > 0 else []
+    factors = None
+    for sign in signs:
+        if not _is_scaled(pa, pb, ratio, k, sign):
+            continue
+        if factors is None:
+            factors = invariant_factors(a), invariant_factors(b)
+        fa, fb = factors
+        if len(fa) == len(fb) and all(_is_scaled(f, g, ratio, k, sign) for f, g in zip(fa, fb)):
+            c = _exact_scale(ratio, k, sign)
+            cmat = similarity_witness(b, a.scale(c)) if want_witness and c is not None else None
             return PropSimVerdict(True, c, cmat)
     return PropSimVerdict(False)
 
 
-def _coeffs_match(pa: list, pb: list, c: Scalar) -> bool:
-    n = len(pa) - 1
-    ck: Scalar = 1
-    for k in range(1, n + 1):
-        ck = ck * c
-        if ck * pa[n - k] != pb[n - k]:
-            return False
-    return True
-
-
-def _real_root_candidates(ratio, m: int) -> Optional[list]:
-    """Real solutions of c^m = ratio of algebraic degree <= 2, or None."""
-    root = nth_root_rational(ratio, m)
-    if root is not None:
-        return [root, -root] if m % 2 == 0 else [root]
-    if m % 2 == 1:
-        # a real quadratic irrational never has an odd rational power
-        return None
-    if ratio < 0:
-        return []  # no real root at all
-    half = nth_root_rational(ratio, m // 2) if m > 2 else ratio
-    if half is None:
-        return None
-    if half < 0:
-        return []
-    s = sqrt_exact(half)
-    return [s, -s]
-
-
-def _numeric_branch(a: Mat, b: Mat, ratio, m: int) -> PropSimVerdict:
-    import mpmath
-
-    with mpmath.workprec(128):
-        mag = mpmath.root(abs(mpmath.mpf(ratio.numerator)) / mpmath.mpf(ratio.denominator), m)
-        if m % 2 == 1:
-            cands = [mag if ratio > 0 else -mag]
-        elif ratio > 0:
-            cands = [mag, -mag]
-        else:
-            return PropSimVerdict(False, mode=NUMERIC)
-        bm = _to_mp(b)
-        for c in cands:
-            if _numeric_similar(_to_mp(a) * c, bm):
-                return PropSimVerdict(True, None, None, NUMERIC)
-    return PropSimVerdict(False, mode=NUMERIC)
-
-
-def _to_mp(a: Mat) -> mpmath.matrix:
-    import mpmath
-
-    m = mpmath.matrix(a.rows, a.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a[i, j]
-            if isinstance(x, QuadExt):
-                m[i, j] = mpmath.mpf(x.a.numerator) / x.a.denominator + (
-                    mpmath.mpf(x.b.numerator) / x.b.denominator
-                ) * mpmath.sqrt(x.d)
-            else:
-                f = Fraction(x)
-                m[i, j] = mpmath.mpf(f.numerator) / f.denominator
-    return m
-
-
-def _numeric_rank(m: mpmath.matrix, tol) -> int:
-    a = m.copy()
-    rows, cols = a.rows, a.cols
-    rk = 0
-    for c in range(cols):
-        piv, pv = None, tol
-        for i in range(rk, rows):
-            if abs(a[i, c]) > pv:
-                piv, pv = i, abs(a[i, c])
-        if piv is None:
-            continue
-        if piv != rk:
-            for j in range(cols):
-                a[rk, j], a[piv, j] = a[piv, j], a[rk, j]
-        for i in range(rk + 1, rows):
-            f = a[i, c] / a[rk, c]
-            for j in range(cols):
-                a[i, j] -= f * a[rk, j]
-        rk += 1
-        if rk == rows:
-            break
-    return rk
-
-
-def _numeric_similar(am: mpmath.matrix, bm: mpmath.matrix) -> bool:
-    import mpmath
-
-    n = am.rows
-    norm = max(mpmath.mnorm(am, 1), mpmath.mnorm(bm, 1), mpmath.mpf(1))
-    tol = mpmath.mpf("1e-20") * norm
-    ea = mpmath.eig(am, left=False, right=False)
-    unmatched = list(mpmath.eig(bm, left=False, right=False))
-    # pair by distance, not by sorting: conjugates whose real parts differ
-    # in the last bits would sort in opposite orders
-    for x in ea:
-        y = min(unmatched, key=lambda z: abs(x - z))
-        if abs(x - y) > tol * 100:
-            return False
-        unmatched.remove(y)
-    eye = mpmath.eye(n)
-    seen: list = []
-    for mu in ea:
-        if any(abs(mu - s) <= tol * 100 for s in seen):
-            continue
-        seen.append(mu)
-        sa = am - mu * eye
-        sb = bm - mu * eye
-        pa, pb = sa.copy(), sb.copy()
-        for _ in range(n):
-            if _numeric_rank(pa, tol) != _numeric_rank(pb, tol):
+def _is_scaled(f: Poly, g: Poly, ratio: Scalar, k: int, sign: int) -> bool:
+    """g(x) = c^d f(x / c), d = deg f, for the real c with c^k = ratio and
+    sign(c) = sign: each coefficient g_j of x^(d-j) is c^j f_j."""
+    d = len(f) - 1
+    if len(g) != len(f):
+        return False
+    for j in range(1, d + 1):
+        fj, gj = f[d - j], g[d - j]
+        if fj == 0 or gj == 0:
+            if fj != gj:
                 return False
-            pa, pb = pa * sa, pb * sb
+            continue
+        q = exdiv(gj, fj)
+        if q**k != ratio**j or scalar_sign(q) != sign**j:
+            return False
     return True
+
+
+def _exact_scale(ratio: Scalar, k: int, sign: int) -> Optional[Scalar]:
+    """The real c with c^k = ratio and sign(c) = sign when it is ratio
+    itself (k = 1), or ratio is rational and c has degree <= 2; else None."""
+    if not is_rational(ratio):
+        return ratio if k == 1 else None
+    root = nth_root_rational(ratio, k)
+    if root is None and k % 2 == 0:
+        # ratio > 0 here; a real quadratic irrational never has an odd
+        # rational power, so only even k reach one
+        half = nth_root_rational(ratio, k // 2)
+        if half is not None:
+            root = sqrt_exact(half)
+    if root is None:
+        return None
+    return root if scalar_sign(root) == sign else -root
 
 
 @dataclass(frozen=True)
@@ -299,4 +219,4 @@ def _first_non_kernel(m: Mat):
         e = tuple(1 if k == i else 0 for k in range(m.cols))
         if not all(x == 0 for x in m.apply(e)):
             return e
-    raise AssertionError("zero matrix has no non-kernel vector")
+    raise ImpossibleBranch("zero matrix has no non-kernel vector")

@@ -1,7 +1,6 @@
 """Acceptance suite: each test runs one top-level criterion at its stated
 size and prints a single pass line.  Everything is exact arithmetic, so
-tolerances are zero throughout; the only non-exact verdicts allowed are the
-explicitly flagged numeric-fallback ones, which this suite never needs.
+tolerances are zero throughout, and every verdict is exact.
 """
 
 import time

@@ -127,12 +127,22 @@ def test_classify_quadratic_actions_out_of_regime_exit_2(tmp_path, capsys):
     assert data["family"] == "G3_2_1" and data["params"]["j"] == "8"
 
 
-def test_propsim_irrational_ratio_out_of_regime_exit_2(tmp_path, capsys):
-    # [[sqrt2, 1], [0, 1]] against [[1, 1], [0, 1 + sqrt2]]: the trace ratio
-    # c = sqrt2 is not rational
+def test_propsim_irrational_ratio_is_decided_exactly(tmp_path, capsys):
     sqrt2 = {"a": "0", "b": "1", "d": 2}
+    # [[sqrt2, 1], [0, 1]] against [[1, 1], [0, 1 + sqrt2]]: the trace ratio
+    # c = sqrt2 is irrational, and the pair is not equivalent
     a = write(tmp_path, "a.json", [[sqrt2, "1"], ["0", "1"]])
     b = write(tmp_path, "b.json", [["1", "1"], ["0", {"a": "1", "b": "1", "d": 2}]])
+    assert run(["propsim", a, b]) == 0
+    assert json.loads(_capture(capsys)) == {"equivalent": False, "c": None, "mode": "exact"}
+    # c^2 = sqrt2: equivalent, but c = 2^(1/4) and C are not constructed
+    a = write(tmp_path, "a.json", [["0", "1"], ["1", "0"]])
+    b = write(tmp_path, "b.json", [["0", sqrt2], ["1", "0"]])
+    assert run(["propsim", a, b, "--witness"]) == 0
+    assert json.loads(_capture(capsys)) == {"equivalent": True, "c": None, "mode": "exact"}
+    # sqrt2 against sqrt3 entries: no common field, out of regime
+    a = write(tmp_path, "a.json", [[sqrt2, "1"], ["0", "1"]])
+    b = write(tmp_path, "b.json", [[{"a": "0", "b": "1", "d": 3}, "1"], ["0", "1"]])
     assert run(["propsim", a, b]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from solvlie.errors import DimensionMismatch, SingularInput, Unsupported
+from solvlie.errors import DimensionMismatch, FieldMismatch, SingularInput
+from solvlie.frobenius import companion
 from solvlie.matrices import Mat, det, inverse
-from solvlie.propsim import EXACT, NUMERIC, prop_similar, propsim_classify_gl2
+from solvlie.propsim import EXACT, prop_similar, propsim_classify_gl2
 from solvlie.scalars import QuadExt
 
 
@@ -53,26 +54,40 @@ def test_quadratic_extension_scale():
     assert v.verify(a, b)
 
 
-def test_numeric_fallback_cube_root():
-    a = Mat([[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # char x^3 - 2
-    b = Mat([[0, 0, 4], [1, 0, 0], [0, 1, 0]])  # char x^3 - 4, c = 2^(1/3)
-    v = prop_similar(a, b)
-    assert v.equivalent and v.mode == NUMERIC and v.witness is None
-    v = prop_similar(a, Mat([[0, 0, 4], [1, 0, 0], [0, 1, 1]]))
-    assert not v.equivalent
-    # x^3 - 1 against x^3 - 2: the complex conjugate eigenvalues must be
-    # paired by distance, whatever order the solver lists them in
-    v = prop_similar(Mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), a)
-    assert v.equivalent and v.mode == NUMERIC
+def _companion(*low_first):
+    """Companion matrix of the monic polynomial with these lower coefficients."""
+    return companion([Fraction(x) for x in low_first] + [Fraction(1)])
 
 
-def test_irrational_scaling_ratio_is_unsupported():
-    # trace ratio (2 + sqrt2) / (1 + sqrt2) = sqrt2 is not rational
+def test_high_degree_scale_is_decided_exactly():
+    # c^k = b_k / a_k has no root of degree <= 2: the verdict is still exact,
+    # without c or a witness
+    v = prop_similar(_companion(-2, 0, 0), _companion(-4, 0, 0))  # c = 2^(1/3)
+    assert v.equivalent and v.mode == EXACT and v.c is None and v.witness is None
+    assert prop_similar(_companion(-1, 0, 0), _companion(-2, 0, 0)).equivalent
+    assert prop_similar(_companion(-2, 0, 0, 0), _companion(-4, 0, 0, 0)).equivalent  # c = 2^(1/4)
+    # c^4 = -2 has no real root
+    assert not prop_similar(_companion(-2, 0, 0, 0), _companion(4, 0, 0, 0)).equivalent
+    # x^n - 1 against x^n - 2x - 2: c^n = 2 fits the constant term only
+    assert not prop_similar(_companion(-1, 0, 0), _companion(-2, -2, 0)).equivalent
+    assert not prop_similar(_companion(-1, 0, 0, 0), _companion(-2, -2, 0, 0)).equivalent
+    assert not prop_similar(_companion(-2, 0, 0), Mat([[0, 0, 4], [1, 0, 0], [0, 1, 1]])).equivalent
+
+
+def test_irrational_scaling_ratio_is_decided_exactly():
     s2 = QuadExt(0, 1, 2)
+    # the trace ratio c = (2 + sqrt2) / (1 + sqrt2) = sqrt2 maps the
+    # eigenvalues sqrt2, 1 to 2, sqrt2, not to 1, 1 + sqrt2
     a = Mat([[s2, 1], [0, 1]])
-    b = Mat([[1, 1], [0, 1 + s2]])
-    with pytest.raises(Unsupported):
-        prop_similar(a, b)
+    assert not prop_similar(a, Mat([[1, 1], [0, 1 + s2]])).equivalent
+    # k = 1: the irrational ratio is c itself
+    v = prop_similar(a, a.scale(s2))
+    assert v.equivalent and v.c == s2 and v.verify(a, a.scale(s2))
+    # c^2 = sqrt2: equivalent, and c = 2^(1/4) is not constructed
+    v = prop_similar(Mat([[0, 1], [1, 0]]), Mat([[0, s2], [1, 0]]))
+    assert v.equivalent and v.c is None and v.witness is None
+    with pytest.raises(FieldMismatch):
+        prop_similar(a, Mat([[QuadExt(0, 1, 3), 1], [0, 1]]))
 
 
 def test_dimension_mismatch():
