@@ -40,8 +40,9 @@ class ParamOutOfDomain(SolvlieError):
 class NotInClass(SolvlieError):
     """Input is outside the regime a classifier handles.
 
-    ``reason`` is one of "NotSolvable", "DerivedDimNot2", "JacobiFails",
-    "DerivedNotAbelianCodim2", "DimensionTooSmall".
+    ``reason`` is one of "JacobiFails", "NotSolvable", "DerivedDimNot2"
+    (classify_n2), "DimensionTooSmall", "DerivedDimNotCodim2" and
+    "DerivedNotAbelian" (normalize_codim2).
     """
 
     def __init__(self, reason: str, detail: str = ""):

@@ -22,10 +22,9 @@ from .labels import ClassLabel
 from .liealg import (
     StructureTensor,
     adjoint_algebra_t,
-    bracket_span,
+    derived_ideal_t,
     derived_series_t,
     lower_central_series_t,
-    standard_basis,
     validate,
 )
 from .matrices import Mat, rank
@@ -179,7 +178,7 @@ def derived_ideal_guard_sweep(seed, fuzz_count: int = 300, fail_fast: bool = Fal
     rng = child_rng(seed, "derived-guard")
     tensors += [t for t in fuzz_stream(rng, fuzz_count, max_dim=7)]
     for t in tensors:
-        g1 = bracket_span(t, standard_basis(t.n), standard_basis(t.n))
+        g1 = derived_ideal_t(t)
         if len(g1) != 2:
             continue
         try:

@@ -1,7 +1,8 @@
 """JSON wire formats.
 
 Rationals are strings "p/q" in lowest terms (plain "p" for integers);
-quadratic-extension scalars are objects {"a": "p/q", "b": "p/q", "d": n}.
+quadratic-extension scalars are objects {"a": "p/q", "b": "p/q", "d": n}
+with 1 < n <= MAX_RADICAND.
 Matrices are arrays of arrays; algebras are
 {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": [...]}, ...]} with
 1-based i < j in ascending order and coefficient vectors of length n.
@@ -12,11 +13,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
+from .errors import Unsupported
 from .liealg import LieAlgebra, StructureTensor
 from .matrices import Mat
-from .scalars import QuadExt, Scalar, compact, format_rational
+from .scalars import QuadExt, Scalar, compact, format_rational, square_free_split
+
+# Reading a radicand factors it by trial division up to its cube root:
+# 10^6 divisions at this bound, 2 * 10^13 at forty digits.  A matrix or
+# algebra reader factors each distinct radicand once, not once per entry.
+MAX_RADICAND = 10**18
 
 
 class FormatError(ValueError):
@@ -37,18 +44,32 @@ def parse_rational(v: str) -> Fraction:
         raise FormatError(f"bad rational {v!r}") from exc
 
 
-def scalar_from_json(v) -> Scalar:
+def scalar_from_json(v, splits: Optional[dict] = None) -> Scalar:
+    """A scalar from its JSON form; ``splits`` maps radicands already read
+    to their ``square_free_split``, so that a reader of many entries
+    factors each distinct radicand once."""
     if isinstance(v, str):
         return compact(parse_rational(v))
     if isinstance(v, int):
         return v
     if isinstance(v, dict):
         try:
-            return QuadExt.make(
-                Fraction(str(v["a"])), Fraction(str(v["b"])), int(v["d"])
-            )
+            a, b, d = Fraction(str(v["a"])), Fraction(str(v["b"])), int(v["d"])
         except (KeyError, ValueError, TypeError) as exc:
             raise FormatError(f"bad quadratic scalar {v!r}") from exc
+        if d > MAX_RADICAND:
+            raise Unsupported(f"radicand {d} above {MAX_RADICAND}")
+        if b == 0:
+            return QuadExt.make(a, b, d)
+        splits = {} if splits is None else splits
+        if d not in splits:
+            try:
+                splits[d] = square_free_split(d)
+            except ValueError as exc:
+                raise FormatError(f"bad quadratic scalar {v!r}") from exc
+        s, d0 = splits[d]
+        # as QuadExt.make, with the split of d looked up
+        return a + b * s if d0 == 1 else QuadExt(a, b * s, d0)
     raise FormatError(f"bad scalar {v!r}")
 
 
@@ -61,7 +82,8 @@ def matrix_from_json(v) -> Mat:
         raise FormatError("matrix must be a non-empty array of non-empty arrays")
     if any(len(r) != len(v[0]) for r in v):
         raise FormatError("matrix rows must all have the same length")
-    return Mat([[scalar_from_json(x) for x in row] for row in v])
+    splits: dict = {}
+    return Mat([[scalar_from_json(x, splits) for x in row] for row in v])
 
 
 def algebra_to_json(a: Union[LieAlgebra, StructureTensor]) -> dict:
@@ -81,6 +103,7 @@ def algebra_from_json(d) -> StructureTensor:
     if not isinstance(n, int) or n < 1:
         raise FormatError("'dim' must be a positive integer")
     table = {}
+    splits: dict = {}
     for entry in d.get("brackets", []):
         if not isinstance(entry, dict):
             raise FormatError("bracket entries must be objects")
@@ -95,7 +118,7 @@ def algebra_from_json(d) -> StructureTensor:
             raise FormatError(f"bracket ({i}, {j}) needs {n} coefficients")
         if (i - 1, j - 1) in table:
             raise FormatError(f"duplicate bracket ({i}, {j})")
-        table[(i - 1, j - 1)] = tuple(scalar_from_json(x) for x in coeffs)
+        table[(i - 1, j - 1)] = tuple(scalar_from_json(x, splits) for x in coeffs)
     try:
         return StructureTensor(n, table)
     except Exception as exc:

@@ -28,7 +28,7 @@ from .matrices import (
     vec_add,
     vec_is_zero,
 )
-from .scalars import Scalar, compact, exdiv
+from .scalars import Scalar, compact
 
 
 class StructureTensor:
@@ -273,33 +273,26 @@ class Frame:
         """Replace the given columns of the identity by new basis vectors
         in current coordinates.
 
-        When every replacement is nonzero at its own coordinate and zero at
-        the other replaced ones (a scaled shear), the inverse is written
-        down directly and the tensor takes the sparse path; any other
-        replacement is a dense transform.
+        With the replaced columns R first, the step is [[A, 0], [B, I]]
+        and its inverse [[A^-1, 0], [-B A^-1, I]], so only the |R| x |R|
+        block A is inverted (a singular A raises SingularInput and leaves
+        the frame as it was) and the tensor always takes the sparse path.
         """
         n = self.n
-        shear = all(
-            v[j] != 0 and all(v[i] == 0 for i in repl if i != j)
-            for j, v in repl.items()
-        )
-        if shear:
-            inv_cols = {}
-            for j, v in repl.items():
-                cj = v[j]
-                col = [0] * n
-                col[j] = exdiv(1, cj)
-                for i in range(n):
-                    if i != j and v[i] != 0:
-                        col[i] = exdiv(-v[i], cj)
-                inv_cols[j] = col
-            self.t = self.t.transform_sparse(repl, inv_cols)
-        else:
-            cols = standard_basis(n)
-            for j, v in repl.items():
-                cols[j] = v
-            mat = Mat.from_columns(cols)
-            self.t = self.t.transform(mat, inverse(mat))
+        cols = sorted(repl)
+        a_inv = inverse(Mat([[repl[j][i] for j in cols] for i in cols]))
+        inv_cols = {}
+        for q, j in enumerate(cols):
+            col: list = [0] * n
+            for p, i in enumerate(cols):
+                f = a_inv[p, q]
+                if f != 0:
+                    col[i] = f
+                    for r, x in enumerate(repl[i]):
+                        if x != 0 and r not in repl:
+                            col[r] = col[r] - x * f
+            inv_cols[j] = col
+        self.t = self.t.transform_sparse(repl, inv_cols)
         # total @ step differs from total only in the replaced columns
         new_cols = {}
         for j, v in repl.items():
@@ -374,28 +367,38 @@ def standard_basis(n: int) -> list[Vec]:
     return [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
 
 
+def derived_ideal_t(t: StructureTensor) -> list[Vec]:
+    """[g, g], the span of the table's bracket vectors [X_i, X_j]."""
+    return span_rows(list(t.brackets.values()), t.n)
+
+
 def derived_series_t(t: StructureTensor) -> list[list[Vec]]:
-    series = [span_rows(standard_basis(t.n), t.n)]
-    for _ in range(t.n + 1):
-        nxt = bracket_span(t, series[-1], series[-1])
-        if len(nxt) == len(series[-1]):
-            break
+    series = [standard_basis(t.n)]
+    nxt = derived_ideal_t(t)
+    while len(nxt) < len(series[-1]):
         series.append(nxt)
         if not nxt:
             break
+        # [u, u] = 0 and [v, u] = -[u, v]: one bracket per pair a < b
+        vecs = []
+        for a, u in enumerate(nxt):
+            for v in nxt[a + 1 :]:
+                w = t.bracket(u, v)
+                if not vec_is_zero(w):
+                    vecs.append(w)
+        nxt = span_rows(vecs, t.n)
     return series
 
 
 def lower_central_series_t(t: StructureTensor) -> list[list[Vec]]:
-    full = span_rows(standard_basis(t.n), t.n)
+    full = standard_basis(t.n)
     series = [full]
-    for _ in range(t.n + 1):
-        nxt = bracket_span(t, full, series[-1])
-        if len(nxt) == len(series[-1]):
-            break
+    nxt = derived_ideal_t(t)
+    while len(nxt) < len(series[-1]):
         series.append(nxt)
         if not nxt:
             break
+        nxt = bracket_span(t, full, nxt)
     return series
 
 
@@ -478,9 +481,7 @@ def adjoint_algebra_t(t: StructureTensor, derived_basis: Optional[list[Vec]] = N
     restrictions a_{X_i} for the standard basis).  Requires the derived
     ideal to be abelian.
     """
-    g1 = derived_basis if derived_basis is not None else bracket_span(
-        t, standard_basis(t.n), standard_basis(t.n)
-    )
+    g1 = derived_basis if derived_basis is not None else derived_ideal_t(t)
     k = len(g1)
     for a in range(k):
         for b in range(a + 1, k):

@@ -90,6 +90,12 @@ class QuadExt:
     Mixed arithmetic with rationals is supported.  Mixing two different
     radicands raises :class:`FieldMismatch`; one computation lives in a
     single quadratic field.
+
+    Outside input goes through ``QuadExt(...)`` or :meth:`make`, which
+    splits the square part off d.  Arithmetic results are built by
+    :func:`_quad` instead: every operand already carries a square-free d,
+    and so does every sum, product and quotient of them, so factoring d
+    again (trial division up to its cube root) would find nothing new.
     """
 
     __slots__ = ("a", "b", "d")
@@ -112,14 +118,14 @@ class QuadExt:
         return QuadExt(a, as_fraction(b) * s, d0)
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _quad(self.a, -self.b, self.d)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> Rational:
         return self.a * self.a - self.b * self.b * self.d
 
-    def _coerce(self, other) -> tuple[Fraction, Fraction]:
+    def _coerce(self, other) -> tuple:
         if is_rational(other):
-            return as_fraction(other), ZERO
+            return other, 0
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise FieldMismatch(f"sqrt({self.d}) vs sqrt({other.d})")
@@ -130,12 +136,12 @@ class QuadExt:
         oa, ob = self._coerce(other)
         if oa is NotImplemented:
             return NotImplemented
-        return QuadExt.make(self.a + oa, self.b + ob, self.d)
+        return _quad(self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quad(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-other)
@@ -147,9 +153,10 @@ class QuadExt:
         oa, ob = self._coerce(other)
         if oa is NotImplemented:
             return NotImplemented
-        return QuadExt.make(
-            self.a * oa + self.b * ob * self.d, self.a * ob + self.b * oa, self.d
-        )
+        a, b = self.a, self.b
+        if not ob:
+            return _quad(a * oa, b * oa, self.d)
+        return _quad(a * oa + b * ob * self.d, a * ob + b * oa, self.d)
 
     __rmul__ = __mul__
 
@@ -157,13 +164,13 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("zero norm in QuadExt.inverse")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _quad(exdiv(self.a, n), exdiv(-self.b, n), self.d)
 
     def __truediv__(self, other):
         if is_rational(other):
             if other == 0:
                 raise ZeroDivisionError
-            return QuadExt(self.a / other, self.b / other, self.d)
+            return _quad(exdiv(self.a, other), exdiv(self.b, other), self.d)
         if isinstance(other, QuadExt):
             return self * other.inverse()
         return NotImplemented
@@ -232,6 +239,17 @@ class QuadExt:
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _quad(a: Rational, b: Rational, d: int) -> Scalar:
+    """a + b*sqrt(d) for a d already known square-free (an arithmetic
+    result): no re-factoring, no re-validation, and a, b stored as ints
+    when integral.  Collapses to a Fraction when b == 0."""
+    if b == 0:
+        return as_fraction(a)
+    x = object.__new__(QuadExt)
+    x.a, x.b, x.d = compact(a), compact(b), d
+    return x
 
 
 def scalar_sign(x: Scalar) -> int:

@@ -1,0 +1,67 @@
+"""Schema of the committed benchmark records (BENCH_*.json at the repo root).
+
+Only the shape is checked, never the timings: every workload of
+BENCHMARK.json has untraced runs on both sides, every end-to-end
+metric appears in each of those runs and in the per-side summary, and
+no run is recorded twice.  The recorder, scripts/bench_record.py,
+refuses a run that would repeat one.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+SIDES = ("parent", "change")
+STATS = ("runs", "median", "q1", "q3")
+
+
+def test_a_record_is_committed():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_schema(path):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    record = json.loads(path.read_text())
+    assert isinstance(record["python"], str) and isinstance(record["cpu_count"], int)
+    names = [m["name"] for m in bench["end_to_end"]]
+    keys = [(r["workload"], r["seed"], r["side"], r["trace"]) for r in record["runs"]]
+    assert len(keys) == len(set(keys))
+    for run in record["runs"]:
+        assert run["side"] in SIDES
+        assert isinstance(run["seed"], int) and run["trace"] in (0, 1)
+        assert isinstance(run["correct"], bool)
+        assert isinstance(run["attempted"], int) and isinstance(run["failed"], int)
+        assert isinstance(run["metrics"], dict)
+    summary = record["summary"]["by_workload"]
+    for w in bench["workloads"]:
+        for side in SIDES:
+            runs = [r for r in record["runs"]
+                    if r["workload"] == w["name"] and r["side"] == side and not r["trace"]]
+            assert runs, (w["name"], side)
+            for r in runs:
+                assert all("value" in r["metrics"].get(name, {}) for name in names), (
+                    w["name"], side, r["seed"])
+            stats = summary[w["name"]][side]
+            for name in names:
+                assert set(STATS) <= set(stats[name]), (w["name"], side, name)
+                assert stats[name]["runs"] == len(runs)
+        pairs = record["summary"]["pairs"][w["name"]]
+        for name in names:
+            assert 0 <= pairs[name]["change_better"] <= pairs[name]["pairs"]
+
+
+def test_recorder_refuses_a_repeated_run():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+    br = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(br)
+    recorded = [{"workload": "fuzz", "seed": 2, "trace": 0, "side": side} for side in SIDES]
+    assert br.plan(["fuzz:3-4", "corpus:2"], 0, recorded) == [("fuzz", 3), ("fuzz", 4), ("corpus", 2)]
+    assert br.plan(["fuzz:2"], 1, recorded) == [("fuzz", 2)]  # traced runs are summarised apart
+    for specs in (["fuzz:1-3"], ["corpus:5,5"], ["corpus:5", "corpus:4-6"]):
+        with pytest.raises(SystemExit):
+            br.plan(specs, 0, recorded)

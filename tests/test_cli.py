@@ -148,6 +148,17 @@ def test_propsim_irrational_ratio_is_decided_exactly(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_propsim_radicand_above_bound_exit_2(tmp_path, capsys):
+    # reading d factors it by trial division up to its cube root, which at
+    # forty digits would not finish; the bound refuses it first
+    big = {"a": "0", "b": "1", "d": 10**40 + 1}
+    a = write(tmp_path, "a.json", [[big, "1"], ["0", "1"]])
+    b = write(tmp_path, "b.json", [["1", "1"], ["0", big]])
+    assert run(["propsim", a, b]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_classify_not_in_class_exit_2(tmp_path, capsys):
     path = write(tmp_path, "h3.json", H3)
     assert run(["classify", path]) == 2

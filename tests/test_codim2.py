@@ -62,12 +62,32 @@ def test_unsupported_two_dimensional_span():
         normalize_codim2(LieAlgebra(t))
 
 
+SL2 = [(1, 2, {2: 2}), (1, 3, {3: -2}), (2, 3, {1: 1})]
+# R^2 acting on h3 = span(X1, X2, X3) by diag(1, 0, 1) and diag(0, 1, 1)
+R2_SEMI_H3 = [
+    (1, 2, {3: 1}),
+    (4, 1, {1: 1}),
+    (4, 3, {3: 1}),
+    (5, 2, {2: 1}),
+    (5, 3, {3: 1}),
+]
+
+
 def test_not_in_class_reasons():
-    with pytest.raises(NotInClass):
+    with pytest.raises(NotInClass) as err:
         normalize_codim2(tensor_from_brackets(3, [(3, 1, {1: 1}), (3, 2, {2: 2})]))
+    assert err.value.reason == "DimensionTooSmall"
     # derived ideal too small
-    with pytest.raises(NotInClass):
+    with pytest.raises(NotInClass) as err:
         normalize_codim2(tensor_from_brackets(4, [(4, 1, {1: 1})]))
+    assert err.value.reason == "DerivedDimNotCodim2"
+    # sl2 + R^2: the derived series stops at sl2
+    with pytest.raises(NotInClass) as err:
+        normalize_codim2(tensor_from_brackets(5, SL2))
+    assert err.value.reason == "NotSolvable"
+    with pytest.raises(NotInClass) as err:
+        normalize_codim2(tensor_from_brackets(5, R2_SEMI_H3))
+    assert err.value.reason == "DerivedNotAbelian"
 
 
 def test_witness_reproduces_structure_tensor():

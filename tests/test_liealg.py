@@ -13,7 +13,12 @@ from solvlie.catalog import (
     scramble_matrix,
     tensor_from_brackets,
 )
-from solvlie.errors import ImpossibleBranch, NonAbelianDerivedIdeal, SingularTransform
+from solvlie.errors import (
+    ImpossibleBranch,
+    NonAbelianDerivedIdeal,
+    SingularInput,
+    SingularTransform,
+)
 from solvlie.jsonio import algebra_from_json, algebra_to_json, dumps
 from solvlie.liealg import (
     BasisChange,
@@ -25,10 +30,12 @@ from solvlie.liealg import (
     bracket_span,
     derived_series_t,
     direct_sum,
+    lower_central_series_t,
     standard_basis,
     validate,
 )
 from solvlie.matrices import Mat, det, inverse, solve
+from solvlie.scalars import QuadExt
 
 
 def test_validate_examples():
@@ -182,6 +189,47 @@ def test_schur_jacobson_bound_on_corpus():
         assert dim <= (k * k) // 4 + 1
 
 
+def _reference_series(t, lower):
+    """The derived (lower=False) or lower central series as it was built
+    before the first term came from the table: every bracket of the
+    previous basis with itself (or with the full basis), all n^2 pairs."""
+    full = standard_basis(t.n)
+    series = [full]
+    for _ in range(t.n + 1):
+        nxt = bracket_span(t, full if lower else series[-1], series[-1])
+        if len(nxt) == len(series[-1]):
+            break
+        series.append(nxt)
+        if not nxt:
+            break
+    return series
+
+
+def test_series_match_the_all_pairs_formulation():
+    from solvlie import catalog
+    from solvlie.harness import corpus_labels
+
+    sl2 = tensor_from_brackets(3, [(1, 2, {2: 2}), (1, 3, {3: -2}), (2, 3, {1: 1})])
+    r2_semi_h3 = tensor_from_brackets(
+        5,
+        [(1, 2, {3: 1}), (4, 1, {1: 1}), (4, 3, {3: 1}), (5, 2, {2: 1}), (5, 3, {3: 1})],
+    )
+    samples = [sl2, direct_sum(sl2, abelian_tensor(2)), heisenberg(1), r2_semi_h3]
+    assert all(validate(t).ok for t in samples)
+    samples += [catalog.scramble_tensor(t, 3)[0] for t in samples]
+    for i, lab in enumerate(corpus_labels()):
+        samples.append(catalog.scramble_tensor(catalog.build_tensor(lab), i)[0])
+    for t in samples:
+        assert derived_series_t(t) == _reference_series(t, lower=False)
+        assert lower_central_series_t(t) == _reference_series(t, lower=True)
+    # the four named algebras: perfect, non-solvable, nilpotent, and a
+    # solvable one with a non-abelian derived ideal
+    assert [len(b) for b in derived_series_t(sl2)] == [3]
+    assert [len(b) for b in derived_series_t(samples[1])] == [5, 3]
+    assert [len(b) for b in lower_central_series_t(heisenberg(1))] == [3, 1, 0]
+    assert [len(b) for b in derived_series_t(r2_semi_h3)] == [5, 3, 1, 0]
+
+
 def test_json_round_trip_bit_exact():
     alg = tensor_from_brackets(
         4, [(3, 2, {1: Fraction(1, 2)}), (3, 4, {2: -2})]
@@ -229,6 +277,26 @@ def test_frame_steps_keep_tensor_and_total_consistent():
             total = fr.total
             assert fr.t == fr.input.transform(total, inverse(total))
         assert fr.witness().matrix == fr.total
+        # three columns at once: the block A on them is neither diagonal
+        # nor a permutation and holds a Q(sqrt 2) entry
+        a, b, c = rng.sample(range(n), 3)
+        block = {a: (1, 0, 1), b: (1, 1, 0), c: (0, QuadExt(0, 1, 2), 1)}
+        repl = {}
+        for j, (xa, xb, xc) in block.items():
+            repl[j] = [rng.randint(-2, 2) for _ in range(n)]
+            repl[j][a], repl[j][b], repl[j][c] = xa, xb, xc
+        fr.step_cols(repl)
+        total = fr.total
+        assert any(isinstance(x, QuadExt) for row in total.data for x in row)
+        assert fr.t == fr.input.transform(total, inverse(total))
+        assert fr.witness().matrix == total
+        # a singular block A is refused before the frame changes
+        before_t, before_total = fr.t, fr.total
+        repl = {a: fr.unit(a), b: fr.unit(a, 2)}
+        repl[b][c] = 1  # outside the block: A = [[1, 2], [0, 0]] stays singular
+        with pytest.raises(SingularInput):
+            fr.step_cols(repl)
+        assert fr.t is before_t and fr.total == before_total
 
 
 def test_frame_witness_rejects_a_broken_audit():

@@ -117,3 +117,100 @@ def test_quadext_sign_matches_float(a, b):
         approx = float(a) + float(b) * 3 ** 0.5
         if abs(approx) > 1e-9:
             assert scalar_sign(x) == (1 if approx > 0 else -1)
+
+
+def test_json_readers_factor_each_radicand_once(monkeypatch):
+    import solvlie.jsonio as jsonio
+
+    calls = []
+    real = jsonio.square_free_split
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(jsonio, "square_free_split", counting)
+    big = 4 * 999999999989  # 2^2 times a 12-digit prime
+
+    def q(a, b, d):
+        return {"a": a, "b": b, "d": d}
+
+    m = jsonio.matrix_from_json([[q("1", "2", big), q("0", "1/3", big)],
+                                 [q("-5", "1", big), q("1/2", "7", 36)]])
+    assert calls == [big, 36]
+    assert [list(row) for row in m.data] == [
+        [QuadExt.make(1, 2, big), QuadExt.make(0, Fraction(1, 3), big)],
+        [QuadExt.make(-5, 1, big), Fraction(85, 2)]]
+    assert m.data[0][0].d == 999999999989 and m.data[0][0].b == 4
+    calls.clear()
+    t = jsonio.algebra_from_json({"dim": 2, "brackets": [
+        {"i": 1, "j": 2, "coeffs": [q("0", "1", 8), q("3", "-1", 8)]}]})
+    assert calls == [8]
+    assert t.brackets[(0, 1)] == (QuadExt.make(0, 1, 8), QuadExt.make(3, -1, 8))
+
+
+def test_arithmetic_never_refactors_the_radicand(monkeypatch):
+    import solvlie.scalars as scalars
+
+    calls = []
+    real = scalars.square_free_split
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(scalars, "square_free_split", counting)
+    for d in (2, 3):
+        x = QuadExt(1, 2, d)
+        y = QuadExt(Fraction(-1, 3), Fraction(1, 2), d)
+        for other in (y, 3, Fraction(-2, 5)):
+            for r in (x + other, other + x, x - other, other - x, x * other,
+                      other * x, x / other, other / x):
+                assert r is not None
+        for r in (x.inverse(), x.conjugate(), x ** 3, x ** -2, -x, x - x):
+            assert r is not None
+    assert calls == []
+
+
+def _reference(op, a, b, c, e, d):
+    """(a + b sqrt d) op (c + e sqrt d) by the textbook formula, built
+    through the public, re-factoring constructor."""
+    if op == "+":
+        return QuadExt.make(a + c, b + e, d)
+    if op == "-":
+        return QuadExt.make(a - c, b - e, d)
+    if op == "*":
+        return QuadExt.make(a * c + b * e * d, a * e + b * c, d)
+    n = c * c - e * e * d  # "/": multiply by the conjugate over the norm
+    return QuadExt.make((a * c - b * e * d) / n, (b * c - a * e) / n, d)
+
+
+def _parts(x):
+    return (x.a, x.b) if isinstance(x, QuadExt) else (x,)
+
+
+@given(
+    d=st.sampled_from((2, 3, 5, 6, 7)),
+    a=rationals, b=rationals, c=rationals, e=rationals,
+    op=st.sampled_from(("+", "-", "*", "/")),
+    int_operand=st.booleans(),
+)
+def test_quadext_ops_match_textbook_formula(d, a, b, c, e, op, int_operand):
+    if int_operand:
+        c, e = Fraction(c.numerator), Fraction(0)
+    x = QuadExt.make(a, b, d)
+    y = compact(c) if e == 0 else QuadExt.make(c, e, d)
+    if op == "/" and y == 0:
+        return
+    got = {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y,
+           "/": lambda: exdiv(x, y)}[op]()
+    want = _reference(op, a, b, c, e, d)
+    assert got == want
+    # a Fraction exactly when the irrational part cancels
+    assert isinstance(got, Fraction) == (not isinstance(want, QuadExt))
+    assert not any(isinstance(p, float) for p in _parts(got))
+    if isinstance(x, QuadExt):
+        for r in (x.inverse(), x.conjugate(), x ** 2, x ** -1, -x):
+            assert not any(isinstance(p, float) for p in _parts(r))
+        assert x * x.inverse() == 1
+        assert x * x.conjugate() == x.norm()
