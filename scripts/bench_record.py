@@ -16,6 +16,11 @@ result line, per-metric medians and quartiles for each side and workload,
 and the pairs in which the change beat the parent on each end-to-end
 metric of ``BENCHMARK.json``.  ``--trace 1`` records traced runs instead
 (per-layer metrics); they are summarised apart from the untraced ones.
+
+At the end the recorder prints, for each workload and end-to-end metric,
+the change median against the change median of the same workload and
+metric in the highest-numbered earlier ``BENCH_<n>.json`` beside
+``--out``.
 """
 
 from __future__ import annotations
@@ -96,6 +101,49 @@ def summarise(runs: list, end_to_end: list) -> dict:
     return {"by_workload": summary, "pairs": wins}
 
 
+def record_number(path: Path):
+    """n of a ``BENCH_<n>.json`` path, None for any other name."""
+    n = path.stem.removeprefix("BENCH_")
+    return int(n) if path.suffix == ".json" and n != path.stem and n.isdigit() else None
+
+
+def previous_record(out: Path):
+    """The highest-numbered ``BENCH_<n>.json`` beside ``out`` whose n is
+    below that of ``out``, or None."""
+    own = record_number(out)
+    earlier = [(n, p) for p in out.parent.glob("BENCH_*.json")
+               if (n := record_number(p)) is not None and own is not None and n < own]
+    return max(earlier)[1] if earlier else None
+
+
+def compare(record: dict, previous: dict, end_to_end: list) -> list:
+    """One line per workload and end-to-end metric of the untraced runs:
+    the previous record's change median, this record's, and the relative
+    difference."""
+    now, then = record["summary"]["by_workload"], previous["summary"]["by_workload"]
+    lines = []
+    for workload in sorted(w for w in now if not w.endswith(" traced")):
+        for m in end_to_end:
+            b = now[workload].get("change", {}).get(m["name"], {}).get("median")
+            a = then.get(workload, {}).get("change", {}).get(m["name"], {}).get("median")
+            if b is None:
+                continue
+            shown = "-" if a is None else f"{a:.4g}"
+            delta = f"{(b - a) / a:+.1%}" if a else "n/a"
+            lines.append(f"{workload:>15} {m['name']:<24} {shown:>10} -> {b:<10.4g} {m['unit']:<4} {delta}")
+    return lines
+
+
+def print_comparison(out: Path, record: dict, end_to_end: list) -> None:
+    prev = previous_record(out)
+    if prev is None:
+        print(f"no BENCH_<n>.json numbered below {out.name} to compare with")
+        return
+    print(f"change medians, {prev.name} -> {out.name}:")
+    for line in compare(record, json.loads(prev.read_text()), end_to_end):
+        print(line)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -120,6 +168,7 @@ def main(argv=None) -> int:
         # saved after every pair, so an interrupted session keeps its runs
         record["summary"] = summarise(record["runs"], end_to_end)
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print_comparison(args.out, record, end_to_end)
     return 0
 
 

@@ -6,89 +6,77 @@ similarity cA = C^-1 B C, and constructive classification of solvable
 algebras whose derived ideal has dimension 2 or codimension 2.
 """
 
-from .classify_n2 import Classification, Witness, classify_n2
-from .codim2 import Codim2Form, Codim2IsoVerdict, codim2_isomorphic, normalize_codim2
-from .errors import (
-    DimensionError,
-    DimensionMismatch,
-    ImpossibleBranch,
-    NonAbelianDerivedIdeal,
-    NonCommuting,
-    NotInClass,
-    ParamOutOfDomain,
-    ShapeMismatch,
-    SingularInput,
-    SingularTransform,
-    SolvlieError,
-    Unsupported,
-)
-from .frobenius import frobenius_form, invariant_factors, min_poly, similar, similarity_witness
-from .labels import ClassLabel
-from .liealg import (
-    BasisChange,
-    LieAlgebra,
-    StructureTensor,
-    ValidationReport,
-    validate,
-)
-from .matrices import (
-    Mat,
-    SpectralClass2x2,
-    char_poly,
-    common_eigenvector,
-    det,
-    inverse,
-    kernel_basis,
-    rank,
-    spectral_classify_2x2,
-)
-from .propsim import GL2Class, PropSimVerdict, prop_similar, propsim_classify_gl2
-from .scalars import QuadExt, sqrt_exact
+import sys
+from importlib import import_module
+from types import ModuleType
 
-__all__ = [
-    "BasisChange",
-    "ClassLabel",
-    "Classification",
-    "Codim2Form",
-    "Codim2IsoVerdict",
-    "DimensionError",
-    "DimensionMismatch",
-    "GL2Class",
-    "ImpossibleBranch",
-    "LieAlgebra",
-    "Mat",
-    "NonAbelianDerivedIdeal",
-    "NonCommuting",
-    "NotInClass",
-    "ParamOutOfDomain",
-    "PropSimVerdict",
-    "QuadExt",
-    "ShapeMismatch",
-    "SingularInput",
-    "SingularTransform",
-    "SolvlieError",
-    "SpectralClass2x2",
-    "StructureTensor",
-    "Unsupported",
-    "ValidationReport",
-    "Witness",
-    "char_poly",
-    "classify_n2",
-    "codim2_isomorphic",
-    "common_eigenvector",
-    "det",
-    "frobenius_form",
-    "invariant_factors",
-    "inverse",
-    "kernel_basis",
-    "min_poly",
-    "normalize_codim2",
-    "prop_similar",
-    "propsim_classify_gl2",
-    "rank",
-    "similar",
-    "similarity_witness",
-    "spectral_classify_2x2",
-    "sqrt_exact",
-    "validate",
-]
+# public name -> the submodule that defines it; each submodule is imported
+# on first access to one of its names (PEP 562), so a CLI command compiles
+# only the modules it reads
+_HOME = {
+    name: module
+    for module, names in {
+        "classify_n2": ("Classification", "Witness", "classify_n2"),
+        "codim2": ("Codim2Form", "Codim2IsoVerdict", "codim2_isomorphic", "normalize_codim2"),
+        "errors": (
+            "DimensionError",
+            "DimensionMismatch",
+            "ImpossibleBranch",
+            "NonAbelianDerivedIdeal",
+            "NonCommuting",
+            "NotInClass",
+            "ParamOutOfDomain",
+            "ShapeMismatch",
+            "SingularInput",
+            "SingularTransform",
+            "SolvlieError",
+            "Unsupported",
+        ),
+        "frobenius": ("frobenius_form", "invariant_factors", "min_poly", "similar", "similarity_witness"),
+        "labels": ("ClassLabel",),
+        "liealg": ("BasisChange", "LieAlgebra", "StructureTensor", "ValidationReport", "validate"),
+        "matrices": (
+            "Mat",
+            "SpectralClass2x2",
+            "char_poly",
+            "common_eigenvector",
+            "det",
+            "inverse",
+            "kernel_basis",
+            "rank",
+            "spectral_classify_2x2",
+        ),
+        "propsim": ("GL2Class", "PropSimVerdict", "prop_similar", "propsim_classify_gl2"),
+        "scalars": ("QuadExt", "sqrt_exact"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    """Keeps a public name bound to its object when a submodule of the same
+    name loads: the import system then sets the package attribute to the
+    submodule (``classify_n2`` is both)."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, ModuleType) and name in _HOME:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -4,7 +4,6 @@ deterministic basis scrambler used by the invariance harnesses."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,6 +19,7 @@ from .liealg import (
     validate,
 )
 from .matrices import Mat
+from .records import Record
 from .scalars import Scalar, exdiv, scalar_sign, sqrt_exact
 
 
@@ -282,11 +282,11 @@ def morozov_transform_negative(gamma: Scalar) -> Mat:
     return Mat([[entries[i] if i == j else 0 for j in range(6)] for i in range(6)])
 
 
-@dataclass(frozen=True)
-class MorozovReport:
-    gamma: Scalar
-    ok: bool
-    detail: str
+class MorozovReport(Record):
+    __slots__ = ("gamma", "ok", "detail")
+
+    def __init__(self, gamma: Scalar, ok: bool, detail: str):
+        self._set(gamma, ok, detail)
 
 
 def morozov_check(gammas: Sequence[Scalar] = (1, 4, 2, -1, -3)) -> list[MorozovReport]:

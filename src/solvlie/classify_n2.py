@@ -12,7 +12,6 @@ the commuting-pair pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,23 +37,30 @@ from .matrices import (
     vec_is_zero,
 )
 from .propsim import propsim_classify_gl2
+from .records import Record
 from .scalars import ONE, ZERO, exdiv, format_scalar, is_rational, sqrt_exact
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Invertible basis change carrying the input onto the canonical
     structure constants of the target class."""
 
-    transform: BasisChange
-    target: ClassLabel
-    canonical: Optional[StructureTensor]  # None only for the 2-step regime
+    __slots__ = ("transform", "target", "canonical")
+
+    def __init__(
+        self,
+        transform: BasisChange,
+        target: ClassLabel,
+        canonical: Optional[StructureTensor],  # None only for the 2-step regime
+    ):
+        self._set(transform, target, canonical)
 
 
-@dataclass(frozen=True)
-class Classification:
-    label: ClassLabel
-    witness: Witness
+class Classification(Record):
+    __slots__ = ("label", "witness")
+
+    def __init__(self, label: ClassLabel, witness: Witness):
+        self._set(label, witness)
 
 
 def _embed_g1(pipe: Frame, c: Mat) -> dict:

@@ -2,18 +2,18 @@
 
 Exit codes: 0 success, 1 malformed input, 2 out-of-regime input
 (not in class / unsupported), 3 property failure in a sweep.
+
+Each command imports the library modules it reads inside its ``cmd_*``
+function, so a call compiles only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from . import catalog, labels
-from .classify_n2 import classify_n2
-from .codim2 import codim2_isomorphic, normalize_codim2
+from . import labels
 from .errors import NotInClass, ParamOutOfDomain, SolvlieError
 from .jsonio import (
     FormatError,
@@ -26,9 +26,6 @@ from .jsonio import (
     parse_rational,
     scalar_to_json,
 )
-from .labels import ClassLabel
-from .liealg import LieAlgebra, validate
-from .propsim import prop_similar
 
 FAMILY_ALIASES = {
     "g3_2_1": labels.G3_2_1,
@@ -47,9 +44,9 @@ FAMILY_ALIASES = {
 }
 
 GENERATORS = {
-    "heisenberg": lambda args: catalog.heisenberg(args.m if args.m is not None else 1),
-    "aff_r": lambda args: catalog.aff_r(),
-    "l6gamma": lambda args: catalog.l6gamma(
+    "heisenberg": lambda catalog, args: catalog.heisenberg(args.m if args.m is not None else 1),
+    "aff_r": lambda catalog, args: catalog.aff_r(),
+    "l6gamma": lambda catalog, args: catalog.l6gamma(
         parse_rational(args.gamma) if args.gamma is not None else Fraction(1)
     ),
 }
@@ -60,6 +57,8 @@ def _load_algebra(path: str):
 
 
 def cmd_validate(args) -> int:
+    from .liealg import validate
+
     t = _load_algebra(args.file)
     rep = validate(t)
     if rep.ok:
@@ -70,6 +69,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .liealg import LieAlgebra, validate
+
     t = _load_algebra(args.file)
     rep = validate(t)
     if not rep.ok:
@@ -95,6 +96,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify_n2 import classify_n2
+
     t = _load_algebra(args.file)
     c = classify_n2(t)
     out = {
@@ -119,6 +122,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_codim2(args) -> int:
+    from .codim2 import normalize_codim2
+
     t = _load_algebra(args.file)
     f = normalize_codim2(t)
     out = {"case": "decomposable" if f.case == "decomposable" else "structure_matrix"}
@@ -134,6 +139,8 @@ def cmd_codim2(args) -> int:
 
 
 def cmd_codim2_iso(args) -> int:
+    from .codim2 import codim2_isomorphic, normalize_codim2
+
     f1 = normalize_codim2(_load_algebra(args.file1))
     f2 = normalize_codim2(_load_algebra(args.file2))
     if f1.case != "structure_matrix" or f2.case != "structure_matrix":
@@ -152,6 +159,8 @@ def cmd_codim2_iso(args) -> int:
 
 
 def cmd_propsim(args) -> int:
+    from .propsim import prop_similar
+
     a = matrix_from_json(load_path(args.file_a))
     b = matrix_from_json(load_path(args.file_b))
     v = prop_similar(a, b)
@@ -167,9 +176,13 @@ def cmd_propsim(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import catalog
+    from .labels import ClassLabel
+    from .liealg import LieAlgebra
+
     name = args.family.lower()
     if name in GENERATORS:
-        tensor = GENERATORS[name](args)
+        tensor = GENERATORS[name](catalog, args)
         alg = LieAlgebra(catalog.with_abelian_ext(tensor, args.d or 0))
     else:
         fam = FAMILY_ALIASES.get(name)

@@ -14,7 +14,6 @@ tensor back by its inverse has reproduced the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ImpossibleBranch, NotInClass, ShapeMismatch, Unsupported
@@ -28,15 +27,14 @@ from .liealg import (
     vec_is_zero,
 )
 from .matrices import Mat, inverse, kernel_basis, rank, row_space, rref, solve
-from .propsim import EXACT, PropSimVerdict, prop_similar
+from .records import Record
 from .scalars import exdiv
 
 LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class Codim2Form:
+class Codim2Form(Record):
     """Outcome of the codimension-2 normalization.
 
     For the structure-matrix case the witness carries the input onto the
@@ -46,13 +44,19 @@ class Codim2Form:
     `inner` is the complementary (n-1)-dimensional algebra.
     """
 
-    case: str  # "decomposable" | "structure_matrix"
-    witness: BasisChange
-    ambient_dim: int
-    shape: Optional[str] = None  # "left" -> [A 0; 0 0], "right" -> [0 A; 0 0]
-    a_inner: Optional[Mat] = None
-    a_bar: Optional[Mat] = None
-    inner: Optional[LieAlgebra] = None
+    __slots__ = ("case", "witness", "ambient_dim", "shape", "a_inner", "a_bar", "inner")
+
+    def __init__(
+        self,
+        case: str,  # "decomposable" | "structure_matrix"
+        witness: BasisChange,
+        ambient_dim: int,
+        shape: Optional[str] = None,  # "left" -> [A 0; 0 0], "right" -> [0 A; 0 0]
+        a_inner: Optional[Mat] = None,
+        a_bar: Optional[Mat] = None,
+        inner: Optional[LieAlgebra] = None,
+    ):
+        self._set(case, witness, ambient_dim, shape, a_inner, a_bar, inner)
 
 
 def codim2_tensor(a_bar: Mat) -> StructureTensor:
@@ -221,12 +225,12 @@ def normalize_codim2(a) -> Codim2Form:
     )
 
 
-@dataclass(frozen=True)
-class Codim2IsoVerdict:
-    isomorphic: bool
-    c: Optional[object] = None
-    m_f: Optional[Mat] = None
-    mode = EXACT  # every verdict is exact; kept for JSON readers
+class Codim2IsoVerdict(Record):
+    __slots__ = ("isomorphic", "c", "m_f")
+    mode = "exact"  # every verdict is exact; kept for JSON readers
+
+    def __init__(self, isomorphic: bool, c: Optional[object] = None, m_f: Optional[Mat] = None):
+        self._set(isomorphic, c, m_f)
 
 
 def codim2_isomorphic(f1: Codim2Form, f2: Codim2Form) -> Codim2IsoVerdict:
@@ -236,7 +240,11 @@ def codim2_isomorphic(f1: Codim2Form, f2: Codim2Form) -> Codim2IsoVerdict:
         raise ShapeMismatch("isomorphism test needs structure-matrix forms")
     if f1.ambient_dim != f2.ambient_dim:
         raise ShapeMismatch("ambient dimensions differ")
-    verdict: PropSimVerdict = prop_similar(f1.a_bar, f2.a_bar)
+    # imported here, so that normalization alone (`solvlie codim2`) does
+    # not compile the Frobenius machinery
+    from .propsim import prop_similar
+
+    verdict = prop_similar(f1.a_bar, f2.a_bar)
     if not verdict.equivalent:
         return Codim2IsoVerdict(False)
     m_f = None if verdict.c is None else _build_m_f(f1.a_bar, f2.a_bar, verdict.c, verdict.witness)

@@ -6,6 +6,9 @@ with 1 < n <= MAX_RADICAND.
 Matrices are arrays of arrays; algebras are
 {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": [...]}, ...]} with
 1-based i < j in ascending order and coefficient vectors of length n.
+Integers ("dim", an integer scalar) are JSON integers; a radicand, "i"
+and "j" are JSON integers or strings of one.  A float or a boolean is
+malformed, not truncated or read as 0/1.
 Writers emit a fixed key order so equal values give byte-equal output.
 """
 
@@ -13,12 +16,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import Unsupported
-from .liealg import LieAlgebra, StructureTensor
 from .matrices import Mat
 from .scalars import QuadExt, Scalar, compact, format_rational, square_free_split
+
+# the algebra readers and writers import liealg when called, so that the
+# matrix commands (`solvlie propsim`) do not compile it
+if TYPE_CHECKING:
+    from .liealg import LieAlgebra, StructureTensor
 
 # Reading a radicand factors it by trial division up to its cube root:
 # 10^6 divisions at this bound, 2 * 10^13 at forty digits.  A matrix or
@@ -36,6 +43,20 @@ def scalar_to_json(x: Scalar):
     return format_rational(x)
 
 
+def _json_int(v, what: str) -> int:
+    """``v`` as an int: a JSON integer or a string of one, as ``int()``
+    read them before; a float or a boolean (an ``int`` subclass in
+    Python) raises FormatError rather than being truncated or read as 0/1."""
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise FormatError(f"{what} must be an integer, got {v!r}")
+
+
 def parse_rational(v: str) -> Fraction:
     """A rational from its "p/q" (or decimal) text; FormatError otherwise."""
     try:
@@ -50,13 +71,14 @@ def scalar_from_json(v, splits: Optional[dict] = None) -> Scalar:
     factors each distinct radicand once."""
     if isinstance(v, str):
         return compact(parse_rational(v))
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, dict):
         try:
-            a, b, d = Fraction(str(v["a"])), Fraction(str(v["b"])), int(v["d"])
+            a, b, d = Fraction(str(v["a"])), Fraction(str(v["b"])), v["d"]
         except (KeyError, ValueError, TypeError) as exc:
             raise FormatError(f"bad quadratic scalar {v!r}") from exc
+        d = _json_int(d, "radicand 'd'")
         if d > MAX_RADICAND:
             raise Unsupported(f"radicand {d} above {MAX_RADICAND}")
         if b == 0:
@@ -87,6 +109,8 @@ def matrix_from_json(v) -> Mat:
 
 
 def algebra_to_json(a: Union[LieAlgebra, StructureTensor]) -> dict:
+    from .liealg import LieAlgebra
+
     t = a.tensor if isinstance(a, LieAlgebra) else a
     brackets = []
     for (i, j), vec in t.items():
@@ -97,10 +121,12 @@ def algebra_to_json(a: Union[LieAlgebra, StructureTensor]) -> dict:
 
 
 def algebra_from_json(d) -> StructureTensor:
+    from .liealg import StructureTensor
+
     if not isinstance(d, dict) or "dim" not in d:
         raise FormatError("algebra object needs a 'dim' field")
     n = d["dim"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError("'dim' must be a positive integer")
     table = {}
     splits: dict = {}
@@ -108,10 +134,10 @@ def algebra_from_json(d) -> StructureTensor:
         if not isinstance(entry, dict):
             raise FormatError("bracket entries must be objects")
         try:
-            i, j = int(entry["i"]), int(entry["j"])
-            coeffs = entry["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
+            i, j, coeffs = entry["i"], entry["j"], entry["coeffs"]
+        except KeyError as exc:
             raise FormatError(f"bad bracket entry {entry!r}") from exc
+        i, j = _json_int(i, "bracket index 'i'"), _json_int(j, "bracket index 'j'")
         if not (1 <= i < j <= n):
             raise FormatError(f"bracket indices ({i}, {j}) out of range")
         if not isinstance(coeffs, list) or len(coeffs) != n:

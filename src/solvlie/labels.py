@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .records import Record
 from .scalars import Scalar, format_scalar
 
 G3_2_1 = "G3_2_1"
@@ -42,8 +42,7 @@ FAMILIES = (
 DIRECT_SUM_FAMILIES = (AFFR_PLUS_AFFR, AFFR_PLUS_HEIS)
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(Record):
     """Family identifier with parameters and abelian-extension dimension.
 
     ``lam`` is the diagonal-family parameter, normalized to |lam| >= 1 (the
@@ -55,13 +54,19 @@ class ClassLabel:
     count the extra commuting pairs in the chain families.
     """
 
-    family: str
-    abelian_ext: int = 0
-    lam: Optional[Scalar] = None
-    j: Optional[Fraction] = None
-    cos_sign: Optional[int] = None
-    k: Optional[int] = None
-    m: Optional[int] = None
+    __slots__ = ("family", "abelian_ext", "lam", "j", "cos_sign", "k", "m")
+
+    def __init__(
+        self,
+        family: str,
+        abelian_ext: int = 0,
+        lam: Optional[Scalar] = None,
+        j: Optional[Fraction] = None,
+        cos_sign: Optional[int] = None,
+        k: Optional[int] = None,
+        m: Optional[int] = None,
+    ):
+        self._set(family, abelian_ext, lam, j, cos_sign, k, m)
 
     @property
     def key(self) -> tuple:

@@ -9,7 +9,6 @@ equality is plain list equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -28,6 +27,7 @@ from .matrices import (
     vec_add,
     vec_is_zero,
 )
+from .records import Record
 from .scalars import Scalar, compact
 
 
@@ -179,11 +179,16 @@ class StructureTensor:
         return f"StructureTensor(n={self.n}, {parts})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    triple: Optional[tuple] = None  # 1-based (i, j, k) of the first failure
-    residual: Optional[Vec] = None
+class ValidationReport(Record):
+    __slots__ = ("ok", "triple", "residual")
+
+    def __init__(
+        self,
+        ok: bool,
+        triple: Optional[tuple] = None,  # 1-based (i, j, k) of the first failure
+        residual: Optional[Vec] = None,
+    ):
+        self._set(ok, triple, residual)
 
     def __bool__(self):
         return self.ok

@@ -7,10 +7,10 @@ checked and never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, NonCommuting, SingularInput
+from .records import Record
 from .scalars import ONE, ZERO, Scalar, compact, exdiv, scalar_sign, sqrt_exact
 
 Vec = tuple
@@ -314,8 +314,7 @@ def char_poly(m: Mat) -> list:
     return list(reversed(coeffs_high))
 
 
-@dataclass(frozen=True)
-class SpectralClass2x2:
+class SpectralClass2x2(Record):
     """Discriminant-based eigenvalue classification of a 2x2 matrix.
 
     kind is one of "real_distinct" (mu1 < mu2, exact, possibly in a
@@ -323,11 +322,17 @@ class SpectralClass2x2:
     (mu1 == mu2), or "complex_pair" (eigenvalues re +- i*sqrt(im2), im2 > 0).
     """
 
-    kind: str
-    mu1: Optional[Scalar] = None
-    mu2: Optional[Scalar] = None
-    re: Optional[Scalar] = None
-    im2: Optional[Scalar] = None
+    __slots__ = ("kind", "mu1", "mu2", "re", "im2")
+
+    def __init__(
+        self,
+        kind: str,
+        mu1: Optional[Scalar] = None,
+        mu2: Optional[Scalar] = None,
+        re: Optional[Scalar] = None,
+        im2: Optional[Scalar] = None,
+    ):
+        self._set(kind, mu1, mu2, re, im2)
 
     @property
     def has_real_eigenvalues(self) -> bool:

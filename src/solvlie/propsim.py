@@ -16,13 +16,13 @@ over Q; for any other c the verdict comes without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, ImpossibleBranch, SingularInput
 from .frobenius import Poly, invariant_factors, similar, similarity_witness
 from .matrices import Mat, char_poly, det, kernel_basis, normalize_leading, spectral_classify_2x2
+from .records import Record
 from .scalars import (
     Scalar,
     exdiv,
@@ -36,12 +36,17 @@ from .scalars import (
 EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class PropSimVerdict:
-    equivalent: bool
-    c: Optional[Scalar] = None
-    witness: Optional[Mat] = None  # C with c*A = C^-1 B C
+class PropSimVerdict(Record):
+    __slots__ = ("equivalent", "c", "witness")
     mode = EXACT  # every verdict is exact; kept for JSON readers
+
+    def __init__(
+        self,
+        equivalent: bool,
+        c: Optional[Scalar] = None,
+        witness: Optional[Mat] = None,  # C with c*A = C^-1 B C
+    ):
+        self._set(equivalent, c, witness)
 
     def verify(self, a: Mat, b: Mat) -> bool:
         if not self.equivalent or self.witness is None:
@@ -132,8 +137,7 @@ def _exact_scale(ratio: Scalar, k: int, sign: int) -> Optional[Scalar]:
     return root if scalar_sign(root) == sign else -root
 
 
-@dataclass(frozen=True)
-class GL2Class:
+class GL2Class(Record):
     """Canonical class of an invertible 2x2 matrix under proportional
     similarity.
 
@@ -145,13 +149,19 @@ class GL2Class:
     scale-invariant class key; c and cmat satisfy c * C^-1 A C = rep.
     """
 
-    family: str
-    j: Scalar
-    rep: Mat
-    c: Scalar
-    cmat: Mat
-    lam: Optional[Scalar] = None
-    cos_sign: Optional[int] = None
+    __slots__ = ("family", "j", "rep", "c", "cmat", "lam", "cos_sign")
+
+    def __init__(
+        self,
+        family: str,
+        j: Scalar,
+        rep: Mat,
+        c: Scalar,
+        cmat: Mat,
+        lam: Optional[Scalar] = None,
+        cos_sign: Optional[int] = None,
+    ):
+        self._set(family, j, rep, c, cmat, lam, cos_sign)
 
     @property
     def key(self):

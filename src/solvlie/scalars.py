@@ -128,7 +128,9 @@ class QuadExt:
             return other, 0
         if isinstance(other, QuadExt):
             if other.d != self.d:
-                raise FieldMismatch(f"sqrt({self.d}) vs sqrt({other.d})")
+                lo, hi = sorted((self.d, other.d))
+                raise FieldMismatch(f"the input mixes the radicands {lo} and {hi}; "
+                                    "one Q(sqrt(d)) per input is supported")
             return other.a, other.b
         return NotImplemented, NotImplemented
 

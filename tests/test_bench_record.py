@@ -55,13 +55,47 @@ def test_record_schema(path):
             assert 0 <= pairs[name]["change_better"] <= pairs[name]["pairs"]
 
 
-def test_recorder_refuses_a_repeated_run():
+def _recorder():
     spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
     br = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(br)
+    return br
+
+
+def test_recorder_refuses_a_repeated_run():
+    br = _recorder()
     recorded = [{"workload": "fuzz", "seed": 2, "trace": 0, "side": side} for side in SIDES]
     assert br.plan(["fuzz:3-4", "corpus:2"], 0, recorded) == [("fuzz", 3), ("fuzz", 4), ("corpus", 2)]
     assert br.plan(["fuzz:2"], 1, recorded) == [("fuzz", 2)]  # traced runs are summarised apart
     for specs in (["fuzz:1-3"], ["corpus:5,5"], ["corpus:5", "corpus:4-6"]):
         with pytest.raises(SystemExit):
             br.plan(specs, 0, recorded)
+
+
+def _synthetic(medians: dict) -> dict:
+    """A record whose summary holds only the given change medians, keyed
+    by workload and then metric."""
+    return {"summary": {"by_workload": {
+        w: {"parent": {}, "change": {m: {"runs": 1, "median": v, "q1": v, "q3": v} for m, v in ms.items()}}
+        for w, ms in medians.items()}}}
+
+
+def test_recorder_compares_with_the_previous_record(tmp_path, capsys):
+    br = _recorder()
+    end_to_end = [{"name": "cli_call_ms_p50", "unit": "ms"}, {"name": "classify_per_s", "unit": "1/s"}]
+    for n, value in ((3, 400.0), (5, 200.0), (12, 1.0)):
+        (tmp_path / f"BENCH_{n}.json").write_text(json.dumps(_synthetic({"cli": {"cli_call_ms_p50": value}})))
+    (tmp_path / "BENCH_x.json").write_text("{}")
+    out = tmp_path / "BENCH_9.json"
+    assert br.previous_record(out) == tmp_path / "BENCH_5.json"
+    assert br.previous_record(tmp_path / "BENCH_3.json") is None
+    record = _synthetic({"cli": {"cli_call_ms_p50": 150.0, "classify_per_s": 10.0},
+                         "cli traced": {"cli_call_ms_p50": 1.0}})
+    lines = br.compare(record, json.loads((tmp_path / "BENCH_5.json").read_text()), end_to_end)
+    assert [line.split() for line in lines] == [
+        ["cli", "cli_call_ms_p50", "200", "->", "150", "ms", "-25.0%"],
+        ["cli", "classify_per_s", "-", "->", "10", "1/s", "n/a"],
+    ]
+    br.print_comparison(out, record, end_to_end)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "change medians, BENCH_5.json -> BENCH_9.json:" and printed[1:] == lines

@@ -267,3 +267,62 @@ def test_sweep_rejects_scrambles_below_one(capsys):
         assert run(["sweep", "--scrambles", n]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("parameter out of domain: ")
+
+
+def test_non_integral_or_boolean_json_integers_exit_1(tmp_path, capsys):
+    sqrt2 = {"a": "0", "b": "1", "d": 2}
+
+    def algebra(i=1, j=3, dim=3, coeffs=("0", "1", "0")):
+        return {"dim": dim, "brackets": [{"i": i, "j": j, "coeffs": list(coeffs)}]}
+
+    # the report's case: before, i = 1.7 was truncated to 1, true read as
+    # 1 and d = 2.5 as sqrt(2), and `validate` printed ok
+    both = algebra(i=1.7, coeffs=(True, 0, {"a": "0", "b": "1", "d": 2.5}))
+    cases = [
+        both,
+        algebra(coeffs=("0", {"a": "0", "b": "1", "d": 2.5}, "0")),
+        algebra(coeffs=("0", {"a": "0", "b": "1", "d": True}, "0")),
+        algebra(coeffs=(True, "0", "0")),
+        algebra(coeffs=("0", False, "0")),
+        algebra(i=1.7),
+        algebra(j=3.0),
+        algebra(i=True),
+        algebra(dim=True, i=1, j=1),
+        algebra(dim=3.0),
+    ]
+    for doc in cases:
+        path = write(tmp_path, "bad.json", doc)
+        assert run(["validate", path]) == 1, doc
+        out = capsys.readouterr()
+        err = out.err.strip().splitlines()
+        assert out.out == "" and len(err) == 1 and err[0].startswith("malformed input: "), doc
+    for row in ([True, "0"], ["0", {"a": "1", "b": "1", "d": 3.5}]):
+        a = write(tmp_path, "a.json", [row, ["0", "1"]])
+        assert run(["propsim", a, a]) == 1
+        assert capsys.readouterr().err.startswith("malformed input: ")
+    # JSON integers stay accepted, as scalars and as radicands, and so do
+    # strings of one for a radicand and the bracket indices
+    path = write(tmp_path, "ok.json", algebra(coeffs=(0, sqrt2, {"a": 1, "b": "1", "d": 8})))
+    assert run(["validate", path]) == 0
+    assert _capture(capsys) == "ok"
+    path = write(tmp_path, "ok.json", algebra(i="1", j="3", coeffs=(0, {"a": "0", "b": "1", "d": "8"}, 0)))
+    assert run(["invariants", path]) == 0
+    assert _capture(capsys).splitlines()[:2] == ["dim: 3", "derived_series_dims: [3, 1, 0]"]
+
+
+def test_mixed_radicands_are_named_exit_2(tmp_path, capsys):
+    sqrt2, sqrt3 = {"a": "0", "b": "1", "d": 2}, {"a": "0", "b": "1", "d": 12}
+    message = "error: the input mixes the radicands 2 and 3; one Q(sqrt(d)) per input is supported"
+    a = write(tmp_path, "a.json", [[sqrt2, "1"], ["0", "1"]])
+    b = write(tmp_path, "b.json", [[{"a": "0", "b": "1", "d": 3}, "1"], ["0", "1"]])
+    assert run(["propsim", a, b]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [message]
+    mixed = {"dim": 3, "brackets": [
+        {"i": 1, "j": 3, "coeffs": [sqrt2, "0", "0"]},
+        {"i": 2, "j": 3, "coeffs": ["0", sqrt3, "0"]},
+    ]}
+    path = write(tmp_path, "m.json", mixed)
+    assert run(["classify", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.strip().splitlines() == [message]

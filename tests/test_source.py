@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -52,3 +53,61 @@ def test_cli_import_leaves_numeric_and_sweep_modules_unloaded():
     r = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                        capture_output=True, text=True, timeout=120, check=True)
     assert r.stdout.splitlines() == ["[]", "True exact False"]
+
+
+COMMAND_MODULES = """
+import contextlib, io, json, sys
+from solvlie.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("solvlie.") or m == "dataclasses")]))
+"""
+
+H3 = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": ["0", "0", "1"]}]}
+AFFC = {"dim": 4, "brackets": [
+    {"i": 1, "j": 3, "coeffs": ["0", "1", "0", "0"]},
+    {"i": 2, "j": 3, "coeffs": ["-1", "0", "0", "0"]},
+    {"i": 1, "j": 4, "coeffs": ["-1", "0", "0", "0"]},
+    {"i": 2, "j": 4, "coeffs": ["0", "-1", "0", "0"]},
+]}
+# [X4,X1] = X1, [X4,X3] = X2: a left-block structure-matrix form
+CODIM2 = {"dim": 4, "brackets": [
+    {"i": 1, "j": 4, "coeffs": ["-1", "0", "0", "0"]},
+    {"i": 3, "j": 4, "coeffs": ["0", "-1", "0", "0"]},
+]}
+
+
+def _loaded_by(argv: list) -> set:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    r = subprocess.run([sys.executable, "-c", COMMAND_MODULES, *argv], env=env,
+                       capture_output=True, text=True, timeout=120, check=True)
+    code, modules = json.loads(r.stdout)
+    assert code == 0, (argv, r.stderr)
+    return {m.removeprefix("solvlie.") for m in modules}
+
+
+def test_each_cli_command_loads_only_the_modules_it_reads(tmp_path):
+    """A CLI call compiles every module it imports (no bytecode cache in a
+    fresh checkout), so a command imports only what it reads, and no
+    command but `sweep` builds dataclasses or loads the harness."""
+    paths = {}
+    for name, doc in (("h3", H3), ("affc", AFFC), ("codim2", CODIM2),
+                      ("a", [["1", "2"], ["3", "4"]]), ("b", [["2", "4"], ["6", "8"]])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    p = {k: str(v) for k, v in paths.items()}
+    series_only = {"classify_n2", "catalog", "codim2", "propsim", "frobenius"}
+    never = {"dataclasses", "harness"}
+    cases = [
+        (["validate", p["h3"]], series_only),
+        (["invariants", p["h3"]], series_only),
+        (["propsim", "--witness", p["a"], p["b"]], {"classify_n2", "catalog", "codim2", "liealg"}),
+        (["codim2", p["codim2"]], {"classify_n2", "catalog", "propsim", "frobenius"}),
+        (["codim2-iso", "--witness", p["codim2"], p["codim2"]], {"classify_n2", "catalog"}),
+        (["classify", p["affc"]], set()),
+        (["table"], series_only | {"liealg"}),
+    ]
+    for argv, absent in cases:
+        loaded = _loaded_by(argv)
+        assert "cli" in loaded
+        assert not loaded & (absent | never), (argv[0], sorted(loaded & (absent | never)))
