@@ -163,13 +163,13 @@ def cmd_propsim(args) -> int:
 
     a = matrix_from_json(load_path(args.file_a))
     b = matrix_from_json(load_path(args.file_b))
-    v = prop_similar(a, b)
+    v = prop_similar(a, b, want_witness=args.witness)
     out = {
         "equivalent": v.equivalent,
         "c": scalar_to_json(v.c) if v.c is not None else None,
         "mode": v.mode,
     }
-    if args.witness and v.witness is not None:
+    if v.witness is not None:
         out["C"] = matrix_to_json(v.witness)
     print(dumps(out))
     return 0

@@ -235,7 +235,7 @@ class Codim2IsoVerdict(Record):
 
 def codim2_isomorphic(f1: Codim2Form, f2: Codim2Form) -> Codim2IsoVerdict:
     """Isomorphism of two structure-matrix forms, with the block isomorphism
-    matrix when prop_similar constructs the scale c and its witness."""
+    matrix when prop_similar returns a witness C (with its scale c)."""
     if f1.case != "structure_matrix" or f2.case != "structure_matrix":
         raise ShapeMismatch("isomorphism test needs structure-matrix forms")
     if f1.ambient_dim != f2.ambient_dim:
@@ -247,7 +247,9 @@ def codim2_isomorphic(f1: Codim2Form, f2: Codim2Form) -> Codim2IsoVerdict:
     verdict = prop_similar(f1.a_bar, f2.a_bar)
     if not verdict.equivalent:
         return Codim2IsoVerdict(False)
-    m_f = None if verdict.c is None else _build_m_f(f1.a_bar, f2.a_bar, verdict.c, verdict.witness)
+    if verdict.witness is None:
+        return Codim2IsoVerdict(True, c=verdict.c)
+    m_f = _build_m_f(f1.a_bar, f2.a_bar, verdict.c, verdict.witness)
     return Codim2IsoVerdict(True, c=verdict.c, m_f=m_f)
 
 

@@ -215,12 +215,12 @@ def _max_vector(m: Mat) -> tuple[Vec, Poly]:
     return best_v, best_f
 
 
-def cyclic_decomposition(m: Mat) -> list[tuple[Vec, Poly]]:
-    """Generators and annihilators, largest annihilator first; the direct
-    sum of the Krylov chains is the whole space."""
+def cyclic_decomposition(m: Mat) -> list[tuple[list[Vec], Poly]]:
+    """Krylov chains (generator first) and their annihilators, largest
+    annihilator first; the direct sum of the chains is the whole space."""
     m._require_square()
     n = m.rows
-    gens: list[tuple[Vec, Poly]] = []
+    gens: list[tuple[list[Vec], Poly]] = []
     chain_vectors: list[Vec] = []
     span = _Span(n)
     while span.dim < n:
@@ -262,30 +262,23 @@ def cyclic_decomposition(m: Mat) -> list[tuple[Vec, Poly]]:
                     raise ImpossibleBranch("corrected lift must be annihilated by f")
         if gens and not pdivides(f, gens[-1][1]):
             raise ImpossibleBranch("invariant factors must divide")
-        gens.append((v, f))
-        w = v
-        for _ in range(pdeg(f)):
+        chain = [v]
+        while len(chain) < pdeg(f):
+            chain.append(m.apply(chain[-1]))
+        for w in chain:
             if not span.add(w):
                 raise ImpossibleBranch("Krylov chain must be independent")
-            chain_vectors.append(w)
-            w = m.apply(w)
+        chain_vectors += chain
+        gens.append((chain, f))
     return gens
 
 
 def frobenius_form(m: Mat) -> tuple[list[Poly], Mat]:
     """Invariant factors (ascending divisibility) and an invertible P with
-    P^-1 m P block diagonal with the matching companion blocks."""
-    gens = cyclic_decomposition(m)
-    gens = list(reversed(gens))  # ascending
-    factors = [f for _, f in gens]
-    cols: list[Vec] = []
-    for v, f in gens:
-        w = v
-        for _ in range(pdeg(f)):
-            cols.append(w)
-            w = m.apply(w)
-    p = Mat.from_columns(cols)
-    return factors, p
+    P^-1 m P block diagonal with the matching companion blocks: the
+    columns of P are the decomposition's Krylov chains."""
+    gens = cyclic_decomposition(m)[::-1]  # ascending
+    return [f for _, f in gens], Mat.from_columns([w for chain, _ in gens for w in chain])
 
 
 def invariant_factors(m: Mat) -> list[Poly]:

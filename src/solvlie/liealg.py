@@ -15,6 +15,7 @@ from .errors import (
     DimensionError,
     ImpossibleBranch,
     NonAbelianDerivedIdeal,
+    SingularInput,
     SingularTransform,
 )
 from .matrices import (
@@ -28,7 +29,7 @@ from .matrices import (
     vec_is_zero,
 )
 from .records import Record
-from .scalars import Scalar, compact
+from .scalars import Scalar, compact, exdiv
 
 
 class StructureTensor:
@@ -285,12 +286,23 @@ class Frame:
         """
         n = self.n
         cols = sorted(repl)
-        a_inv = inverse(Mat([[repl[j][i] for j in cols] for i in cols]))
+        block = [[repl[j][i] for j in cols] for i in cols]
+        if all(x == 0 for p, row in enumerate(block) for q, x in enumerate(row) if p != q):
+            # diagonal, as the identity block of every entry step: inverted
+            # entry by entry, to the values `inverse` would give
+            if any(row[p] == 0 for p, row in enumerate(block)):
+                raise SingularInput("matrix is not invertible")
+            a_inv = [
+                [compact(exdiv(1, x)) if p == q else 0 for q, x in enumerate(row)]
+                for p, row in enumerate(block)
+            ]
+        else:
+            a_inv = inverse(Mat(block)).data
         inv_cols = {}
         for q, j in enumerate(cols):
             col: list = [0] * n
             for p, i in enumerate(cols):
-                f = a_inv[p, q]
+                f = a_inv[p][q]
                 if f != 0:
                     col[i] = f
                     for r, x in enumerate(repl[i]):

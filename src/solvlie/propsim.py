@@ -9,9 +9,16 @@ c*A ~ B holds over R exactly when every invariant factor g of B is
 c^deg(f) f(x / c) for the matching factor f of A.  That is tested
 coefficient by coefficient in the field of the entries, without c itself:
 a real q equals c^j exactly when q^k = (b_k / a_k)^j and sign(q) =
-sign(c)^j.  Every verdict is exact.  c and the witness C are returned when
-c = b_1 / a_1 (k = 1), or when c^k is rational and c has degree at most 2
-over Q; for any other c the verdict comes without them.
+sign(c)^j.  Every verdict is exact.  c is returned when c = b_1 / a_1
+(k = 1), or when c^k is rational and c has degree at most 2 over Q; for
+any other c the verdict comes without it.
+
+The decision and the witness share one cyclic decomposition per matrix.
+When C is wanted and c is constructed, c*A is decomposed in place of A:
+its invariant factors are compared with B's, and C = P_B P_cA^-1 comes
+from the Krylov chains of the same two decompositions.  C is not formed
+when c lies in a quadratic field other than the entries' (c*A would mix
+two radicands); the verdict and c are returned without it.
 """
 
 from __future__ import annotations
@@ -20,10 +27,19 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, ImpossibleBranch, SingularInput
-from .frobenius import Poly, invariant_factors, similar, similarity_witness
-from .matrices import Mat, char_poly, det, kernel_basis, normalize_leading, spectral_classify_2x2
+from .frobenius import Poly, frobenius_form, invariant_factors, similar, similarity_witness
+from .matrices import (
+    Mat,
+    char_poly,
+    det,
+    inverse,
+    kernel_basis,
+    normalize_leading,
+    spectral_classify_2x2,
+)
 from .records import Record
 from .scalars import (
+    QuadExt,
     Scalar,
     exdiv,
     is_rational,
@@ -51,8 +67,6 @@ class PropSimVerdict(Record):
     def verify(self, a: Mat, b: Mat) -> bool:
         if not self.equivalent or self.witness is None:
             return False
-        from .matrices import inverse
-
         return a.scale(self.c) == inverse(self.witness) @ b @ self.witness
 
 
@@ -75,10 +89,10 @@ def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
         # scaling never changes a nilpotent Jordan structure
         if _is_nilpotent_char(pa) != _is_nilpotent_char(pb):
             return PropSimVerdict(False)
-        if not similar(a, b):
-            return PropSimVerdict(False)
-        cmat = similarity_witness(b, a) if want_witness else None
-        return PropSimVerdict(True, Fraction(1), cmat)
+        if not want_witness:
+            return PropSimVerdict(True, Fraction(1)) if similar(a, b) else PropSimVerdict(False)
+        cmat = similarity_witness(b, a)
+        return PropSimVerdict(False) if cmat is None else PropSimVerdict(True, Fraction(1), cmat)
     k = next(k for k in range(1, n + 1) if pa[n - k] != 0)
     bk = pb[n - k]
     if bk == 0:
@@ -88,18 +102,34 @@ def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
         signs = [scalar_sign(ratio)]
     else:
         signs = [1, -1] if scalar_sign(ratio) > 0 else []
-    factors = None
+    fa = fb = None
     for sign in signs:
         if not _is_scaled(pa, pb, ratio, k, sign):
             continue
-        if factors is None:
-            factors = invariant_factors(a), invariant_factors(b)
-        fa, fb = factors
+        c = _exact_scale(ratio, k, sign)
+        if want_witness and c is not None and _one_field(c, a, b):
+            # c is known before any factor is compared, so c*A is decomposed
+            # in place of A: its factors are A's scaled by c, and its chains
+            # give the witness
+            if fb is None:
+                fb, p_b = frobenius_form(b)
+            fc, p_c = frobenius_form(a.scale(c))
+            if fc == fb:
+                return PropSimVerdict(True, c, p_b @ inverse(p_c))
+            continue
+        if fa is None:
+            fa, fb = invariant_factors(a), invariant_factors(b)
         if len(fa) == len(fb) and all(_is_scaled(f, g, ratio, k, sign) for f, g in zip(fa, fb)):
-            c = _exact_scale(ratio, k, sign)
-            cmat = similarity_witness(b, a.scale(c)) if want_witness and c is not None else None
-            return PropSimVerdict(True, c, cmat)
+            return PropSimVerdict(True, c)
     return PropSimVerdict(False)
+
+
+def _one_field(c: Scalar, a: Mat, b: Mat) -> bool:
+    """c is rational, or every irrational entry of a and b lies in c's
+    field Q(sqrt d); else c*A would mix two radicands."""
+    if is_rational(c):
+        return True
+    return all(x.d == c.d for m in (a, b) for row in m.data for x in row if isinstance(x, QuadExt))
 
 
 def _is_scaled(f: Poly, g: Poly, ratio: Scalar, k: int, sign: int) -> bool:
@@ -211,8 +241,6 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
         cmat = Mat.from_columns([v_base, v_other])
         rep = Mat([[1, 0], [0, lam]])
         cls = GL2Class("diag", j, rep, exdiv(1, base), cmat, lam=lam)
-    from .matrices import inverse
-
     if (inverse(cls.cmat) @ a @ cls.cmat).scale(cls.c) != cls.rep:
         raise ImpossibleBranch(f"GL2 normalization of {a!r} missed {cls.rep!r}")
     return cls

@@ -148,6 +148,40 @@ def test_propsim_irrational_ratio_is_decided_exactly(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_propsim_scale_in_a_third_field_exit_0(tmp_path, capsys):
+    # diag(sqrt2, -sqrt2) against diag(sqrt3, -sqrt3): c = sqrt6 / 2 lies in
+    # neither entry field, so the answer carries c and no C
+    a = write(tmp_path, "a.json", [[{"a": "0", "b": "1", "d": 2}, "0"], ["0", {"a": "0", "b": "-1", "d": 2}]])
+    b = write(tmp_path, "b.json", [[{"a": "0", "b": "1", "d": 3}, "0"], ["0", {"a": "0", "b": "-1", "d": 3}]])
+    for extra in ([], ["--witness"]):
+        assert run(["propsim", a, b] + extra) == 0
+        assert json.loads(_capture(capsys)) == {
+            "equivalent": True,
+            "c": {"a": "0", "b": "1/2", "d": 6},
+            "mode": "exact",
+        }
+
+
+def test_propsim_builds_the_witness_only_when_asked(tmp_path, capsys, monkeypatch):
+    import solvlie.propsim
+
+    asked = []
+    real = solvlie.propsim.prop_similar
+
+    def recording(a, b, want_witness=True):
+        asked.append(want_witness)
+        return real(a, b, want_witness)
+
+    monkeypatch.setattr(solvlie.propsim, "prop_similar", recording)
+    a = write(tmp_path, "a.json", [["1", "0"], ["0", "2"]])
+    b = write(tmp_path, "b.json", [["3", "0"], ["0", "6"]])
+    assert run(["propsim", a, b]) == 0
+    assert json.loads(_capture(capsys)) == {"equivalent": True, "c": "3", "mode": "exact"}
+    assert run(["propsim", a, b, "--witness"]) == 0
+    assert "C" in json.loads(_capture(capsys))
+    assert asked == [False, True]
+
+
 def test_propsim_radicand_above_bound_exit_2(tmp_path, capsys):
     # reading d factors it by trial division up to its cube root, which at
     # forty digits would not finish; the bound refuses it first

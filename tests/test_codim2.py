@@ -21,6 +21,7 @@ from solvlie.errors import NotInClass, ShapeMismatch, Unsupported
 from solvlie.liealg import LieAlgebra
 from solvlie.matrices import Mat, inverse
 from solvlie.propsim import prop_similar
+from solvlie.scalars import QuadExt
 
 
 def test_left_block_example_n4():
@@ -147,6 +148,16 @@ def test_round_trip_and_m_f_soundness():
             assert codim2_tensor(f1.a_bar).transform(v.m_f, inverse(v.m_f)) == codim2_tensor(
                 f0.a_bar
             )
+
+
+def test_scale_in_a_third_field_gives_no_m_f():
+    # c = sqrt6 / 2 takes the sqrt2 structure matrix to the sqrt3 one; no
+    # witness C is formed over a third field, so neither is M_f
+    r2, r3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+    f2 = normalize_codim2(codim2_algebra(Mat([[r2, 0, 0], [0, -r2, 0], [0, 0, 0]])))
+    f3 = normalize_codim2(codim2_algebra(Mat([[r3, 0, 0], [0, -r3, 0], [0, 0, 0]])))
+    v = codim2_isomorphic(f2, f3)
+    assert v.isomorphic and v.c == QuadExt(0, Fraction(1, 2), 6) and v.m_f is None
 
 
 def test_identical_forms_give_identity_scale():

@@ -299,6 +299,34 @@ def test_frame_steps_keep_tensor_and_total_consistent():
         assert fr.t is before_t and fr.total == before_total
 
 
+def test_frame_inverts_a_diagonal_block_without_elimination(monkeypatch):
+    import solvlie.liealg
+
+    t = _scrambled_corpus_frame(47, 3).input
+    rows = derived_series_t(t)[1]
+    eliminations = []
+    real = solvlie.liealg.inverse
+    monkeypatch.setattr(solvlie.liealg, "inverse", lambda m: eliminations.append(m) or real(m))
+    fr = Frame(t, rows)
+    assert eliminations == []  # the entry step's block is the identity
+    n, s2 = fr.n, QuadExt(0, 1, 2)
+    for diag in ((2, Fraction(-1, 3)), (s2, 1 + s2)):
+        repl = {0: [0] * n, n - 1: [0] * n}
+        repl[0][0], repl[0][1] = diag[0], 1
+        repl[n - 1][n - 1], repl[n - 1][2] = diag[1], -2
+        fr.step_cols(repl)
+        total = fr.total
+        assert fr.t == fr.input.transform(total, real(total))
+    assert eliminations == []
+    # a zero on the diagonal is refused before the frame changes
+    before_t, before_total = fr.t, fr.total
+    repl = {0: fr.unit(0, 0), 1: fr.unit(1)}
+    repl[0][2] = 1
+    with pytest.raises(SingularInput):
+        fr.step_cols(repl)
+    assert fr.t is before_t and fr.total == before_total
+
+
 def test_frame_witness_rejects_a_broken_audit():
     fr = _scrambled_corpus_frame(27, 1)
     fr.witness(fr.t)

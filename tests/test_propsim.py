@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import solvlie.frobenius
 from solvlie.errors import DimensionMismatch, FieldMismatch, SingularInput
-from solvlie.frobenius import companion
+from solvlie.frobenius import companion, similarity_witness
 from solvlie.matrices import Mat, det, inverse
-from solvlie.propsim import EXACT, prop_similar, propsim_classify_gl2
+from solvlie.propsim import EXACT, PropSimVerdict, prop_similar, propsim_classify_gl2
 from solvlie.scalars import QuadExt
 
 
@@ -88,6 +89,104 @@ def test_irrational_scaling_ratio_is_decided_exactly():
     assert v.equivalent and v.c is None and v.witness is None
     with pytest.raises(FieldMismatch):
         prop_similar(a, Mat([[QuadExt(0, 1, 3), 1], [0, 1]]))
+
+
+def test_scale_in_a_third_field_comes_without_witness():
+    # B = c A with c = sqrt6 / 2: c * A would mix sqrt2 and sqrt6, so the
+    # verdict comes with c and without C, whether or not C is asked for
+    s2, s3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+    a, b = Mat([[s2, 0], [0, -s2]]), Mat([[s3, 0], [0, -s3]])
+    for want_witness in (True, False):
+        v = prop_similar(a, b, want_witness=want_witness)
+        assert v.equivalent and v.c == QuadExt(0, Fraction(1, 2), 6) and v.witness is None
+
+
+def _rand_gl(rng, n):
+    while True:
+        p = Mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if det(p) != 0:
+            return p
+
+
+def _reference_pairs(rng, count):
+    """(a, b) with b = c P^-1 a P: cyclic, block-repeated (non-cyclic) and
+    nilpotent a over Z and Q(sqrt2), c rational, sqrt2 or 1 + sqrt2."""
+    s2 = QuadExt(0, 1, 2)
+    for _ in range(count):
+        n = rng.choice((2, 3, 4))
+        entries = [-2, -1, 0, 1, 2, 3] + ([s2, 1 + s2, -s2] if rng.random() < 0.4 else [])
+        kind = rng.choice(("cyclic", "repeated", "nilpotent"))
+        if kind == "nilpotent":
+            a = Mat([[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)])
+        elif kind == "repeated":
+            m = rng.choice((1, 2)) if n == 4 else 1
+            block = [[rng.choice(entries) for _ in range(m)] for _ in range(m)]
+            a = Mat([[block[i % m][j % m] if i // m == j // m else 0 for j in range(n)] for i in range(n)])
+        else:
+            a = Mat([[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+        p = _rand_gl(rng, n)
+        a = inverse(p) @ a @ p
+        c = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-3, 2), s2, 1 + s2))
+        q = _rand_gl(rng, n)
+        yield a, (inverse(q) @ a @ q).scale(c)
+
+
+def test_witness_matches_the_two_step_reference():
+    # the reference is the decide-then-witness path: C from the Frobenius
+    # forms of B and c*A, each decomposed afresh
+    witnessed = 0
+    for a, b in _reference_pairs(random.Random(23), 150):
+        v = prop_similar(a, b)
+        assert v.equivalent, (a, b)
+        assert prop_similar(a, b, want_witness=False) == PropSimVerdict(True, v.c)
+        if v.c is None:  # c of degree above 2, e.g. (1 + sqrt2)^(1/2)
+            assert v.witness is None
+            continue
+        assert v.witness == similarity_witness(b, a.scale(v.c))
+        assert v.verify(a, b)
+        witnessed += 1
+    assert witnessed >= 100
+
+
+def _count_decompositions(monkeypatch):
+    calls = []
+    real = solvlie.frobenius.cyclic_decomposition
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(solvlie.frobenius, "cyclic_decomposition", counted)
+    return calls
+
+
+def test_each_matrix_is_decomposed_once(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    a = Mat([[1, 2, 0], [0, 1, 0], [0, 0, 3]])
+    p = Mat([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    nil = Mat([[0, 1, 2], [0, 0, 0], [0, 0, 0]])
+    for x, c in ((a, 2), (Mat.identity(3).scale(2), 3), (nil, 1)):
+        b = (inverse(p) @ x @ p).scale(c)
+        del calls[:]
+        assert prop_similar(x, b).verify(x, b)
+        assert len(calls) == 2  # B and c*A (A itself when nilpotent)
+        del calls[:]
+        assert prop_similar(x, b, want_witness=False).equivalent
+        assert len(calls) <= 2
+    del calls[:]
+    assert not prop_similar(a, Mat([[2, 0, 0], [0, 2, 0], [0, 0, 6]])).equivalent
+    assert len(calls) <= 2
+    # (x^2 - 1)^2 against (x^2 - 4)^2: c = 2 and c = -2 both fit the
+    # characteristic polynomial; c = 2 is tried first
+    a = Mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    del calls[:]
+    assert not prop_similar(a, Mat([[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, 2]])).equivalent
+    assert len(calls) == 3  # B, 2A and -2A
+    b = Mat([[-2, 1, 0, 0], [0, -2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    del calls[:]
+    v = prop_similar(a, b)
+    assert v.c == -2 and v.verify(a, b)
+    assert len(calls) == 3  # B, 2A and -2A, whose chains give C
 
 
 def test_dimension_mismatch():
