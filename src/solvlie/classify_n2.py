@@ -26,12 +26,13 @@ from .liealg import (
     validate,
 )
 from .matrices import (
+    Echelon,
     Mat,
     common_eigendirections_2x2,
     det,
     inverse,
     kernel_basis,
-    rref,
+    rank,
     solve,
     spectral_classify_2x2,
     vec_is_zero,
@@ -99,7 +100,7 @@ def classify_n2(a) -> Classification:
     adjoints = [pipe.adjoint(i) for i in range(2, n)]
     flat = [tuple(m[r, c] for r in range(2) for c in range(2)) for m in adjoints]
     nonzero = [f for f in flat if not vec_is_zero(f)]
-    dim_a = len(rref(Mat(nonzero))[1]) if nonzero else 0
+    dim_a = rank(Mat(nonzero)) if nonzero else 0
     if dim_a > 2:
         raise ImpossibleBranch("adjoint span exceeds the commutative bound")
 
@@ -453,12 +454,12 @@ def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
     n = pipe.n
     pos3 = next(i for i in range(2, n) if not pipe.adjoint(i).is_zero())
     base = pipe.adjoint(pos3)
-    flat3 = tuple(base[r, c] for r in range(2) for c in range(2))
+    span = Echelon()
+    span.add([base[r, c] for r in range(2) for c in range(2)])
     pos4 = None
     for i in range(pos3 + 1, n):
         ai = pipe.adjoint(i)
-        flat = tuple(ai[r, c] for r in range(2) for c in range(2))
-        if len(rref(Mat([flat3, flat]))[1]) == 2:
+        if span.add([ai[r, c] for r in range(2) for c in range(2)]) is not None:
             pos4 = i
             break
     if pos4 is None:

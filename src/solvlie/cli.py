@@ -146,13 +146,13 @@ def cmd_codim2_iso(args) -> int:
     if f1.case != "structure_matrix" or f2.case != "structure_matrix":
         print(dumps({"error": "both inputs must be indecomposable structure-matrix forms"}))
         return 2
-    v = codim2_isomorphic(f1, f2)
+    v = codim2_isomorphic(f1, f2, want_witness=args.witness)
     out = {
         "isomorphic": v.isomorphic,
         "c": scalar_to_json(v.c) if v.c is not None else None,
         "mode": v.mode,
     }
-    if args.witness and v.m_f is not None:
+    if v.m_f is not None:
         out["M_f"] = matrix_to_json(v.m_f)
     print(dumps(out))
     return 0

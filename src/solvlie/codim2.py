@@ -26,7 +26,7 @@ from .liealg import (
     validate,
     vec_is_zero,
 )
-from .matrices import Mat, inverse, kernel_basis, rank, row_space, rref, solve
+from .matrices import Echelon, Mat, inverse, kernel_basis, rank, row_space, solve
 from .records import Record
 from .scalars import exdiv
 
@@ -101,7 +101,7 @@ def normalize_codim2(a) -> Codim2Form:
     a_z = fr.adjoint(n - 1)
     flat = [tuple(m[r, c] for r in range(k) for c in range(k)) for m in (a_y, a_z)]
     nonzero = [f for f in flat if not vec_is_zero(f)]
-    dim_a = len(rref(Mat(nonzero))[1]) if nonzero else 0
+    dim_a = rank(Mat(nonzero)) if nonzero else 0
     if dim_a == 0:
         raise ImpossibleBranch("adjoint line cannot vanish when the derived ideal is large")
     if dim_a == 2:
@@ -186,9 +186,10 @@ def normalize_codim2(a) -> Codim2Form:
     else:
         # B2: kernel sits inside the image
         basis = [list(kvec)]
+        span = Echelon()
+        span.add(kvec)
         for row in im_rows:
-            cand = basis + [list(row)]
-            if len(rref(Mat(cand))[1]) == len(cand):
+            if span.add(row) is not None:
                 basis.append(list(row))
         if len(basis) != k - 1:
             raise ImpossibleBranch("image completion failed")
@@ -233,9 +234,11 @@ class Codim2IsoVerdict(Record):
         self._set(isomorphic, c, m_f)
 
 
-def codim2_isomorphic(f1: Codim2Form, f2: Codim2Form) -> Codim2IsoVerdict:
+def codim2_isomorphic(f1: Codim2Form, f2: Codim2Form, want_witness: bool = True) -> Codim2IsoVerdict:
     """Isomorphism of two structure-matrix forms, with the block isomorphism
-    matrix when prop_similar returns a witness C (with its scale c)."""
+    matrix when prop_similar returns a witness C (with its scale c).  With
+    want_witness=False, neither C nor the matrix is built; the verdict and
+    c are the same."""
     if f1.case != "structure_matrix" or f2.case != "structure_matrix":
         raise ShapeMismatch("isomorphism test needs structure-matrix forms")
     if f1.ambient_dim != f2.ambient_dim:
@@ -244,7 +247,7 @@ def codim2_isomorphic(f1: Codim2Form, f2: Codim2Form) -> Codim2IsoVerdict:
     # not compile the Frobenius machinery
     from .propsim import prop_similar
 
-    verdict = prop_similar(f1.a_bar, f2.a_bar)
+    verdict = prop_similar(f1.a_bar, f2.a_bar, want_witness)
     if not verdict.equivalent:
         return Codim2IsoVerdict(False)
     if verdict.witness is None:

@@ -4,8 +4,10 @@ Polynomials are coefficient lists, low degree first, with no trailing
 zeros.  The invariant factors f1 | f2 | ... are computed by a cyclic
 decomposition: pick a vector of maximal annihilator in the current
 quotient, lift it, correct the lift inside the span already built (a
-linear solve), and append its Krylov chain.  Two matrices over the same
-field are similar exactly when their invariant factor lists agree.
+linear solve), and append its Krylov chain.  Krylov spans and the
+quotient by the span built so far are kept in a ``matrices.Echelon``, the
+one elimination routine.  Two matrices over the same field are similar
+exactly when their invariant factor lists agree.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import DimensionError, ImpossibleBranch
-from .matrices import Mat, Vec, inverse, rref, solve, vec_add, vec_is_zero, vec_scale
+from .matrices import Echelon, Mat, Vec, inverse, solve, vec_add, vec_is_zero, vec_scale
 from .scalars import ONE, ZERO, Scalar, exdiv
 
 Poly = list
@@ -28,13 +30,6 @@ def pnormalize(p: Sequence[Scalar]) -> Poly:
 
 def pdeg(p: Poly) -> int:
     return len(p) - 1  # -1 for the zero polynomial
-
-
-def padd(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return pnormalize(
-        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-    )
 
 
 def pmul(p: Poly, q: Poly) -> Poly:
@@ -137,47 +132,13 @@ def companion(p: Poly) -> Mat:
     return Mat.from_columns(cols)
 
 
-class _Span:
-    """Incremental row space with membership test and coordinates."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[Vec] = []  # echelon rows (not reduced)
-        self.pivots: list[int] = []
-
-    def reduce(self, v: Vec) -> Vec:
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if w[p] != 0:
-                c = exdiv(w[p], row[p])
-                w = [x - c * y for x, y in zip(w, row)]
-        return tuple(w)
-
-    def contains(self, v: Vec) -> bool:
-        return vec_is_zero(self.reduce(v))
-
-    def add(self, v: Vec) -> bool:
-        w = self.reduce(v)
-        for p in range(self.n):
-            if w[p] != 0:
-                self.rows.append(w)
-                self.pivots.append(p)
-                return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
 def local_min_poly(m: Mat, v: Vec) -> tuple[Poly, list[Vec]]:
     """Monic annihilator of v under m, plus the Krylov chain v, m v, ..."""
     chain = [tuple(v)]
-    span = _Span(m.rows)
+    span = Echelon()
     span.add(chain[0])
     w = m.apply(chain[-1])
-    while not span.contains(w):
-        span.add(w)
+    while span.add(w) is not None:
         chain.append(w)
         w = m.apply(w)
     coeffs = solve(Mat.from_columns(chain), w)
@@ -222,32 +183,24 @@ def cyclic_decomposition(m: Mat) -> list[tuple[list[Vec], Poly]]:
     n = m.rows
     gens: list[tuple[list[Vec], Poly]] = []
     chain_vectors: list[Vec] = []
-    span = _Span(n)
+    span = Echelon()
     while span.dim < n:
         if span.dim == 0:
             v, f = _max_vector(m)
         else:
-            comp = [c for c in range(n) if c not in set(span.pivots)]
-            red, rpiv = rref(Mat(span.rows))
-
-            def project(w: Vec) -> Vec:
-                x = list(w)
-                for row, p in zip(red.data, rpiv):
-                    if x[p] != 0:
-                        c = x[p]
-                        x = [a - c * b for a, b in zip(x, row)]
-                return tuple(x[c] for c in comp)
-
-            def lift(q: Vec) -> Vec:
-                x = [ZERO] * n
-                for c, val in zip(comp, q):
-                    x[c] = val
-                return tuple(x)
-
-            cols = [project(m.apply(lift(tuple(ONE if k == i else ZERO for k in range(len(comp)))))) for i in range(len(comp))]
-            mbar = Mat.from_columns(cols)
-            vbar, f = _max_vector(mbar)
-            v = lift(vbar)
+            pivots = set(span.pivots)
+            comp = [c for c in range(n) if c not in pivots]
+            # m on the quotient by the span, in the complement coordinates:
+            # the image m e_c of each complement vector, reduced by the span
+            cols = []
+            for c in comp:
+                x = span.reduce(m.col(c))
+                cols.append([x[q] for q in comp])
+            vbar, f = _max_vector(Mat.from_columns(cols))
+            lift = [ZERO] * n
+            for c, val in zip(comp, vbar):
+                lift[c] = val
+            v = tuple(lift)
             # correct the lift so its annihilator is exactly f
             r = papply(f, m, v)
             if not vec_is_zero(r):
@@ -266,7 +219,7 @@ def cyclic_decomposition(m: Mat) -> list[tuple[list[Vec], Poly]]:
         while len(chain) < pdeg(f):
             chain.append(m.apply(chain[-1]))
         for w in chain:
-            if not span.add(w):
+            if span.add(w) is None:
                 raise ImpossibleBranch("Krylov chain must be independent")
         chain_vectors += chain
         gens.append((chain, f))

@@ -4,7 +4,8 @@ Basis indices are 0-based internally; human-facing output (validation
 reports, JSON) is 1-based.  A structure tensor stores only pairs i < j with
 a nonzero bracket vector; skew symmetry and bilinearity hold by
 construction.  Subspaces are kept as reduced-echelon row lists, so subspace
-equality is plain list equality.
+equality is plain list equality; they are computed, and vectors reduced
+modulo them, by ``matrices.Echelon``, the one elimination routine.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .errors import (
     SingularTransform,
 )
 from .matrices import (
+    Echelon,
     Mat,
     Vec,
     inverse,
-    rref,
     row_space,
     solve,
     vec_add,
@@ -451,23 +452,13 @@ def upper_central_dims_t(t: StructureTensor) -> list[int]:
     for _ in range(n + 1):
         if len(current) == n:
             break
-        if current:
-            red, pivots = rref(Mat(current))
-            rows, piv = red.data, pivots
-        else:
-            rows, piv = [], []
-        # reduce each [x, e_j] modulo C_k: drop components along pivot coords
+        span = Echelon()
+        for v in current:
+            span.add(v)
+        # each ad matrix with its columns [e_i, e_j] reduced modulo C_k
         proj_rows = []
         for m in ads:
-            cols = []
-            for j in range(n):
-                col = list(m.col(j))
-                for rrow, p in zip(rows, piv):
-                    if col[p] != 0:
-                        c = col[p]
-                        col = [a - c * b for a, b in zip(col, rrow)]
-                cols.append(col)
-            proj_rows.extend(Mat.from_columns(cols).data)
+            proj_rows.extend(Mat.from_columns([span.reduce(m.col(i)) for i in range(n)]).data)
         kern = kernel_basis(Mat(proj_rows))
         nxt = span_rows(kern, n)
         if len(nxt) == len(current):

@@ -1,8 +1,11 @@
 """Exact dense matrices over the rationals or a quadratic extension.
 
-Everything is computed by exact elimination over the scalar field; a matrix
-is invertible exactly when its determinant is nonzero, which is always
-checked and never assumed.
+Everything is computed by exact elimination over the scalar field, and
+:class:`Echelon` is the one routine that eliminates: ``rref``, ``det``,
+``inverse``, ``solve``, ``kernel_basis``, ``row_space`` and ``rank`` run on
+it, and so do the Krylov spans of the Frobenius decomposition and the
+quotients of the central series.  A matrix is invertible exactly when its
+determinant is nonzero, which is always checked and never assumed.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ class Mat:
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "Mat":
-        return Mat([[0] * c for _ in range(r)])
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[Scalar]]) -> "Mat":
@@ -177,38 +176,78 @@ def cmp_vec(u, v) -> int:
     return 0
 
 
+class Echelon:
+    """Incremental reduced row echelon form: the one elimination routine.
+
+    Every row is 1 at its own pivot and 0 at every other pivot.  Rows stay
+    in the order they were added, ``pivots[i]`` being row i's pivot
+    column.  Each row's nonzero off-pivot entries are cached as
+    (column, value) pairs, so reducing by it forms no product with a zero
+    factor.
+    """
+
+    __slots__ = ("rows", "pivots", "_nz")
+
+    def __init__(self):
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+        self._nz: list[list] = []
+
+    def reduce(self, v: Sequence[Scalar]) -> list:
+        """v minus its part in the span: 0 at every pivot."""
+        w = list(v)
+        for p, nz in zip(self.pivots, self._nz):
+            f = w[p]
+            if f:
+                w[p] = 0
+                for q, x in nz:
+                    w[q] = w[q] - f * x
+        return w
+
+    def add(self, v: Sequence[Scalar]) -> Optional[Scalar]:
+        """Extend the span by v.  Returns the pivot value of v's reduction
+        before it is scaled to 1, or None when v is already in the span."""
+        w = self.reduce(v)
+        for p, piv in enumerate(w):
+            if piv:
+                break
+        else:
+            return None
+        w[p] = 1
+        nz = []
+        for q in range(p + 1, len(w)):
+            x = w[q]
+            if x:
+                if piv != 1:
+                    x = w[q] = exdiv(x, piv)
+                nz.append((q, x))
+        for i, row in enumerate(self.rows):
+            f = row[p]
+            if f:
+                row[p] = 0
+                for q, x in nz:
+                    row[q] = row[q] - f * x
+                pi = self.pivots[i]
+                self._nz[i] = [(q, x) for q, x in enumerate(row) if x and q != pi]
+        self.rows.append(w)
+        self.pivots.append(p)
+        self._nz.append(nz)
+        return piv
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    a = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        piv = prow[c]
-        nz = [q for q in range(c, nc) if prow[q]]  # columns before c are 0
-        if piv != 1:
-            for q in nz:
-                prow[q] = exdiv(prow[q], piv)
-        for i in range(nr):
-            row = a[i]
-            if i != r and row[c]:
-                f = row[c]
-                for q in nz:
-                    row[q] = row[q] - f * prow[q]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Mat(a), tuple(pivots)
+    e = Echelon()
+    for row in m.data:
+        e.add(row)
+    order = sorted(range(e.dim), key=e.pivots.__getitem__)
+    zero = [0] * m.cols
+    rows = [e.rows[i] for i in order] + [zero] * (m.rows - e.dim)
+    return Mat(rows), tuple(e.pivots[i] for i in order)
 
 
 def rank(m: Mat) -> int:
@@ -216,30 +255,19 @@ def rank(m: Mat) -> int:
 
 
 def det(m: Mat) -> Scalar:
+    """Product of the pivot values, times the sign of the pivot columns'
+    permutation."""
     m._require_square()
-    a = [list(r) for r in m.data]
-    n = m.rows
-    sign = 1
+    e = Echelon()
     out: Scalar = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    for row in m.data:
+        piv = e.add(row)
+        if piv is None:
             return ZERO
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        piv = a[c][c]
         out = out * piv
-        inv = exdiv(1, piv) if piv != 1 else None
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv if inv is not None else a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return out * sign
+    p = e.pivots
+    inversions = sum(1 for i in range(len(p)) for j in range(i) if p[j] > p[i])
+    return -out if inversions % 2 else out
 
 
 def inverse(m: Mat) -> Mat:

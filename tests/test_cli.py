@@ -262,6 +262,33 @@ def test_codim2_roundtrip_and_iso(tmp_path, capsys):
     assert "M_f" in iso
 
 
+def test_codim2_iso_builds_m_f_only_when_asked(tmp_path, capsys, monkeypatch):
+    import solvlie.codim2
+    from solvlie.catalog import codim2_algebra
+    from solvlie.jsonio import algebra_to_json
+    from solvlie.matrices import Mat
+
+    def tensor_file(name, a_z):
+        return write(tmp_path, name, algebra_to_json(codim2_algebra(Mat(a_z)).tensor))
+
+    a = tensor_file("a.json", [[1, 0, 0], [0, 2, 0], [0, 0, 0]])
+    b = tensor_file("b.json", [[6, 0, 0], [0, 3, 0], [0, 0, 0]])
+    assert run(["codim2-iso", a, b, "--witness"]) == 0
+    witnessed = json.loads(_capture(capsys))
+    assert witnessed["c"] == "3" and "M_f" in witnessed
+    assert run(["codim2-iso", a, b]) == 0
+    plain = _capture(capsys)
+
+    def refuse(*args):
+        raise AssertionError("M_f built without --witness")
+
+    monkeypatch.setattr(solvlie.codim2, "_build_m_f", refuse)
+    assert run(["codim2-iso", a, b]) == 0
+    assert _capture(capsys) == plain
+    del witnessed["M_f"]
+    assert json.loads(plain) == witnessed
+
+
 def test_invariants_text(tmp_path, capsys):
     path = write(tmp_path, "h3.json", H3)
     assert run(["invariants", path]) == 0

@@ -7,6 +7,7 @@ shares only the primitive polynomial arithmetic with the implementation
 under test, which runs a cyclic decomposition instead.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +17,6 @@ from solvlie.frobenius import (
     frobenius_form,
     invariant_factors,
     min_poly,
-    padd,
     pdeg,
     pdivmod,
     pgcd,
@@ -28,6 +28,14 @@ from solvlie.frobenius import (
     similarity_witness,
 )
 from solvlie.matrices import Mat, det, inverse
+from solvlie.scalars import QuadExt, format_scalar
+
+
+def padd(p, q):
+    n = max(len(p), len(q))
+    return pnormalize(
+        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+    )
 
 
 def poly_det(rows):
@@ -172,3 +180,90 @@ def test_min_poly():
     m = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
     # x^2 (x - 1) = x^3 - x^2
     assert min_poly(m) == [0, 0, -1, 1]
+
+
+def _pinned_entry(rng, kind):
+    a = rng.randint(-3, 3)
+    if kind == "int":
+        return a
+    if kind == "fraction":
+        return Fraction(a, rng.randint(1, 3))
+    return QuadExt.make(a, Fraction(rng.randint(-2, 2), rng.randint(1, 2)), 2)
+
+
+def _unimodular(rng, n):
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Mat(rows)
+
+
+def pinned_inputs():
+    """(A, B) with B conjugate to A, n = 2..5, over Z, Q and Q(sqrt2).
+    Each size comes once dense (cyclic) and once with a repeated block, so
+    the decomposition has more than one invariant factor."""
+    rng = random.Random(2024)
+    out = []
+    for kind in ("int", "fraction", "quad2"):
+        for n in (2, 3, 4, 5):
+            for repeat in (False, True):
+                if repeat:
+                    k = n // 2
+                    blk = Mat([[_pinned_entry(rng, kind) for _ in range(k)] for _ in range(k)])
+                    tail = [Mat([[_pinned_entry(rng, kind)]])] if n % 2 else []
+                    d = block_diag([blk, blk] + tail)
+                else:
+                    d = Mat([[_pinned_entry(rng, kind) for _ in range(n)] for _ in range(n)])
+                p = _unimodular(rng, n)
+                a = inverse(p) @ d @ p
+                q = _unimodular(rng, n)
+                out.append((a, inverse(q) @ a @ q))
+    return out
+
+
+def _digest(m: Mat) -> str:
+    text = ";".join(",".join(format_scalar(x) for x in row) for row in m.data)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# frobenius_form(A) factors, sha256 prefixes of the entry text of its P and
+# of similarity_witness(B, A), for each of pinned_inputs(); recorded before
+# the cyclic decomposition moved onto matrices.Echelon, so that any change
+# in the chains or the witness shows here.
+PINNED = (
+    ("4 -1 1", "7b5739809e56497f", "073e32c8c4982b26"),
+    ("0 1 | 0 1", "fe651f17438c1bb7", "fe651f17438c1bb7"),
+    ("18 11 2 1", "d746dfbe6281bc92", "77bf1e6b3951ce97"),
+    ("-1 1 | 0 -1 1", "1ee361821beda8c2", "2edd2dc93429eb29"),
+    ("-9 -45 -27 -2 1", "c424076440fe9601", "a2ccdbf552285fcb"),
+    ("6 2 1 | 6 2 1", "16ba5dbdeb9d6685", "81e0e269dd7eb4f4"),
+    ("-159 15 7 -1 -3 1", "0fa11623f633e381", "d404770fe2604b5f"),
+    ("-6 1 1 | 18 -9 -2 1", "3252a5d95ae7c4d7", "74944ef282d5f6cb"),
+    ("0 1/2 1", "e8ecf42579b745b2", "277e10ab8865598d"),
+    ("1 1 | 1 1", "fe651f17438c1bb7", "fe651f17438c1bb7"),
+    ("-8/9 1/2 -4/3 1", "5c939fdd38e87c82", "a62dda1a04bb6042"),
+    ("1 1 | -2/3 1/3 1", "20550281fdd258b6", "47baf684309c992f"),
+    ("-331/12 21 37/6 25/6 1", "39dc6637f70a678b", "ff9d60dc3dee1813"),
+    ("2 3 1 | 2 3 1", "014a9fb35001a73b", "88156ebb5d3835f8"),
+    ("-751/162 1783/324 -683/216 -289/36 -5/6 1", "0fe5a6917913513e", "a92d4412e891804e"),
+    ("-6 7/2 1 | -6 -5/2 9/2 1", "ddb46269b98a457b", "4e667f4e9bdc56ca"),
+    ("5 + -7/2*sqrt(2) -4 + 5/2*sqrt(2) 1", "9f8e5ee6c3aea69c", "3753c4c590f67974"),
+    ("2 + 1*sqrt(2) 1 | 2 + 1*sqrt(2) 1", "fe651f17438c1bb7", "fe651f17438c1bb7"),
+    ("-10 + -19*sqrt(2) -11 -1 + 2*sqrt(2) 1", "3d692db8b878ba7d", "612e08581d9094a6"),
+    ("2 + 1*sqrt(2) 1 | -2 + -1*sqrt(2) 1 + 1*sqrt(2) 1", "6706be7bfedcbb23", "40d8f8e73196d100"),
+    ("-30 + -16*sqrt(2) -49/2 + -27/2*sqrt(2) 4 + 21/2*sqrt(2) 4 + 7/2*sqrt(2) 1", "638ffc3754b732a7", "7b74e1c02cc66ee1"),
+    ("9 + 3*sqrt(2) 3 + 2*sqrt(2) 1 | 9 + 3*sqrt(2) 3 + 2*sqrt(2) 1", "f907e5b447e11d9f", "afd8e441eba1d9aa"),
+    ("197 + 431/2*sqrt(2) 401/2 + 17/2*sqrt(2) -110 + 33/2*sqrt(2) 42 + -7*sqrt(2) -11 1", "c3522f7eeb781832", "f9c93ef8247a476f"),
+    ("-5 + 19/2*sqrt(2) 2 + 5/2*sqrt(2) 1 | 33 + -1/2*sqrt(2) 7 + 16*sqrt(2) 3 + 9/2*sqrt(2) 1", "34598b9abf0a764c", "a203de61dc6b603c"),
+)
+
+
+def test_frobenius_outputs_are_pinned():
+    got = []
+    for a, b in pinned_inputs():
+        factors, p = frobenius_form(a)
+        text = " | ".join(" ".join(format_scalar(x) for x in f) for f in factors)
+        got.append((text, _digest(p), _digest(similarity_witness(b, a))))
+    assert tuple(got) == PINNED

@@ -4,13 +4,16 @@ The reference functions below are the kernels as they were before zero
 factors were skipped: every product is formed, zero or not.  Skipping a
 product whose factor is zero changes no value, so the results must be
 equal, on integer, rational and Q(sqrt(d)) entries alike, half of them zero.
+``rref`` and ``det`` run on ``matrices.Echelon``; ``ref_det`` expands by
+permutations (Leibniz) and shares no elimination with them.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 from solvlie.liealg import StructureTensor
-from solvlie.matrices import Mat, det, inverse, rref
+from solvlie.matrices import Echelon, Mat, det, inverse, rref
 from solvlie.scalars import QuadExt, exdiv
 
 KINDS = ("int", "fraction", "quad2", "quad3")
@@ -84,6 +87,19 @@ def ref_rref(m):
     return Mat(a), tuple(pivots)
 
 
+def ref_det(m):
+    """Leibniz expansion: the signed sum over all permutations."""
+    n = m.rows
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i) if perm[j] > perm[i])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * m.data[i][j]
+        total = total + term
+    return total
+
+
 def ref_bracket(t, u, v):
     out = [0] * t.n
     for (i, j), c in t.brackets.items():
@@ -126,6 +142,50 @@ def test_rref_matches_the_loop_form():
             assert rref(m) == ref_rref(m)
         m = _invertible(rng, kind, 4)
         assert inverse(m) @ m == Mat.identity(4)
+
+
+def test_det_matches_the_leibniz_expansion():
+    rng = random.Random(53)
+    singular = 0
+    for kind in KINDS:
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            m = _mat(rng, kind, n, n)
+            if rng.random() < 0.25 and n > 1:
+                # a row that is a multiple of another makes m singular
+                rows = [list(r) for r in m.data]
+                i, j = rng.sample(range(n), 2)
+                rows[i] = [3 * x for x in rows[j]]
+                m = Mat(rows)
+            d = det(m)
+            assert d == ref_det(m)
+            singular += d == 0
+    assert singular >= 10
+
+
+def test_echelon_grows_with_the_rank_and_reduces_into_its_span():
+    rng = random.Random(59)
+    for kind in KINDS:
+        for _ in range(20):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            m = _mat(rng, kind, r, c)
+            e = Echelon()
+            rank = 0
+            for i in range(r):
+                got = e.add(m.data[i])
+                grown = len(ref_rref(Mat(m.data[: i + 1]))[1])
+                assert (got is None) == (grown == rank)
+                rank = grown
+                v = [_scalar(rng, kind) for _ in range(c)]
+                w = e.reduce(v)
+                assert all(w[p] == 0 for p in e.pivots)
+                # v - reduce(v) lies in the span: the rank does not grow
+                part = tuple(x - y for x, y in zip(v, w))
+                assert len(ref_rref(Mat(list(m.data[: i + 1]) + [part]))[1]) == rank
+            red, pivots = ref_rref(m)
+            order = sorted(range(e.dim), key=e.pivots.__getitem__)
+            assert [e.pivots[i] for i in order] == list(pivots)
+            assert [tuple(e.rows[i]) for i in order] == list(red.data[: len(pivots)])
 
 
 def test_bracket_and_transform_match_the_loop_forms():
