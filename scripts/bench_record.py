@@ -20,7 +20,10 @@ metric of ``BENCHMARK.json``.  ``--trace 1`` records traced runs instead
 At the end the recorder prints, for each workload and end-to-end metric,
 the change median against the change median of the same workload and
 metric in the highest-numbered earlier ``BENCH_<n>.json`` beside
-``--out``.
+``--out``.  Then, for each workload and side, it prints the failed
+operations over the attempted ones, summed over the runs, and the number
+of runs whose outputs were not all correct: a higher share of failures
+rejects a change on its own, whatever its timings.
 """
 
 from __future__ import annotations
@@ -144,6 +147,22 @@ def print_comparison(out: Path, record: dict, end_to_end: list) -> None:
         print(line)
 
 
+def failure_lines(runs: list) -> list:
+    """One line per workload (traced runs apart) and side: failed over
+    attempted operations summed over the runs, and the runs whose
+    ``correct`` is false."""
+    tally: dict = {}
+    for r in runs:
+        key = (f"{r['workload']}{' traced' if r['trace'] else ''}", r["side"])
+        t = tally.setdefault(key, [0, 0, 0, 0])
+        t[0] += r["failed"]
+        t[1] += r["attempted"]
+        t[2] += not r["correct"]
+        t[3] += 1
+    return [f"{workload:>15} {side:<6} failed {failed}/{attempted}, not correct in {wrong} of {count} runs"
+            for (workload, side), (failed, attempted, wrong, count) in sorted(tally.items())]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -169,6 +188,9 @@ def main(argv=None) -> int:
         record["summary"] = summarise(record["runs"], end_to_end)
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print_comparison(args.out, record, end_to_end)
+    print("failed operations and incorrect runs, per workload and side:")
+    for line in failure_lines(record["runs"]):
+        print(line)
     return 0
 
 

@@ -6,8 +6,11 @@ decomposition: pick a vector of maximal annihilator in the current
 quotient, lift it, correct the lift inside the span already built (a
 linear solve), and append its Krylov chain.  Krylov spans and the
 quotient by the span built so far are kept in a ``matrices.Echelon``, the
-one elimination routine.  Two matrices over the same field are similar
-exactly when their invariant factor lists agree.
+one elimination routine; a chain's annihilator is read off the tags its
+vectors carry in that span, with no second elimination.  Krylov vectors
+start from ``int`` unit vectors, so the chains of an integer matrix hold
+integers.  Two matrices over the same field are similar exactly when
+their invariant factor lists agree.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionError, ImpossibleBranch
 from .matrices import Echelon, Mat, Vec, inverse, solve, vec_add, vec_is_zero, vec_scale
-from .scalars import ONE, ZERO, Scalar, exdiv
+from .scalars import Scalar, exdiv
 
 Poly = list
 
@@ -35,7 +38,7 @@ def pdeg(p: Poly) -> int:
 def pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
-    out = [ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -57,7 +60,7 @@ def pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(p)
-    quo = [ZERO] * max(0, len(p) - len(q) + 1)
+    quo = [0] * max(0, len(p) - len(q) + 1)
     dq = pdeg(q)
     lead = q[-1]
     while len(r) - 1 >= dq and r:
@@ -125,27 +128,35 @@ def companion(p: Poly) -> Mat:
         raise ValueError("companion needs degree >= 1")
     cols = []
     for j in range(n - 1):
-        col = [ZERO] * n
-        col[j + 1] = ONE
+        col = [0] * n
+        col[j + 1] = 1
         cols.append(col)
     cols.append([-c for c in p[:-1]])
     return Mat.from_columns(cols)
 
 
 def local_min_poly(m: Mat, v: Vec) -> tuple[Poly, list[Vec]]:
-    """Monic annihilator of v under m, plus the Krylov chain v, m v, ..."""
-    chain = [tuple(v)]
+    """Monic annihilator of v under m, plus the Krylov chain v, m v, ...
+
+    m^j v enters the span with the unit tag e_j appended.  The first
+    m^d v (d >= 1) that reduces to zero in its n coordinates is m^d v
+    minus sum_j x_j m^j v, so its tag part is e_d - sum_j x_j e_j: the
+    annihilator's coefficients, low degree first.  v always starts the
+    chain, so the zero vector gets the chain (0,) and the annihilator x.
+    """
+    n = len(v)
+    chain: list[Vec] = []
     span = Echelon()
-    span.add(chain[0])
-    w = m.apply(chain[-1])
-    while span.add(w) is not None:
+    w = tuple(v)
+    while True:
+        tagged = list(w) + [0] * (n + 1)
+        tagged[n + len(chain)] = 1
+        r = span.reduce(tagged)
+        if chain and vec_is_zero(r[:n]):
+            return pnormalize(r[n:]), chain
+        span.add_reduced(r)
         chain.append(w)
         w = m.apply(w)
-    coeffs = solve(Mat.from_columns(chain), w)
-    if coeffs is None:
-        raise ImpossibleBranch("Krylov chain must annihilate its next vector")
-    poly = pnormalize([-c for c in coeffs] + [ONE])
-    return poly, chain
 
 
 def min_poly(m: Mat) -> Poly:
@@ -159,7 +170,7 @@ def _max_vector(m: Mat) -> tuple[Vec, Poly]:
     best_v: Optional[Vec] = None
     best_f: Poly = []
     for i in range(n):
-        e = tuple(ONE if j == i else ZERO for j in range(n))
+        e = tuple(1 if j == i else 0 for j in range(n))
         f, _ = local_min_poly(m, e)
         if best_v is None:
             best_v, best_f = e, f
@@ -197,7 +208,7 @@ def cyclic_decomposition(m: Mat) -> list[tuple[list[Vec], Poly]]:
                 x = span.reduce(m.col(c))
                 cols.append([x[q] for q in comp])
             vbar, f = _max_vector(Mat.from_columns(cols))
-            lift = [ZERO] * n
+            lift = [0] * n
             for c, val in zip(comp, vbar):
                 lift[c] = val
             v = tuple(lift)

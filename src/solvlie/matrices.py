@@ -6,15 +6,19 @@ Everything is computed by exact elimination over the scalar field, and
 it, and so do the Krylov spans of the Frobenius decomposition and the
 quotients of the central series.  A matrix is invertible exactly when its
 determinant is nonzero, which is always checked and never assumed.
+``char_poly`` does not eliminate: it runs the trace recursion on the
+matrix with its denominators cleared, in integer (or integral Q(sqrt(d)))
+arithmetic, and scales back once at the end.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionError, NonCommuting, SingularInput
+from .errors import DimensionError, ImpossibleBranch, NonCommuting, SingularInput
 from .records import Record
-from .scalars import ONE, ZERO, Scalar, compact, exdiv, scalar_sign, sqrt_exact
+from .scalars import ONE, ZERO, QuadExt, Scalar, compact, exdiv, scalar_sign, sqrt_exact
 
 Vec = tuple
 
@@ -207,7 +211,11 @@ class Echelon:
     def add(self, v: Sequence[Scalar]) -> Optional[Scalar]:
         """Extend the span by v.  Returns the pivot value of v's reduction
         before it is scaled to 1, or None when v is already in the span."""
-        w = self.reduce(v)
+        return self.add_reduced(self.reduce(v))
+
+    def add_reduced(self, w: list) -> Optional[Scalar]:
+        """``add`` for a w that ``reduce`` returned: w is not reduced again,
+        and becomes the new row."""
         for p, piv in enumerate(w):
             if piv:
                 break
@@ -326,20 +334,65 @@ def solve(m: Mat, b: Sequence[Scalar]) -> Optional[Vec]:
 def char_poly(m: Mat) -> list:
     """Coefficients of det(xI - m), low degree first, leading coefficient 1.
 
-    Uses the trace recursion (Faddeev-LeVerrier), which stays inside the
-    scalar field.
+    Uses the trace recursion (Faddeev-LeVerrier): M_1 = A, c_1 = -tr M_1,
+    M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k, c_k being the
+    coefficient of x^(n-k).  It runs on A = D m, D the least common
+    multiple of every denominator in m (both parts of a Q(sqrt(d))
+    entry), as nested lists: A's entries are integers or Q(sqrt(d))
+    values with integer parts, and so is every c_k, since it is a
+    polynomial in them with integer coefficients.  So the division by k is
+    exact, and a remainder raises ImpossibleBranch.  c_k of D m is D^k
+    times c_k of m, which is divided out once at the end.
     """
     m._require_square()
     n = m.rows
-    coeffs_high = [ONE]  # x^n, then x^(n-1), ...
-    mk = m
-    ck: Scalar = -mk.trace()
-    coeffs_high.append(ck)
+    den = 1
+    for row in m.data:
+        for x in row:
+            if isinstance(x, QuadExt):
+                den = lcm(den, x.a.denominator, x.b.denominator)
+            else:
+                den = lcm(den, x.denominator)
+    a = [[compact(x * den) for x in row] for row in m.data]
+    # A's nonzero entries by row: no product with a zero factor is formed
+    nz = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    mk = a
+    ck = -sum(row[i] for i, row in enumerate(a))
+    coeffs_high = [1, ck]  # x^n, then x^(n-1), ...
     for k in range(2, n + 1):
-        mk = m @ (mk + Mat.identity(n).scale(ck))
-        ck = exdiv(-mk.trace(), k)
+        for i, row in enumerate(mk):  # M_(k-1) + c_(k-1) I, in place
+            row[i] = row[i] + ck
+        if k == n:
+            # only the trace of M_n is read
+            tr = sum(x * mk[l][i] for i, anz in enumerate(nz) for l, x in anz)
+        else:
+            shifted = [[(j, y) for j, y in enumerate(row) if y] for row in mk]
+            mk = []
+            for anz in nz:
+                acc: list = [0] * n
+                for l, x in anz:
+                    for j, y in shifted[l]:
+                        acc[j] = acc[j] + x * y
+                mk.append(acc)
+            tr = sum(row[i] for i, row in enumerate(mk))
+        ck = _exact_quotient(-tr, k)
         coeffs_high.append(ck)
-    return list(reversed(coeffs_high))
+    if den != 1:
+        coeffs_high = [compact(exdiv(c, den**k)) for k, c in enumerate(coeffs_high)]
+    return coeffs_high[::-1]
+
+
+def _exact_quotient(x: Scalar, k: int) -> Scalar:
+    """x / k for an integer, or a Q(sqrt(d)) value with integer parts,
+    that k divides."""
+    q = compact(exdiv(x, k))
+    if isinstance(q, QuadExt):
+        integral = isinstance(q.a, int) and isinstance(q.b, int)
+    else:
+        integral = isinstance(q, int)
+    if not integral:
+        raise ImpossibleBranch(f"trace recursion: {k} does not divide {x}")
+    return q
 
 
 class SpectralClass2x2(Record):

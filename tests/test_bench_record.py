@@ -99,3 +99,21 @@ def test_recorder_compares_with_the_previous_record(tmp_path, capsys):
     br.print_comparison(out, record, end_to_end)
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == "change medians, BENCH_5.json -> BENCH_9.json:" and printed[1:] == lines
+
+
+def test_recorder_reports_failures_per_workload_and_side():
+    br = _recorder()
+
+    def run(side, workload, seed, failed, attempted, correct=True, trace=0):
+        return {"side": side, "workload": workload, "seed": seed, "trace": trace,
+                "failed": failed, "attempted": attempted, "correct": correct}
+
+    runs = [run("parent", "fuzz", 1, 0, 100), run("change", "fuzz", 1, 0, 120),
+            run("parent", "fuzz", 2, 0, 90), run("change", "fuzz", 2, 3, 110, correct=False),
+            run("change", "cli", 3, 0, 40), run("change", "cli", 3, 1, 30, trace=1)]
+    assert [line.split() for line in br.failure_lines(runs)] == [
+        ["cli", "change", "failed", "0/40,", "not", "correct", "in", "0", "of", "1", "runs"],
+        ["cli", "traced", "change", "failed", "1/30,", "not", "correct", "in", "0", "of", "1", "runs"],
+        ["fuzz", "change", "failed", "3/230,", "not", "correct", "in", "1", "of", "2", "runs"],
+        ["fuzz", "parent", "failed", "0/190,", "not", "correct", "in", "0", "of", "2", "runs"],
+    ]

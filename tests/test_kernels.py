@@ -5,15 +5,19 @@ factors were skipped: every product is formed, zero or not.  Skipping a
 product whose factor is zero changes no value, so the results must be
 equal, on integer, rational and Q(sqrt(d)) entries alike, half of them zero.
 ``rref`` and ``det`` run on ``matrices.Echelon``; ``ref_det`` expands by
-permutations (Leibniz) and shares no elimination with them.
+permutations (Leibniz) and shares no elimination with them.  ``char_poly``
+is checked against ``ref_det(tI - A)`` at integer points t, and
+``local_min_poly``, which reads the annihilator off its tagged Krylov
+span, against the coefficients that one more ``solve`` on the chain gives.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+from solvlie.frobenius import local_min_poly, pnormalize
 from solvlie.liealg import StructureTensor
-from solvlie.matrices import Echelon, Mat, det, inverse, rref
+from solvlie.matrices import Echelon, Mat, char_poly, det, inverse, rref, solve
 from solvlie.scalars import QuadExt, exdiv
 
 KINDS = ("int", "fraction", "quad2", "quad3")
@@ -98,6 +102,20 @@ def ref_det(m):
             term = term * m.data[i][j]
         total = total + term
     return total
+
+
+def ref_local_min_poly(m, v):
+    """The annihilator by a second elimination: solve for the next Krylov
+    vector in the chain's columns."""
+    chain = [tuple(v)]
+    span = Echelon()
+    span.add(chain[0])
+    w = m.apply(chain[-1])
+    while span.add(w) is not None:
+        chain.append(w)
+        w = m.apply(w)
+    coeffs = solve(Mat.from_columns(chain), w)
+    return pnormalize([-c for c in coeffs] + [1]), chain
 
 
 def ref_bracket(t, u, v):
@@ -186,6 +204,50 @@ def test_echelon_grows_with_the_rank_and_reduces_into_its_span():
             order = sorted(range(e.dim), key=e.pivots.__getitem__)
             assert [e.pivots[i] for i in order] == list(pivots)
             assert [tuple(e.rows[i]) for i in order] == list(red.data[: len(pivots)])
+
+
+def _special(rng, kind, n):
+    """A zero, nilpotent, scalar or singular n x n matrix."""
+    shape = rng.choice(("zero", "nilpotent", "scalar", "singular"))
+    if shape == "zero":
+        return Mat([[0] * n for _ in range(n)])
+    if shape == "nilpotent":
+        return Mat([[_scalar(rng, kind) if j > i else 0 for j in range(n)] for i in range(n)])
+    if shape == "scalar":
+        return Mat.identity(n).scale(_scalar(rng, kind) or 2)
+    rows = [list(r) for r in _mat(rng, kind, n, n).data]
+    rows[-1] = [3 * x for x in rows[0]] if n > 1 else [0]
+    return Mat(rows)
+
+
+def test_char_poly_matches_the_determinant_at_integer_points():
+    rng = random.Random(61)
+    for kind in KINDS:
+        for n in range(1, 7):
+            for m in [_mat(rng, kind, n, n), _special(rng, kind, n), _special(rng, kind, n)]:
+                p = char_poly(m)
+                assert len(p) == n + 1 and p[-1] == 1
+                for t in range(-(n // 2), n + 1 - n // 2):
+                    value = sum(c * t**j for j, c in enumerate(p))
+                    assert value == ref_det(Mat.identity(n).scale(t) - m), (kind, m, t)
+
+
+def test_local_min_poly_matches_the_solve_on_its_chain():
+    rng = random.Random(67)
+    eigen = 0
+    for kind in KINDS:
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            m = rng.choice((_mat(rng, kind, n, n), _special(rng, kind, n)))
+            vectors = [tuple(_scalar(rng, kind) for _ in range(n)), (0,) * n]
+            vectors += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+            for v in vectors:
+                poly, chain = local_min_poly(m, v)
+                assert (poly, chain) == ref_local_min_poly(m, v), (kind, m, v)
+                eigen += len(chain) == 1
+    assert eigen >= 20  # eigenvectors, the zero vector among them
+    assert local_min_poly(Mat([[2, 0], [0, 3]]), (0, 5)) == ([-3, 1], [(0, 5)])
+    assert local_min_poly(Mat([[2, 0], [0, 3]]), (0, 0)) == ([0, 1], [(0, 0)])
 
 
 def test_bracket_and_transform_match_the_loop_forms():

@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import solvlie.frobenius
+import solvlie.propsim
+from solvlie.cli import run
 from solvlie.errors import DimensionMismatch, FieldMismatch, SingularInput
 from solvlie.frobenius import companion, similarity_witness
+from solvlie.jsonio import matrix_to_json
 from solvlie.matrices import Mat, det, inverse
 from solvlie.propsim import EXACT, PropSimVerdict, prop_similar, propsim_classify_gl2
 from solvlie.scalars import QuadExt
@@ -187,6 +191,47 @@ def test_each_matrix_is_decomposed_once(monkeypatch):
     v = prop_similar(a, b)
     assert v.c == -2 and v.verify(a, b)
     assert len(calls) == 3  # B, 2A and -2A, whose chains give C
+
+
+def test_inequivalent_pairs_are_rejected_at_the_characteristic_polynomial(monkeypatch):
+    def refuse(m):
+        raise AssertionError("decided past the characteristic polynomial")
+
+    monkeypatch.setattr(solvlie.propsim, "invariant_factors", refuse)
+    monkeypatch.setattr(solvlie.propsim, "frobenius_form", refuse)
+    s2 = QuadExt(0, 1, 2)
+    pairs = [
+        # k = 1: c = 8/5 from the traces, then 7 c^2 != 17
+        (Mat([[1, 2, 0], [0, 1, 0], [0, 0, 3]]), Mat([[1, 0, 0], [0, 2, 0], [0, 0, 5]])),
+        # k = 2: c^2 = -1 has no real root
+        (Mat([[0, 1], [1, 0]]), Mat([[0, 1], [-1, 0]])),
+        # rational and Q(sqrt2) entries: the traces fix c, the determinants refute it
+        (Mat([[Fraction(1, 2), 1], [0, Fraction(1, 3)]]), Mat([[1, Fraction(2, 3)], [0, Fraction(1, 2)]])),
+        (Mat([[s2, 1], [0, 1]]), Mat([[1, 1], [0, 1 + s2]])),
+    ]
+    for a, b in pairs:
+        for want_witness in (True, False):
+            assert prop_similar(a, b, want_witness=want_witness) == PropSimVerdict(False)
+
+
+def test_mixed_radicands_raise_field_mismatch_with_exit_2(tmp_path, capsys):
+    s2, s3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+    message = "error: the input mixes the radicands 2 and 3; one Q(sqrt(d)) per input is supported"
+    pairs = [
+        (Mat([[s2, 1], [0, s3]]), Mat.identity(2)),  # within one matrix
+        (Mat([[s2, 0], [0, 1]]), Mat([[s3, 0], [0, 1]])),  # across the pair
+    ]
+    for i, (a, b) in enumerate(pairs):
+        paths = []
+        for name, m in (("a", a), ("b", b)):
+            paths.append(tmp_path / f"{name}{i}.json")
+            paths[-1].write_text(json.dumps(matrix_to_json(m)))
+        for witness in ([], ["--witness"]):
+            with pytest.raises(FieldMismatch):
+                prop_similar(a, b, want_witness=bool(witness))
+            assert run(["propsim", *witness, *map(str, paths)]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.strip().splitlines() == [message]
 
 
 def test_dimension_mismatch():
