@@ -442,29 +442,30 @@ def center_t(t: StructureTensor) -> list[Vec]:
 
 
 def upper_central_dims_t(t: StructureTensor) -> list[int]:
-    """Dimensions of the upper central series until it stabilizes."""
+    """Dimensions of the upper central series until it stabilizes.
+
+    C_(k+1) is the kernel of x -> ([e_i, x] mod C_k)_i.  It contains C_k,
+    so one echelon spans every C_k in turn: each round adds the kernel
+    basis, whose vectors in C_k are skipped."""
     n = t.n
     ads = _ad_columns(t)
-    current: list[Vec] = []  # basis of C_k, starts at C_0 = 0
+    span = Echelon()  # spans C_k, starting at C_0 = 0
     dims = []
     from .matrices import kernel_basis
 
     for _ in range(n + 1):
-        if len(current) == n:
+        if span.dim == n:
             break
-        span = Echelon()
-        for v in current:
-            span.add(v)
         # each ad matrix with its columns [e_i, e_j] reduced modulo C_k
         proj_rows = []
         for m in ads:
             proj_rows.extend(Mat.from_columns([span.reduce(m.col(i)) for i in range(n)]).data)
         kern = kernel_basis(Mat(proj_rows))
-        nxt = span_rows(kern, n)
-        if len(nxt) == len(current):
+        if len(kern) == span.dim:
             break
-        dims.append(len(nxt))
-        current = nxt
+        for v in kern:
+            span.add(v)
+        dims.append(span.dim)
     return dims
 
 

@@ -336,12 +336,12 @@ def char_poly(m: Mat) -> list:
 
     Uses the trace recursion (Faddeev-LeVerrier): M_1 = A, c_1 = -tr M_1,
     M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k, c_k being the
-    coefficient of x^(n-k).  It runs on A = D m, D the least common
-    multiple of every denominator in m (both parts of a Q(sqrt(d))
-    entry), as nested lists: A's entries are integers or Q(sqrt(d))
+    coefficient of x^(n-k).  It runs on A = L m, L the least common
+    multiple of every denominator in m (a Q(sqrt(d)) entry's common
+    denominator D), as nested lists: A's entries are integers or Q(sqrt(d))
     values with integer parts, and so is every c_k, since it is a
     polynomial in them with integer coefficients.  So the division by k is
-    exact, and a remainder raises ImpossibleBranch.  c_k of D m is D^k
+    exact, and a remainder raises ImpossibleBranch.  c_k of L m is L^k
     times c_k of m, which is divided out once at the end.
     """
     m._require_square()
@@ -349,10 +349,7 @@ def char_poly(m: Mat) -> list:
     den = 1
     for row in m.data:
         for x in row:
-            if isinstance(x, QuadExt):
-                den = lcm(den, x.a.denominator, x.b.denominator)
-            else:
-                den = lcm(den, x.denominator)
+            den = lcm(den, x.D if isinstance(x, QuadExt) else x.denominator)
     a = [[compact(x * den) for x in row] for row in m.data]
     # A's nonzero entries by row: no product with a zero factor is formed
     nz = [[(j, x) for j, x in enumerate(row) if x] for row in a]
@@ -386,10 +383,7 @@ def _exact_quotient(x: Scalar, k: int) -> Scalar:
     """x / k for an integer, or a Q(sqrt(d)) value with integer parts,
     that k divides."""
     q = compact(exdiv(x, k))
-    if isinstance(q, QuadExt):
-        integral = isinstance(q.a, int) and isinstance(q.b, int)
-    else:
-        integral = isinstance(q, int)
+    integral = q.D == 1 if isinstance(q, QuadExt) else isinstance(q, int)
     if not integral:
         raise ImpossibleBranch(f"trace recursion: {k} does not divide {x}")
     return q

@@ -2,15 +2,18 @@
 
 A scalar is an ``int``, a ``fractions.Fraction``, or a :class:`QuadExt`.
 Rational values always stay in the first two representations (``QuadExt``
-results with a vanishing irrational part collapse back to a rational), so a
-value is irrational exactly when it is a ``QuadExt``.  All arithmetic is
-exact; there is no floating point anywhere in this module.
+results with a vanishing irrational part collapse back to a rational, an
+``int`` when it is integral), so a value is irrational exactly when it is a
+``QuadExt``.  A ``QuadExt`` is stored as (A + B*sqrt(d)) / D over ints with
+one common denominator, so its arithmetic runs on ints and takes at most
+one gcd per result.  All arithmetic is exact; there is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 from .errors import FieldMismatch, Unsupported
@@ -85,26 +88,36 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 
 class QuadExt:
-    """a + b*sqrt(d) with rational a, b; b != 0; d > 1 square-free.
+    """(A + B*sqrt(d)) / D over ints; d > 1 square-free.
+
+    The storage is canonical: ``D >= 1``, ``gcd(A, B, D) == 1`` and
+    ``B != 0``, so two values are equal exactly when their fields are.
+    The rational parts a = A/D and b = B/D are read-only properties.
 
     Mixed arithmetic with rationals is supported.  Mixing two different
     radicands raises :class:`FieldMismatch`; one computation lives in a
     single quadratic field.
 
-    Outside input goes through ``QuadExt(...)`` or :meth:`make`, which
+    Outside input goes through ``QuadExt(a, b, d)`` or :meth:`make`, which
     splits the square part off d.  Arithmetic results are built by
-    :func:`_quad` instead: every operand already carries a square-free d,
-    and so does every sum, product and quotient of them, so factoring d
-    again (trial division up to its cube root) would find nothing new.
+    :func:`_quad` from ints instead: every operand already carries a
+    square-free d, and so does every sum, product and quotient of them, so
+    factoring d again (trial division up to its cube root) would find
+    nothing new.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("A", "B", "D", "d")
 
     def __init__(self, a: Rational, b: Rational, d: int):
         if b == 0 or d <= 1:
             raise ValueError("QuadExt needs b != 0 and square-free d > 1")
-        self.a = as_fraction(a)
-        self.b = as_fraction(b)
+        a, b = as_fraction(a), as_fraction(b)
+        # with a and b in lowest terms, their common denominator already
+        # leaves gcd(A, B, D) == 1
+        den = lcm(a.denominator, b.denominator)
+        self.A = a.numerator * (den // a.denominator)
+        self.B = b.numerator * (den // b.denominator)
+        self.D = den
         self.d = d
 
     @staticmethod
@@ -117,77 +130,109 @@ class QuadExt:
             return as_fraction(a) + as_fraction(b) * s
         return QuadExt(a, as_fraction(b) * s, d0)
 
+    @property
+    def a(self) -> Rational:
+        return _rational(self.A, self.D)
+
+    @property
+    def b(self) -> Rational:
+        return _rational(self.B, self.D)
+
     def conjugate(self) -> "QuadExt":
-        return _quad(self.a, -self.b, self.d)
+        return _quad(self.A, -self.B, self.D, self.d)
 
     def norm(self) -> Rational:
-        return self.a * self.a - self.b * self.b * self.d
+        A, B, D = self.A, self.B, self.D
+        return _rational(A * A - B * B * self.d, D * D)
 
-    def _coerce(self, other) -> tuple:
-        if is_rational(other):
-            return other, 0
+    def _ints(self, other):
+        """other as ints (p, q, r), other = (p + q sqrt(d)) / r with r >= 1,
+        or None for a type that does not mix with QuadExt."""
+        if isinstance(other, int):
+            return other, 0, 1
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 lo, hi = sorted((self.d, other.d))
                 raise FieldMismatch(f"the input mixes the radicands {lo} and {hi}; "
                                     "one Q(sqrt(d)) per input is supported")
-            return other.a, other.b
-        return NotImplemented, NotImplemented
+            return other.A, other.B, other.D
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
 
     def __add__(self, other):
-        oa, ob = self._coerce(other)
-        if oa is NotImplemented:
+        o = self._ints(other)
+        if o is None:
             return NotImplemented
-        return _quad(self.a + oa, self.b + ob, self.d)
+        p, q, r = o
+        A, B, D = self.A, self.B, self.D
+        return _quad(A * r + p * D, B * r + q * D, D * r, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _quad(-self.a, -self.b, self.d)
+        return _quad(-self.A, -self.B, self.D, self.d)
 
     def __sub__(self, other):
-        return self + (-other)
+        o = self._ints(other)
+        if o is None:
+            return NotImplemented
+        p, q, r = o
+        A, B, D = self.A, self.B, self.D
+        return _quad(A * r - p * D, B * r - q * D, D * r, self.d)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._ints(other)
+        if o is None:
+            return NotImplemented
+        p, q, r = o
+        A, B, D = self.A, self.B, self.D
+        return _quad(p * D - A * r, q * D - B * r, D * r, self.d)
 
     def __mul__(self, other):
-        oa, ob = self._coerce(other)
-        if oa is NotImplemented:
+        o = self._ints(other)
+        if o is None:
             return NotImplemented
-        a, b = self.a, self.b
-        if not ob:
-            return _quad(a * oa, b * oa, self.d)
-        return _quad(a * oa + b * ob * self.d, a * ob + b * oa, self.d)
+        p, q, r = o
+        A, B, D, d = self.A, self.B, self.D, self.d
+        return _quad(A * p + B * q * d, A * q + B * p, D * r, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero norm in QuadExt.inverse")
-        return _quad(exdiv(self.a, n), exdiv(-self.b, n), self.d)
+        return self.__rtruediv__(1)
 
     def __truediv__(self, other):
-        if is_rational(other):
-            if other == 0:
-                raise ZeroDivisionError
-            return _quad(exdiv(self.a, other), exdiv(self.b, other), self.d)
-        if isinstance(other, QuadExt):
-            return self * other.inverse()
-        return NotImplemented
+        o = self._ints(other)
+        if o is None:
+            return NotImplemented
+        p, q, r = o
+        d = self.d
+        n = p * p - q * q * d
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+        # times r (p - q sqrt d) / n
+        A, B = self.A, self.B
+        return _quad(r * (A * p - B * q * d), r * (B * p - A * q), self.D * n, d)
 
     def __rtruediv__(self, other):
-        if is_rational(other):
-            return self.inverse() * other
-        return NotImplemented
+        o = self._ints(other)
+        if o is None:
+            return NotImplemented
+        p, q, r = o
+        A, B, D, d = self.A, self.B, self.D, self.d
+        n = A * A - B * B * d
+        if n == 0:
+            raise ZeroDivisionError("zero norm in QuadExt.inverse")
+        # (p + q sqrt d) / r times D (A - B sqrt d) / n
+        return _quad(D * (p * A - q * B * d), D * (q * A - p * B), r * n, d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out: Scalar = ONE
+        out: Scalar = 1
         base: Scalar = self
         while n:
             if n & 1:
@@ -197,26 +242,27 @@ class QuadExt:
         return out
 
     def __eq__(self, other):
-        if is_rational(other):
-            return False  # b != 0 by invariant
         if isinstance(other, QuadExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            return (self.A == other.A and self.B == other.B and self.D == other.D
+                    and self.d == other.d)
+        if is_rational(other):
+            return False  # B != 0 by invariant
         return NotImplemented
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))
 
     def sign(self) -> int:
-        sa, sb = sign_rational(self.a), sign_rational(self.b)
-        if sa == 0:
+        # D > 0, so the sign is that of A + B sqrt(d)
+        A, B = self.A, self.B
+        sa, sb = sign_rational(A), sign_rational(B)
+        if sa == 0 or sa == sb:
             return sb
-        if sa == sb:
-            return sa
-        # opposite signs: compare |a| with |b|*sqrt(d) exactly
-        return sa * sign_rational(self.a * self.a - self.b * self.b * self.d)
+        # opposite signs: compare |A| with |B|*sqrt(d) exactly
+        return sa * sign_rational(A * A - B * B * self.d)
 
     def __bool__(self):
-        return True  # b != 0, so never zero
+        return True  # B != 0, so never zero
 
     def __lt__(self, other):
         return scalar_sign(self - other) < 0
@@ -243,14 +289,28 @@ class QuadExt:
         return format_scalar(self)
 
 
-def _quad(a: Rational, b: Rational, d: int) -> Scalar:
-    """a + b*sqrt(d) for a d already known square-free (an arithmetic
-    result): no re-factoring, no re-validation, and a, b stored as ints
-    when integral.  Collapses to a Fraction when b == 0."""
-    if b == 0:
-        return as_fraction(a)
+def _rational(n: int, den: int) -> Rational:
+    """n / den as an int when integral, else a Fraction."""
+    if den == 1:
+        return n
+    q, r = divmod(n, den)
+    return Fraction(n, den) if r else q
+
+
+def _quad(A: int, B: int, D: int, d: int) -> Scalar:
+    """(A + B sqrt d) / D for any ints with D != 0 and a d already known
+    square-free (an arithmetic result): no re-factoring, no re-validation,
+    one gcd.  Collapses to an int or a Fraction when B == 0."""
+    if not B:
+        return _rational(A, D)
+    if D != 1:
+        g = gcd(A, B, D)
+        if D < 0:
+            g = -g
+        if g != 1:
+            A, B, D = A // g, B // g, D // g
     x = object.__new__(QuadExt)
-    x.a, x.b, x.d = compact(a), compact(b), d
+    x.A, x.B, x.D, x.d = A, B, D, d
     return x
 
 

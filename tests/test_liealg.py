@@ -363,3 +363,47 @@ def test_frame_witness_rejects_a_corrupted_total():
         fr._tot_cols = good
         assert fr.witness().matrix == fr.total
     assert rejected >= 10
+
+
+def _reference_upper_central_dims(t):
+    """The per-round loop: C_k rebuilt from its reduced basis every round,
+    and the kernel basis taken to reduced echelon form again."""
+    from solvlie.liealg import _ad_columns, span_rows
+    from solvlie.matrices import Echelon, kernel_basis
+
+    n = t.n
+    ads = _ad_columns(t)
+    current, dims = [], []
+    for _ in range(n + 1):
+        if len(current) == n:
+            break
+        span = Echelon()
+        for v in current:
+            span.add(v)
+        proj_rows = []
+        for m in ads:
+            proj_rows.extend(Mat.from_columns([span.reduce(m.col(i)) for i in range(n)]).data)
+        nxt = span_rows(kernel_basis(Mat(proj_rows)), n)
+        if len(nxt) == len(current):
+            break
+        dims.append(len(nxt))
+        current = nxt
+    return dims
+
+
+def test_upper_central_dims_match_the_per_round_rebuild():
+    from solvlie import catalog
+    from solvlie.harness import corpus_labels
+    from solvlie.liealg import upper_central_dims_t
+
+    samples = [heisenberg(1), heisenberg(2), aff_r(), l6gamma(2), l6gamma(QuadExt(1, 1, 2))]
+    for i, lab in enumerate(corpus_labels()):
+        t = catalog.build_tensor(lab)
+        samples += [t, catalog.scramble_tensor(t, i)[0]]
+    seen = set()
+    for t in samples:
+        dims = upper_central_dims_t(t)
+        assert dims == _reference_upper_central_dims(t)
+        seen.add(tuple(dims))
+    # centerless algebras and nilpotent chains alike
+    assert () in seen and any(len(d) >= 2 for d in seen)

@@ -1,4 +1,7 @@
+import importlib.util
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -51,16 +54,22 @@ def test_nth_root_rational():
 def test_quadext_field_ops():
     x = QuadExt(1, 1, 2)
     y = QuadExt(Fraction(1, 2), -1, 2)
-    assert x + y == QuadExt(Fraction(3, 2), 0, 2) if False else True
-    # b = 0 collapses to a rational
+    s = x + y
+    assert s == Fraction(3, 2) and not isinstance(s, QuadExt)
+    # B == 0 collapses to a rational, an int when it is integral
     s = x + QuadExt(2, -1, 2)
-    assert s == 3 and isinstance(s, Fraction)
+    assert s == 3 and type(s) is int
+    p = QuadExt(1, 1, 2) * QuadExt(1, -1, 2)
+    assert p == -1 and type(p) is int
     assert x * x == QuadExt(3, 2, 2)
-    assert (x - x) == 0
+    assert (x - x) == 0 and type(x - x) is int
     assert 1 / x == QuadExt(-1, 1, 2)
-    assert x / x == 1
+    assert x / x == 1 and type(x / x) is int
     assert x ** 3 == QuadExt(7, 5, 2)
     assert x ** -1 == QuadExt(-1, 1, 2)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            _ = x / zero
     with pytest.raises(FieldMismatch):
         _ = QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
 
@@ -206,11 +215,181 @@ def test_quadext_ops_match_textbook_formula(d, a, b, c, e, op, int_operand):
            "/": lambda: exdiv(x, y)}[op]()
     want = _reference(op, a, b, c, e, d)
     assert got == want
-    # a Fraction exactly when the irrational part cancels
-    assert isinstance(got, Fraction) == (not isinstance(want, QuadExt))
+    # a rational exactly when the irrational part cancels
+    assert isinstance(got, QuadExt) == isinstance(want, QuadExt)
     assert not any(isinstance(p, float) for p in _parts(got))
     if isinstance(x, QuadExt):
         for r in (x.inverse(), x.conjugate(), x ** 2, x ** -1, -x):
             assert not any(isinstance(p, float) for p in _parts(r))
         assert x * x.inverse() == 1
         assert x * x.conjugate() == x.norm()
+
+
+# ----------------------------------------------------------------------
+# QuadExt against a reference: a + b sqrt(d) as a pair of Fractions,
+# with the textbook formulas
+# ----------------------------------------------------------------------
+
+RADICANDS = (2, 3, 5, 6, 7)
+MISMATCH = "the input mixes the radicands {} and {}; one Q(sqrt(d)) per input is supported"
+
+
+def _pair(x):
+    if isinstance(x, QuadExt):
+        return Fraction(x.a), Fraction(x.b)
+    return Fraction(x), Fraction(0)
+
+
+def _ref_mul(x, y, d):
+    (a, b), (c, e) = x, y
+    return a * c + b * e * d, a * e + b * c
+
+
+def _ref_inverse(x, d):
+    a, b = x
+    n = a * a - b * b * d
+    return a / n, -b / n
+
+
+def _ref_binary(op, x, y, d):
+    (a, b), (c, e) = x, y
+    if op == "+":
+        return a + c, b + e
+    if op == "-":
+        return a - c, b - e
+    if op == "*":
+        return _ref_mul(x, y, d)
+    return _ref_mul(x, _ref_inverse(y, d), d)
+
+
+def _ref_sign(x, d):
+    a, b = x
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == 0 or sa == sb:
+        return sb
+    n = a * a - b * b * d
+    return sa * ((n > 0) - (n < 0))
+
+
+def _rational_type(f: Fraction):
+    return int if f.denominator == 1 else Fraction
+
+
+def _agrees(got, want, d):
+    """got is the reference value ``want``, in the canonical form: a
+    QuadExt on reduced ints when irrational, else an int when integral and
+    a Fraction otherwise."""
+    a, b = want
+    if b == 0:
+        assert not isinstance(got, QuadExt)
+        assert got == a and type(got) is _rational_type(a)
+        return
+    assert isinstance(got, QuadExt) and got.d == d
+    assert (got.a, got.b) == (a, b)
+    assert type(got.a) is _rational_type(a) and type(got.b) is _rational_type(b)
+    A, B, D = got.A, got.B, got.D
+    assert all(type(v) is int for v in (A, B, D))
+    assert D >= 1 and B != 0 and gcd(A, B, D) == 1
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+def operands(d):
+    """An int, a Fraction or a QuadExt over Q(sqrt(d))."""
+    return st.one_of(
+        st.integers(-6, 6),
+        rationals,
+        st.builds(lambda a, b: QuadExt(a, b, d), rationals, nonzero_rationals),
+    )
+
+
+def quads(d):
+    return st.builds(lambda a, b: QuadExt(a, b, d), rationals, nonzero_rationals)
+
+
+BINARY = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+          "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+@given(d=st.sampled_from(RADICANDS), op=st.sampled_from(tuple(BINARY)),
+       quad_left=st.booleans(), data=st.data())
+def test_quadext_binary_ops_match_the_fraction_pair_reference(d, op, quad_left, data):
+    x, y = data.draw(quads(d)), data.draw(operands(d))
+    if not quad_left:
+        x, y = y, x
+    if op == "/" and y == 0:
+        with pytest.raises(ZeroDivisionError):
+            BINARY[op](x, y)
+        return
+    _agrees(BINARY[op](x, y), _ref_binary(op, _pair(x), _pair(y), d), d)
+    want_sign = _ref_sign(_ref_binary("-", _pair(x), _pair(y), d), d)
+    assert (x < y, x <= y, x > y, x >= y) == (
+        want_sign < 0, want_sign <= 0, want_sign > 0, want_sign >= 0)
+    assert (x == y) == (_pair(x) == _pair(y)) == (y == x)
+
+
+@given(d=st.sampled_from(RADICANDS), x=st.data(), n=st.integers(-3, 3))
+def test_quadext_unary_ops_match_the_fraction_pair_reference(d, x, n):
+    x = x.draw(quads(d))
+    p = _pair(x)
+    _agrees(-x, (-p[0], -p[1]), d)
+    _agrees(x.conjugate(), (p[0], -p[1]), d)
+    _agrees(x.inverse(), _ref_inverse(p, d), d)
+    norm = p[0] * p[0] - p[1] * p[1] * d
+    assert x.norm() == norm and type(x.norm()) is _rational_type(norm)
+    assert x.sign() == _ref_sign(p, d)
+    _agrees(abs(x), p if _ref_sign(p, d) >= 0 else (-p[0], -p[1]), d)
+    want = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        want = _ref_mul(want, p if n > 0 else _ref_inverse(p, d), d)
+    _agrees(x ** n, want, d)
+
+
+@given(d=st.sampled_from(RADICANDS), data=st.data())
+def test_equal_quadext_values_hash_equal(d, data):
+    x, y = data.draw(quads(d)), data.draw(operands(d))
+    for z in (x + y - y, (x * 7) / 7, x.conjugate().conjugate(),
+              QuadExt(x.a, x.b, d), QuadExt.make(x.a, x.b, d)):
+        assert z == x and hash(z) == hash(x)
+    if y != 0:
+        z = x * y / y
+        assert z == x and hash(z) == hash(x)
+    assert hash(x) == hash((x.a, x.b, x.d))
+
+
+@given(d=st.sampled_from(RADICANDS), e=st.sampled_from(RADICANDS), data=st.data(),
+       op=st.sampled_from(tuple(BINARY)))
+def test_mixed_radicands_raise_the_same_field_mismatch(d, e, data, op):
+    if d == e:
+        return
+    x, y = data.draw(quads(d)), data.draw(quads(e))
+    with pytest.raises(FieldMismatch) as info:
+        BINARY[op](x, y)
+    assert str(info.value) == MISMATCH.format(min(d, e), max(d, e))
+    assert x != y
+
+
+def test_quadext_exposes_rational_a_b_d_read_only():
+    """jsonio, format_scalar, repr and the benchmark's oracle read a
+    QuadExt through exactly a, b and d."""
+    from solvlie.jsonio import scalar_to_json
+    from solvlie.scalars import format_scalar
+
+    x = QuadExt(Fraction(1, 2), Fraction(6, 2), 5)
+    assert (x.a, x.b, x.d) == (Fraction(1, 2), 3, 5)
+    assert type(x.a) is Fraction and type(x.b) is int and type(x.d) is int
+    for name in ("a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert (x.a, x.b) == (Fraction(1, 2), 3)
+    assert format_scalar(x) == "1/2 + 3*sqrt(5)"
+    assert scalar_to_json(x) == {"a": "1/2", "b": "3", "d": 5}
+    assert repr(x) == "QuadExt(Fraction(1, 2), 3, 5)"
+    assert (x.A, x.B, x.D) == (1, 6, 2)
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "checker.py"
+    spec = importlib.util.spec_from_file_location("benchmark_checker", path)
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    got = checker.exact(x)
+    assert (got.a, got.b, got.d) == (Fraction(1, 2), 3, 5)
