@@ -234,12 +234,12 @@ def scramble_matrix(n: int, seed, steps: Optional[int] = None) -> Mat:
 
 def scramble(a: LieAlgebra, seed, steps: Optional[int] = None):
     """Scrambled copy plus the basis change that produced it."""
-    bc = BasisChange(scramble_matrix(a.dim, seed, steps))
-    return a.change_basis(bc), bc
+    t, bc = scramble_tensor(a.tensor, seed, steps)
+    return LieAlgebra(t), bc
 
 
 def scramble_tensor(t: StructureTensor, seed, steps: Optional[int] = None):
-    """Tensor-level scramble for bulk sweeps (skips cached series)."""
+    """Scrambled tensor plus the basis change that produced it."""
     bc = BasisChange(scramble_matrix(t.n, seed, steps))
     return t.transform(bc.matrix, bc.inverse), bc
 

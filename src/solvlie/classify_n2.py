@@ -23,12 +23,14 @@ from .liealg import (
     Frame,
     LieAlgebra,
     StructureTensor,
+    derived_series_t,
     validate,
 )
 from .matrices import (
     Echelon,
     Mat,
     common_eigendirections_2x2,
+    cyclic_conjugator_2x2,
     det,
     inverse,
     kernel_basis,
@@ -39,7 +41,7 @@ from .matrices import (
 )
 from .propsim import propsim_classify_gl2
 from .records import Record
-from .scalars import ONE, ZERO, exdiv, format_scalar, is_rational, sqrt_exact
+from .scalars import exdiv, format_scalar, is_rational, sqrt_exact
 
 
 class Witness(Record):
@@ -76,14 +78,11 @@ def classify_n2(a) -> Classification:
     """Full classification of a validated solvable algebra with
     2-dimensional derived ideal; raises NotInClass otherwise.
 
-    Accepts a LieAlgebra or a bare StructureTensor (the latter avoids
-    recomputing cached series in bulk sweeps)."""
+    Accepts a LieAlgebra or a bare StructureTensor."""
     tensor = a.tensor if isinstance(a, LieAlgebra) else a
     rep = validate(tensor)
     if not rep.ok:
         raise NotInClass("JacobiFails", f"first failing triple {rep.triple}")
-    from .liealg import derived_series_t
-
     series = derived_series_t(tensor)
     if series[-1]:
         raise NotInClass("NotSolvable")
@@ -237,7 +236,7 @@ def _case2_shape(pipe: Frame, a3: Mat):
     other [X_3, .] zero."""
     n = pipe.n
     w = None
-    for cand in ((ONE, ZERO), (ZERO, ONE)):
+    for cand in ((1, 0), (0, 1)):
         if a3.apply(cand) != (0, 0):
             w = cand
             break
@@ -369,7 +368,7 @@ def _telescope(pipe: Frame, verts: list, pinned: bool, comp: int):
         for pos in range(L - 3, 0, -2):
             v, w = verts[pos], verts[pos + 2]
             vec = pipe.unit(v)
-            vec[w] = ONE
+            vec[w] = 1
             pipe.step_cols({v: vec})
         partner = verts[1]
         pairs = [(verts[i], verts[i + 1]) for i in range(2, L - 1, 2)]
@@ -380,7 +379,7 @@ def _telescope(pipe: Frame, verts: list, pinned: bool, comp: int):
     for pos in range(L - 3, -1, -2):
         v, w = verts[pos], verts[pos + 2]
         vec = pipe.unit(v)
-        vec[w] = ONE
+        vec[w] = 1
         pipe.step_cols({v: vec})
     pairs = [(verts[i], verts[i + 1]) for i in range(1, L - 1, 2)]
     return None, pairs
@@ -389,16 +388,16 @@ def _telescope(pipe: Frame, verts: list, pinned: bool, comp: int):
 def _assert_chain_clean(pipe, anchor, block, comp, anchored, pairs):
     oriented = {}
     for a, b in pairs:
-        oriented[(a, b)] = ONE
-        oriented[(b, a)] = -ONE
+        oriented[(a, b)] = 1
+        oriented[(b, a)] = -1
     if anchored is not None:
-        oriented[(anchor, anchored)] = ONE
-        oriented[(anchored, anchor)] = -ONE
+        oriented[(anchor, anchored)] = 1
+        oriented[(anchored, anchor)] = -1
     idxs = [anchor] + block
     for x, i in enumerate(idxs):
         for j in idxs[x + 1 :]:
             val = pipe.bracket(i, j)[comp]
-            if val != oriented.get((i, j), ZERO):
+            if val != oriented.get((i, j), 0):
                 raise ImpossibleBranch(
                     f"chain normalization left [{i + 1},{j + 1}] component {val}"
                 )
@@ -550,7 +549,7 @@ def _plane_complex_case(pipe: Frame) -> ClassLabel:
     s, t = coords
     if s == 0:
         raise ImpossibleBranch("independent partner cannot be a pure multiple")
-    v4 = [ZERO] * n
+    v4 = [0] * n
     v4[2], v4[3] = exdiv(-t, s), exdiv(1, s)
     pipe.step_cols({3: v4})
     if pipe.adjoint(3) != Mat.identity(2):
@@ -561,7 +560,7 @@ def _plane_complex_case(pipe: Frame) -> ClassLabel:
     tau = a3.trace()
     alpha = exdiv(1, sqrt_exact(dd - exdiv(tau * tau, 4)))
     beta = exdiv(-alpha * tau, 2)
-    v3 = [ZERO] * n
+    v3 = [0] * n
     v3[2], v3[3] = alpha, beta
     pipe.step_cols({2: v3})
     a3 = pipe.adjoint(2)
@@ -569,10 +568,7 @@ def _plane_complex_case(pipe: Frame) -> ClassLabel:
         raise ImpossibleBranch("trace/determinant normalization failed")
     target = Mat([[0, 1], [-1, 0]])
     if a3 != target:
-        pm = Mat.from_columns([(ONE, ZERO), a3.apply((ONE, ZERO))])
-        pj = Mat.from_columns([(ONE, ZERO), target.apply((ONE, ZERO))])
-        cmat = pm @ inverse(pj)
-        pipe.step_cols(_embed_g1(pipe, cmat))
+        pipe.step_cols(_embed_g1(pipe, cyclic_conjugator_2x2(a3, target)))
         if pipe.adjoint(2) != target:
             raise ImpossibleBranch("quarter-turn conjugation failed")
     return ClassLabel(labels.G4_2_4_AFFC, abelian_ext=n - 4)
@@ -588,9 +584,9 @@ def _plane_split_case(pipe: Frame, dirs) -> ClassLabel:
             raise ImpossibleBranch("simultaneous diagonalization failed")
     mix = Mat([[a3[0, 0], a3[1, 1]], [a4[0, 0], a4[1, 1]]])
     inv = inverse(mix)
-    v3 = [ZERO] * n
+    v3 = [0] * n
     v3[2], v3[3] = inv[0, 0], inv[0, 1]
-    v4 = [ZERO] * n
+    v4 = [0] * n
     v4[2], v4[3] = inv[1, 0], inv[1, 1]
     pipe.step_cols({2: v3, 3: v4})
     if pipe.adjoint(2) != Mat([[1, 0], [0, 0]]) or pipe.adjoint(3) != Mat([[0, 0], [0, 1]]):
@@ -641,16 +637,16 @@ def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
     combo = Mat([[mu4, x], [-mu3, y]])
     if det(combo) == 0:
         raise ImpossibleBranch("nilpotent/identity combination is singular")
-    v3 = [ZERO] * n
+    v3 = [0] * n
     v3[2], v3[3] = mu4, -mu3
-    v4 = [ZERO] * n
+    v4 = [0] * n
     v4[2], v4[3] = x, y
     pipe.step_cols({2: v3, 3: v4})
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     if a4 != Mat.identity(2) or a3.trace() != 0 or not (a3 @ a3).is_zero() or a3.is_zero():
         raise ImpossibleBranch("expected a nonzero nilpotent with the identity partner")
     w = None
-    for cand in ((ONE, ZERO), (ZERO, ONE)):
+    for cand in ((1, 0), (0, 1)):
         if a3.apply(cand) != (0, 0):
             w = cand
             break

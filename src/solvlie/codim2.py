@@ -26,7 +26,7 @@ from .liealg import (
     validate,
     vec_is_zero,
 )
-from .matrices import Echelon, Mat, inverse, kernel_basis, rank, row_space, solve
+from .matrices import Echelon, Mat, det, inverse, kernel_basis, rank, row_space, solve
 from .records import Record
 from .scalars import exdiv
 
@@ -212,8 +212,6 @@ def normalize_codim2(a) -> Codim2Form:
             a_bar[k - 1, j] == 0 for j in range(k)
         )
         a_in = Mat([[a_bar[i, j + 1] for j in range(k - 1)] for i in range(k - 1)])
-    from .matrices import det
-
     if not ok_shape or det(a_in) == 0:
         raise ImpossibleBranch(f"structure matrix is not in {shape} block shape")
     return Codim2Form(

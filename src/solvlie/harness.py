@@ -20,6 +20,7 @@ from .codim2 import codim2_isomorphic, normalize_codim2
 from .errors import ImpossibleBranch, NonAbelianDerivedIdeal, NotInClass
 from .labels import ClassLabel
 from .liealg import (
+    BasisChange,
     StructureTensor,
     adjoint_algebra_t,
     derived_ideal_t,
@@ -27,7 +28,7 @@ from .liealg import (
     lower_central_series_t,
     validate,
 )
-from .matrices import Mat, rank
+from .matrices import Mat, det, inverse, kernel_basis, rank
 from .propsim import prop_similar
 from .scalars import exdiv
 
@@ -272,8 +273,6 @@ def fuzz_dim1_tensor(rng: random.Random, n: int) -> Optional[StructureTensor]:
         return None
     alphas = [Fraction(1)] + [Fraction(rng.randint(-2, 2)) for _ in range(n - 3)]
     us = [_rand_vec(rng, 2) for _ in range(n - 2)]
-    from .matrices import kernel_basis
-
     kern = kernel_basis(a)
     table: dict = {}
     for idx, al in enumerate(alphas):
@@ -409,8 +408,6 @@ def _rand_mat(rng, n, lo=-3, hi=3) -> Mat:
 
 
 def _rand_gl(rng, n, lo=-3, hi=3) -> Mat:
-    from .matrices import det
-
     while True:
         m = _rand_mat(rng, n, lo, hi)
         if det(m) != 0:
@@ -420,8 +417,6 @@ def _rand_gl(rng, n, lo=-3, hi=3) -> Mat:
 def propsim_laws_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
     """Equivalence-relation laws with verified witnesses on random 2x2 and
     3x3 integer matrices."""
-    from .matrices import inverse as minv
-
     rep = Report("propsim_laws")
     rng = child_rng(seed, "propsim-laws")
     for i in range(pairs):
@@ -442,7 +437,7 @@ def propsim_laws_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
         # transitivity through a scaled conjugate
         c = rng.choice((1, -1, 2, Fraction(1, 2), 3))
         p = _rand_gl(rng, n, -2, 2)
-        bb = (minv(p) @ a @ p).scale(c)
+        bb = (inverse(p) @ a @ p).scale(c)
         v1 = prop_similar(a, bb)
         rep.check(v1.equivalent, f"constructed pair must be equivalent (c={c})")
         if v1.witness is not None:
@@ -456,8 +451,6 @@ def padded_block_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
     """Block facts: padding by a zero block preserves the left-corner
     equivalence both ways, and the left-corner form is never equivalent to
     the right-corner form."""
-    from .matrices import inverse as minv
-
     rep = Report("padded_blocks")
     rng = child_rng(seed, "padded-blocks")
 
@@ -477,7 +470,7 @@ def padded_block_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
         if i % 2 == 0:
             c = rng.choice((1, -1, 2, Fraction(1, 2)))
             p = _rand_gl(rng, 3, -2, 2)
-            b = (minv(p) @ a @ p).scale(c)
+            b = (inverse(p) @ a @ p).scale(c)
         else:
             b = _rand_gl(rng, 3)
         inner = prop_similar(a, b, want_witness=False)
@@ -496,8 +489,6 @@ def padded_block_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
 def padded_block_counterexample() -> tuple[Mat, Mat]:
     """A pair with A not prop-similar to B whose zero-padded right-corner
     forms are similar; found by bounded search over small integer matrices."""
-    from .matrices import det
-
     def right_pad2(m: Mat) -> Mat:
         return Mat(
             [
@@ -560,8 +551,6 @@ def morozov_sweep() -> Report:
 def redundancy_witnesses() -> Report:
     """Explicit isomorphisms behind the parameter redundancies: the
     diagonal lam <-> 1/lam pair and the two rotation orientations."""
-    from .liealg import BasisChange
-
     rep = Report("redundancy_witnesses")
     # diag(1, 2) algebra vs diag(1, 1/2) algebra
     a2 = catalog.build_tensor(ClassLabel(labels.G3_2_1, lam=Fraction(2)))

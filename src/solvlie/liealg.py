@@ -6,10 +6,13 @@ a nonzero bracket vector; skew symmetry and bilinearity hold by
 construction.  Subspaces are kept as reduced-echelon row lists, so subspace
 equality is plain list equality; they are computed, and vectors reduced
 modulo them, by ``matrices.Echelon``, the one elimination routine.
+Every basis change runs through ``transform_sparse``; ``transform``
+replaces every column.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -24,6 +27,7 @@ from .matrices import (
     Mat,
     Vec,
     inverse,
+    kernel_basis,
     row_space,
     solve,
     vec_add,
@@ -86,17 +90,9 @@ class StructureTensor:
 
     def transform(self, t: Mat, tinv: Mat) -> "StructureTensor":
         """Tensor in the basis given by the columns of t."""
-        n = self.n
-        if t.shape != (n, n):
+        if t.shape != (self.n, self.n):
             raise DimensionError("transform size mismatch")
-        cols = t.columns()
-        out = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = self.bracket(cols[i], cols[j])
-                if not vec_is_zero(w):
-                    out[(i, j)] = tinv.apply(w)
-        return StructureTensor(n, out)
+        return self.transform_sparse(dict(enumerate(t.columns())), dict(enumerate(tinv.columns())))
 
     def transform_sparse(self, repl: Mapping[int, Sequence[Scalar]],
                          inv_cols: Mapping[int, Sequence[Scalar]]) -> "StructureTensor":
@@ -108,20 +104,20 @@ class StructureTensor:
         touched = set(repl)
 
         def reexpress(w):
-            extra = None
+            # untouched coordinates stay and each nonzero touched one adds its
+            # inverse column; a first term is stored, not added to 0, which
+            # would take Fraction's slower mixed-type path
+            out = None
             for j, c in inv_cols.items():
                 wj = w[j]
-                if wj != 0:
-                    if extra is None:
-                        extra = [0] * n
+                if wj:
+                    if out is None:
+                        out = [0 if r in touched else x for r, x in enumerate(w)]
                     for r, x in enumerate(c):
-                        if x != 0:
-                            extra[r] = extra[r] + wj * x
-            if extra is None:
-                return tuple(w)
-            return tuple(
-                (0 if r in touched else w[r]) + extra[r] for r in range(n)
-            )
+                        if x:
+                            o = out[r]
+                            out[r] = o + wj * x if o else wj * x
+            return tuple(w) if out is None else tuple(out)
 
         out = {}
         for (i, j), vec in self.brackets.items():
@@ -130,7 +126,7 @@ class StructureTensor:
             w = reexpress(vec)
             if not vec_is_zero(w):
                 out[(i, j)] = w
-        basis = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+        basis = standard_basis(n)
         for i in sorted(touched):
             vi = repl[i]
             for j in range(n):
@@ -200,7 +196,7 @@ def validate(t: StructureTensor) -> ValidationReport:
     """Check the Jacobi identity on all basis triples; a violation is a
     value (first failing triple plus residual), not an exception."""
     n = t.n
-    basis = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    basis = standard_basis(n)
     for i in range(n):
         for j in range(i + 1, n):
             bij = t.bracket_basis(i, j)
@@ -435,8 +431,6 @@ def center_t(t: StructureTensor) -> list[Vec]:
     stacked = []
     for m in _ad_columns(t):
         stacked.extend(m.data)
-    from .matrices import kernel_basis
-
     kern = kernel_basis(Mat(stacked))
     return span_rows(kern, n)
 
@@ -451,8 +445,6 @@ def upper_central_dims_t(t: StructureTensor) -> list[int]:
     ads = _ad_columns(t)
     span = Echelon()  # spans C_k, starting at C_0 = 0
     dims = []
-    from .matrices import kernel_basis
-
     for _ in range(n + 1):
         if span.dim == n:
             break
@@ -509,35 +501,44 @@ def adjoint_algebra_t(t: StructureTensor, derived_basis: Optional[list[Vec]] = N
 
 
 class LieAlgebra:
-    """Validated structure tensor with eagerly cached characteristic data.
+    """Validated structure tensor with its characteristic data.
 
-    Values are immutable; every derived quantity is computed at
-    construction, so instances are safe to share across threads.
+    The series and the center are computed on first read and cached (two
+    threads reading first may both compute one, to the same value).
     """
-
-    __slots__ = (
-        "tensor",
-        "derived_series",
-        "lower_central_series",
-        "upper_central_dims",
-        "center",
-        "solvable",
-        "nilpotent",
-        "nilpotency_step",
-    )
 
     def __init__(self, tensor: StructureTensor):
         self.tensor = tensor
-        self.derived_series = derived_series_t(tensor)
-        self.lower_central_series = lower_central_series_t(tensor)
-        self.upper_central_dims = upper_central_dims_t(tensor)
-        self.center = center_t(tensor)
-        self.solvable = not self.derived_series[-1]
-        self.nilpotent = not self.lower_central_series[-1]
+
+    @cached_property
+    def derived_series(self) -> list[list[Vec]]:
+        return derived_series_t(self.tensor)
+
+    @cached_property
+    def lower_central_series(self) -> list[list[Vec]]:
+        return lower_central_series_t(self.tensor)
+
+    @cached_property
+    def upper_central_dims(self) -> list[int]:
+        return upper_central_dims_t(self.tensor)
+
+    @cached_property
+    def center(self) -> list[Vec]:
+        return center_t(self.tensor)
+
+    @property
+    def solvable(self) -> bool:
+        return not self.derived_series[-1]
+
+    @property
+    def nilpotent(self) -> bool:
+        return not self.lower_central_series[-1]
+
+    @property
+    def nilpotency_step(self) -> Optional[int]:
         if self.nilpotent and len(self.lower_central_series) >= 2:
-            self.nilpotency_step = len(self.lower_central_series) - 1
-        else:
-            self.nilpotency_step = None
+            return len(self.lower_central_series) - 1
+        return None
 
     @property
     def dim(self) -> int:

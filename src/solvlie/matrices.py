@@ -8,7 +8,9 @@ quotients of the central series.  A matrix is invertible exactly when its
 determinant is nonzero, which is always checked and never assumed.
 ``char_poly`` does not eliminate: it runs the trace recursion on the
 matrix with its denominators cleared, in integer (or integral Q(sqrt(d)))
-arithmetic, and scales back once at the end.
+arithmetic, and scales back once at the end.  A 2x2 matrix is conjugated
+onto a target with the same characteristic polynomial through its cyclic
+vector e1 (``cyclic_conjugator_2x2``), with no canonical form.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, ImpossibleBranch, NonCommuting, SingularInput
 from .records import Record
-from .scalars import ONE, ZERO, QuadExt, Scalar, compact, exdiv, scalar_sign, sqrt_exact
+from .scalars import QuadExt, Scalar, compact, exdiv, scalar_sign, sqrt_exact
 
 Vec = tuple
 
@@ -271,7 +273,7 @@ def det(m: Mat) -> Scalar:
     for row in m.data:
         piv = e.add(row)
         if piv is None:
-            return ZERO
+            return 0
         out = out * piv
     p = e.pivots
     inversions = sum(1 for i in range(len(p)) for j in range(i) if p[j] > p[i])
@@ -434,6 +436,16 @@ def spectral_classify_2x2(m: Mat) -> SpectralClass2x2:
     return SpectralClass2x2("complex_pair", re=exdiv(t, 2), im2=exdiv(-disc, 4))
 
 
+def cyclic_conjugator_2x2(m: Mat, target: Mat) -> Mat:
+    """C with C^-1 m C = target, for 2x2 matrices with one characteristic
+    polynomial for which e1 is cyclic (as for every complex pair):
+    [e1, m e1] @ inverse([e1, target e1]), since both Krylov bases carry
+    their matrix onto the same companion matrix."""
+    e1 = (1, 0)
+    krylov = Mat.from_columns([e1, m.apply(e1)])
+    return krylov @ inverse(Mat.from_columns([e1, target.apply(e1)]))
+
+
 def eigendirections_2x2(m: Mat) -> list[tuple[Scalar, Vec]]:
     """All real eigendirections (eigenvalue, canonical vector); empty for a
     complex pair.  A scalar matrix contributes both standard directions."""
@@ -441,7 +453,7 @@ def eigendirections_2x2(m: Mat) -> list[tuple[Scalar, Vec]]:
     if sc.kind == "complex_pair":
         return []
     if sc.kind == "repeated_diagonalizable":
-        return [(sc.mu1, (ONE, ZERO)), (sc.mu1, (ZERO, ONE))]
+        return [(sc.mu1, (1, 0)), (sc.mu1, (0, 1))]
     eigs = [sc.mu1] if sc.kind == "repeated_jordan" else [sc.mu1, sc.mu2]
     out = []
     for mu in eigs:
@@ -480,7 +492,7 @@ def common_eigendirections_2x2(m1: Mat, m2: Mat) -> Optional[list[Vec]]:
     elif s2.kind != "repeated_diagonalizable":
         cands = [v for _, v in eigendirections_2x2(m2)]
     else:
-        cands = [(ONE, ZERO), (ZERO, ONE)]
+        cands = [(1, 0), (0, 1)]
     # commuting partners preserve 1-dim eigenspaces, but filter defensively
     out = []
     for v in cands:

@@ -19,6 +19,11 @@ its invariant factors are compared with B's, and C = P_B P_cA^-1 comes
 from the Krylov chains of the same two decompositions.  C is not formed
 when c lies in a quadratic field other than the entries' (c*A would mix
 two radicands); the verdict and c are returned without it.
+
+``propsim_classify_gl2`` needs no canonical form: a complex pair has no
+real eigenvector, so ``cyclic_conjugator_2x2`` carries c*A onto its
+companion representative.  ``prop_similar`` imports the Frobenius code
+when it runs, so ``classify`` does not load it.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, ImpossibleBranch, SingularInput
-from .frobenius import Poly, frobenius_form, invariant_factors, similar, similarity_witness
 from .matrices import (
     Mat,
     char_poly,
+    cyclic_conjugator_2x2,
     det,
     inverse,
     kernel_basis,
@@ -75,6 +80,8 @@ def _is_nilpotent_char(coeffs: list) -> bool:
 
 
 def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
+    from .frobenius import frobenius_form, invariant_factors, similar, similarity_witness
+
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     if not a.is_square:
@@ -132,7 +139,7 @@ def _one_field(c: Scalar, a: Mat, b: Mat) -> bool:
     return all(x.d == c.d for m in (a, b) for row in m.data for x in row if isinstance(x, QuadExt))
 
 
-def _is_scaled(f: Poly, g: Poly, ratio: Scalar, k: int, sign: int) -> bool:
+def _is_scaled(f: list, g: list, ratio: Scalar, k: int, sign: int) -> bool:
     """g(x) = c^d f(x / c), d = deg f, for the real c with c^k = ratio and
     sign(c) = sign: each coefficient g_j of x^(d-j) is c^j f_j."""
     d = len(f) - 1
@@ -216,9 +223,8 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
         else:
             rep = Mat([[0, -j], [1, j]])
             c = exdiv(j, t)
-        cmat = similarity_witness(a.scale(c), rep)
-        if cmat is None:
-            raise ImpossibleBranch("a complex pair is proportionally similar to its rotation")
+        # rep is the companion matrix of cA's characteristic polynomial
+        cmat = cyclic_conjugator_2x2(a.scale(c), rep)
         cls = GL2Class("rotation", j, rep, c, cmat, cos_sign=scalar_sign(t))
     elif sc.kind == "repeated_jordan":
         mu = sc.mu1

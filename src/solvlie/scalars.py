@@ -2,12 +2,13 @@
 
 A scalar is an ``int``, a ``fractions.Fraction``, or a :class:`QuadExt`.
 Rational values always stay in the first two representations (``QuadExt``
-results with a vanishing irrational part collapse back to a rational, an
-``int`` when it is integral), so a value is irrational exactly when it is a
-``QuadExt``.  A ``QuadExt`` is stored as (A + B*sqrt(d)) / D over ints with
-one common denominator, so its arithmetic runs on ints and takes at most
-one gcd per result.  All arithmetic is exact; there is no floating point
-anywhere in this module.
+results with a vanishing irrational part collapse back to a rational), so a
+value is irrational exactly when it is a ``QuadExt``.  An integral value
+from ``QuadExt`` arithmetic, ``make``, ``sqrt_exact`` or
+``nth_root_rational`` is an ``int``.  A ``QuadExt`` is stored as
+(A + B*sqrt(d)) / D over ints with one common denominator, so its
+arithmetic runs on ints and takes at most one gcd per result.  All
+arithmetic is exact; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from .errors import FieldMismatch, Unsupported
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadExt"]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
@@ -122,12 +119,13 @@ class QuadExt:
 
     @staticmethod
     def make(a: Rational, b: Rational, d: int) -> Scalar:
-        """Build a + b*sqrt(d), collapsing to a rational when b == 0."""
+        """Build a + b*sqrt(d), collapsing to a rational (an int when it
+        is integral) when b == 0 or d is a square."""
         if b == 0:
-            return as_fraction(a)
+            return compact(as_fraction(a))
         s, d0 = square_free_split(d)
         if d0 == 1:
-            return as_fraction(a) + as_fraction(b) * s
+            return compact(as_fraction(a) + as_fraction(b) * s)
         return QuadExt(a, as_fraction(b) * s, d0)
 
     @property
@@ -335,12 +333,10 @@ def sqrt_exact(r: Rational):
     if r < 0:
         raise ValueError("sqrt_exact needs a nonnegative rational")
     if r == 0:
-        return ZERO
+        return 0
     s, d = square_free_split(r.numerator * r.denominator)
-    coeff = Fraction(s, r.denominator)
-    if d == 1:
-        return coeff
-    return QuadExt(0, coeff, d)
+    coeff = _rational(s, r.denominator)
+    return coeff if d == 1 else QuadExt(0, coeff, d)
 
 
 def nth_root_rational(r: Rational, m: int):
@@ -349,7 +345,7 @@ def nth_root_rational(r: Rational, m: int):
     if m <= 0:
         raise ValueError("m must be positive")
     if r == 0:
-        return ZERO
+        return 0
     if r < 0 and m % 2 == 0:
         return None
     neg = r < 0
@@ -358,7 +354,7 @@ def nth_root_rational(r: Rational, m: int):
     rq = _int_nth_root(q, m)
     if rp is None or rq is None:
         return None
-    root = Fraction(rp, rq)
+    root = _rational(rp, rq)
     return -root if neg else root
 
 

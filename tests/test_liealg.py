@@ -407,3 +407,78 @@ def test_upper_central_dims_match_the_per_round_rebuild():
         seen.add(tuple(dims))
     # centerless algebras and nilpotent chains alike
     assert () in seen and any(len(d) >= 2 for d in seen)
+
+
+def _dense_transform(t, tm, tinv):
+    """The pair loop `StructureTensor.transform` ran before it became the
+    sparse transport with every column replaced."""
+    cols = tm.columns()
+    out = {}
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            w = t.bracket(cols[i], cols[j])
+            if any(x != 0 for x in w):
+                out[(i, j)] = tinv.apply(w)
+    return StructureTensor(t.n, out)
+
+
+def test_transform_matches_the_dense_pair_loop():
+    from solvlie import catalog
+    from solvlie.harness import corpus_labels
+
+    rng = random.Random(23)
+    cases = []
+    for i, lab in enumerate(corpus_labels()):
+        t = catalog.build_tensor(lab)
+        cases.append((t, BasisChange(scramble_matrix(t.n, i))))
+        if t.n <= 6:
+            # a dense basis change over Q(sqrt2)
+            while True:
+                m = Mat([[QuadExt.make(rng.randint(-2, 2), rng.randint(-1, 1), 2)
+                          for _ in range(t.n)] for _ in range(t.n)])
+                if det(m) != 0:
+                    break
+            cases.append((t, BasisChange(m)))
+    assert sum(1 for _, bc in cases if bc.matrix.rows <= 6) >= 40
+    for t, bc in cases:
+        for tm, tinv in ((bc.matrix, bc.inverse), (bc.inverse, bc.matrix)):
+            # the same stored pairs with equal values
+            assert t.transform(tm, tinv).brackets == _dense_transform(t, tm, tinv).brackets
+
+
+def test_lie_algebra_computes_no_series_until_one_is_read(monkeypatch):
+    import solvlie.liealg
+    from solvlie import catalog
+    from solvlie.codim2 import normalize_codim2
+    from solvlie.harness import corpus_labels
+    from solvlie.liealg import center_t, upper_central_dims_t
+
+    series = {
+        "derived_series_t": derived_series_t,
+        "lower_central_series_t": lower_central_series_t,
+        "upper_central_dims_t": upper_central_dims_t,
+        "center_t": center_t,
+    }
+
+    def refuse(t):
+        raise AssertionError("a series was computed before it was read")
+
+    for name in series:
+        monkeypatch.setattr(solvlie.liealg, name, refuse)
+    built = []
+    for i, lab in enumerate(corpus_labels()):
+        alg = catalog.build(lab)
+        scrambled, bc = catalog.scramble(alg, i)
+        built += [alg, scrambled, scrambled.change_basis(bc), LieAlgebra(catalog.build_tensor(lab))]
+    split = tensor_from_brackets(5, [(5, 1, {1: 1}), (5, 2, {2: 1}), (5, 3, {3: 1})])
+    form = normalize_codim2(LieAlgebra(split))
+    assert form.case == "decomposable"
+    built.append(form.inner)
+    monkeypatch.undo()
+    for alg in built:
+        t = alg.tensor
+        assert alg.derived_series == derived_series_t(t)
+        assert alg.lower_central_series == lower_central_series_t(t)
+        assert alg.upper_central_dims == upper_central_dims_t(t)
+        assert alg.center == center_t(t)
+        assert alg.solvable == (not derived_series_t(t)[-1])

@@ -8,6 +8,7 @@ from solvlie.matrices import (
     Mat,
     char_poly,
     common_eigenvector,
+    cyclic_conjugator_2x2,
     det,
     eigendirections_2x2,
     inverse,
@@ -17,7 +18,7 @@ from solvlie.matrices import (
     solve,
     spectral_classify_2x2,
 )
-from solvlie.scalars import QuadExt
+from solvlie.scalars import QuadExt, exdiv
 
 
 def test_char_poly_examples():
@@ -121,3 +122,50 @@ def test_common_eigenvector_is_simultaneous():
 def test_eigendirections_cover_scalar_case():
     dirs = eigendirections_2x2(Mat.identity(2).scale(Fraction(7)))
     assert ((1, 0) in [d for _, d in dirs]) and ((0, 1) in [d for _, d in dirs])
+
+
+
+def _complex_pair(rng, entry):
+    while True:
+        m = Mat([[entry(rng) for _ in range(2)] for _ in range(2)])
+        t, d = m.trace(), det(m)
+        if t * t - 4 * d < 0:
+            return m
+
+
+def _invertible(rng, entry):
+    while True:
+        p = Mat([[entry(rng) for _ in range(2)] for _ in range(2)])
+        if det(p) != 0:
+            return p
+
+
+def test_cyclic_conjugator_matches_the_frobenius_witness():
+    # the reference is the Frobenius witness that classify used before
+    from solvlie.frobenius import similarity_witness
+
+    entries = (
+        lambda r: r.randint(-4, 4),
+        lambda r: Fraction(r.randint(-4, 4), r.randint(1, 3)),
+        lambda r: QuadExt.make(r.randint(-3, 3), Fraction(r.randint(-2, 2), r.randint(1, 2)), 2),
+    )
+    quarter_turn = Mat([[0, 1], [-1, 0]])
+    rng = random.Random(41)
+    pairs = []
+    for entry in entries:
+        for _ in range(20):
+            # propsim_classify_gl2's pair: cA onto the companion matrix
+            # [[0, -j], [1, j]] of its characteristic polynomial, c = j / tr
+            a = _complex_pair(rng, entry)
+            t = a.trace()
+            if t != 0:
+                j = exdiv(t * t, det(a))
+                pairs.append((a.scale(exdiv(j, t)), Mat([[0, -j], [1, j]])))
+            # _plane_complex_case's pair: a unit rotation onto the quarter turn
+            p = _invertible(rng, entry)
+            pairs.append((inverse(p) @ quarter_turn @ p, quarter_turn))
+    assert len(pairs) >= 100
+    for m, target in pairs:
+        c = cyclic_conjugator_2x2(m, target)
+        assert c == similarity_witness(m, target)
+        assert inverse(c) @ m @ c == target

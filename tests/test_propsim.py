@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import solvlie.frobenius
-import solvlie.propsim
 from solvlie.cli import run
 from solvlie.errors import DimensionMismatch, FieldMismatch, SingularInput
 from solvlie.frobenius import companion, similarity_witness
@@ -197,8 +196,8 @@ def test_inequivalent_pairs_are_rejected_at_the_characteristic_polynomial(monkey
     def refuse(m):
         raise AssertionError("decided past the characteristic polynomial")
 
-    monkeypatch.setattr(solvlie.propsim, "invariant_factors", refuse)
-    monkeypatch.setattr(solvlie.propsim, "frobenius_form", refuse)
+    monkeypatch.setattr(solvlie.frobenius, "invariant_factors", refuse)
+    monkeypatch.setattr(solvlie.frobenius, "frobenius_form", refuse)
     s2 = QuadExt(0, 1, 2)
     pairs = [
         # k = 1: c = 8/5 from the traces, then 7 c^2 != 17

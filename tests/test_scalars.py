@@ -81,6 +81,26 @@ def test_quadext_make_normalizes_radicand():
     assert QuadExt.make(1, 2, 4) == 5  # perfect-square radicand collapses
 
 
+def test_integral_values_leave_the_scalar_boundary_as_int():
+    # one representation per integral rational, as arithmetic results have
+    for got, want in (
+        (QuadExt.make(3, 0, 5), 3),
+        (QuadExt.make(1, 2, 4), 5),
+        (sqrt_exact(4), 2),
+        (sqrt_exact(Fraction(0)), 0),
+        (nth_root_rational(Fraction(-8), 3), -2),
+        (nth_root_rational(Fraction(0), 2), 0),
+    ):
+        assert type(got) is int and got == want
+    for got, want in (
+        (QuadExt.make(Fraction(1, 2), 0, 5), Fraction(1, 2)),
+        (QuadExt.make(Fraction(1, 3), Fraction(1, 2), 4), Fraction(4, 3)),
+        (sqrt_exact(Fraction(9, 4)), Fraction(3, 2)),
+        (nth_root_rational(Fraction(-27, 8), 3), Fraction(-3, 2)),
+    ):
+        assert type(got) is Fraction and got == want
+
+
 def test_sign_and_order():
     assert scalar_sign(QuadExt(0, 1, 2)) == 1
     assert scalar_sign(QuadExt(0, -1, 2)) == -1

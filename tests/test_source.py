@@ -70,6 +70,12 @@ AFFC = {"dim": 4, "brackets": [
     {"i": 1, "j": 4, "coeffs": ["-1", "0", "0", "0"]},
     {"i": 2, "j": 4, "coeffs": ["0", "-1", "0", "0"]},
 ]}
+# [X3,X1] = X2, [X3,X2] = -X1: the rotation family G3_2_3, which reaches
+# propsim_classify_gl2's complex-pair branch
+ROT3 = {"dim": 3, "brackets": [
+    {"i": 1, "j": 3, "coeffs": ["0", "-1", "0"]},
+    {"i": 2, "j": 3, "coeffs": ["1", "0", "0"]},
+]}
 # [X4,X1] = X1, [X4,X3] = X2: a left-block structure-matrix form
 CODIM2 = {"dim": 4, "brackets": [
     {"i": 1, "j": 4, "coeffs": ["-1", "0", "0", "0"]},
@@ -91,7 +97,7 @@ def test_each_cli_command_loads_only_the_modules_it_reads(tmp_path):
     fresh checkout), so a command imports only what it reads, and no
     command but `sweep` builds dataclasses or loads the harness."""
     paths = {}
-    for name, doc in (("h3", H3), ("affc", AFFC), ("codim2", CODIM2),
+    for name, doc in (("h3", H3), ("affc", AFFC), ("rot3", ROT3), ("codim2", CODIM2),
                       ("a", [["1", "2"], ["3", "4"]]), ("b", [["2", "4"], ["6", "8"]])):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
@@ -104,7 +110,8 @@ def test_each_cli_command_loads_only_the_modules_it_reads(tmp_path):
         (["propsim", "--witness", p["a"], p["b"]], {"classify_n2", "catalog", "codim2", "liealg"}),
         (["codim2", p["codim2"]], {"classify_n2", "catalog", "propsim", "frobenius"}),
         (["codim2-iso", "--witness", p["codim2"], p["codim2"]], {"classify_n2", "catalog"}),
-        (["classify", p["affc"]], set()),
+        (["classify", p["affc"]], {"frobenius", "codim2"}),
+        (["classify", "--witness", p["rot3"]], {"frobenius", "codim2"}),
         (["table"], series_only | {"liealg"}),
     ]
     for argv, absent in cases:
