@@ -91,7 +91,7 @@ def scalar_from_json(v, splits: Optional[dict] = None) -> Scalar:
                 raise FormatError(f"bad quadratic scalar {v!r}") from exc
         s, d0 = splits[d]
         # as QuadExt.make, with the split of d looked up
-        return compact(a + b * s) if d0 == 1 else QuadExt(a, b * s, d0)
+        return compact(a + b * s) if d0 == 1 else QuadExt.from_split(a, b * s, d0)
     raise FormatError(f"bad scalar {v!r}")
 
 

@@ -7,7 +7,10 @@ construction.  Subspaces are kept as reduced-echelon row lists, so subspace
 equality is plain list equality; they are computed, and vectors reduced
 modulo them, by ``matrices.Echelon``, the one elimination routine.
 Every basis change runs through ``transform_sparse``; ``transform``
-replaces every column.
+replaces every column.  ``StructureTensor(n, brackets)`` checks outside
+data; the tensors the program builds itself (``transform_sparse``,
+``permute``) hold the invariants by construction and skip the checks.
+``validate`` visits only the basis triples that touch a nonzero bracket.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .matrices import (
     kernel_basis,
     row_space,
     solve,
-    vec_add,
     vec_is_zero,
 )
 from .records import Record
@@ -103,10 +105,12 @@ class StructureTensor:
         n = self.n
         touched = set(repl)
 
-        def reexpress(w):
+        def reexpress(w, fresh=False):
             # untouched coordinates stay and each nonzero touched one adds its
             # inverse column; a first term is stored, not added to 0, which
-            # would take Fraction's slower mixed-type path
+            # would take Fraction's slower mixed-type path.  Entries formed
+            # here, or all of w when it was just formed (`fresh`), are
+            # compacted, as the checking constructor would.
             out = None
             for j, c in inv_cols.items():
                 wj = w[j]
@@ -117,7 +121,11 @@ class StructureTensor:
                         if x:
                             o = out[r]
                             out[r] = o + wj * x if o else wj * x
-            return tuple(w) if out is None else tuple(out)
+            if out is None:
+                if not fresh:
+                    return tuple(w)
+                out = w
+            return tuple(x if type(x) is int else compact(x) for x in out)
 
         out = {}
         for (i, j), vec in self.brackets.items():
@@ -136,14 +144,14 @@ class StructureTensor:
                 w = self.bracket(vi, vj)
                 if vec_is_zero(w):
                     continue
-                w = reexpress(w)
+                w = reexpress(w, fresh=True)
                 if vec_is_zero(w):
                     continue
                 if i < j:
                     out[(i, j)] = w
                 else:
                     out[(j, i)] = tuple(-x for x in w)
-        return StructureTensor(n, out)
+        return _tensor(n, out)
 
     def permute(self, order: Sequence[int]) -> "StructureTensor":
         """Basis relabelling: new X_j is old X_{order[j]}."""
@@ -159,7 +167,7 @@ class StructureTensor:
                 out[(i, j)] = w
             else:
                 out[(j, i)] = tuple(-x for x in w)
-        return StructureTensor(n, out)
+        return _tensor(n, out)
 
     def __eq__(self, other):
         if not isinstance(other, StructureTensor):
@@ -175,6 +183,15 @@ class StructureTensor:
     def __repr__(self):
         parts = ", ".join(f"[{i + 1},{j + 1}]->{list(v)}" for (i, j), v in self.items())
         return f"StructureTensor(n={self.n}, {parts})"
+
+
+def _tensor(n: int, brackets: dict) -> StructureTensor:
+    """A tensor the program built itself: keys 0 <= i < j < n, nonzero
+    vectors of length n with compacted exact entries.  No checks."""
+    t = object.__new__(StructureTensor)
+    t.n = n
+    t.brackets = brackets
+    return t
 
 
 class ValidationReport(Record):
@@ -193,26 +210,44 @@ class ValidationReport(Record):
 
 
 def validate(t: StructureTensor) -> ValidationReport:
-    """Check the Jacobi identity on all basis triples; a violation is a
-    value (first failing triple plus residual), not an exception."""
+    """Check the Jacobi identity on the basis triples; a violation is a
+    value (first failing triple plus residual), not an exception.
+
+    A triple i < j < k none of whose pairs has a nonzero bracket has a
+    zero Jacobi sum, so only the triples that touch a nonzero bracket are
+    visited, in lexicographic order, and each term [[X_p, X_q], X_s] is
+    formed from the nonzero bracket entries alone."""
     n = t.n
-    basis = standard_basis(n)
+    # ad[a][b]: the nonzero (m, c) of [X_a, X_b] = sum c X_m, both signs
+    ad: list = [{} for _ in range(n)]
+    for (i, j), vec in t.brackets.items():
+        nz = [(m, x) for m, x in enumerate(vec) if x]
+        ad[i][j] = nz
+        ad[j][i] = [(m, -x) for m, x in nz]
+
+    def add_term(acc, p, q, s):
+        # acc += [[X_p, X_q], X_s] = sum_r c_pq^r [X_r, X_s]
+        for r, c in ad[p].get(q, ()):
+            for m, y in ad[r].get(s, ()):
+                o = acc.get(m)
+                acc[m] = c * y if o is None else o + c * y
+
     for i in range(n):
+        adi = ad[i]
         for j in range(i + 1, n):
-            bij = t.bracket_basis(i, j)
-            if vec_is_zero(bij):
-                bij = None
-            for k in range(j + 1, n):
-                r = t.zero_vec()
-                if bij is not None:
-                    r = vec_add(r, t.bracket(bij, basis[k]))
-                bki = t.bracket_basis(k, i)
-                if not vec_is_zero(bki):
-                    r = vec_add(r, t.bracket(bki, basis[j]))
-                bjk = t.bracket_basis(j, k)
-                if not vec_is_zero(bjk):
-                    r = vec_add(r, t.bracket(bjk, basis[i]))
-                if not vec_is_zero(r):
+            if j in adi:
+                ks = range(j + 1, n)
+            elif adi or ad[j]:
+                ks = sorted({k for k in adi if k > j} | {k for k in ad[j] if k > j})
+            else:
+                continue
+            for k in ks:
+                acc: dict = {}
+                add_term(acc, i, j, k)
+                add_term(acc, k, i, j)
+                add_term(acc, j, k, i)
+                if any(acc.values()):
+                    r = tuple(compact(acc.get(m, 0)) for m in range(n))
                     return ValidationReport(False, (i + 1, j + 1, k + 1), r)
     return ValidationReport(True)
 

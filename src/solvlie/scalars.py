@@ -43,9 +43,11 @@ def compact(x: Scalar) -> Scalar:
 
 
 def exdiv(x: Scalar, y: Scalar) -> Scalar:
-    """Exact division; never falls back to float like int / int would."""
+    """Exact division; never falls back to float like int / int would.
+    An integral quotient of two ints is an ``int``."""
     if isinstance(x, int) and isinstance(y, int):
-        return Fraction(x, y)
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
     return x / y
 
 
@@ -95,19 +97,23 @@ class QuadExt:
     radicands raises :class:`FieldMismatch`; one computation lives in a
     single quadratic field.
 
-    Outside input goes through ``QuadExt(a, b, d)`` or :meth:`make`, which
-    splits the square part off d.  Arithmetic results are built by
-    :func:`_quad` from ints instead: every operand already carries a
-    square-free d, and so does every sum, product and quotient of them, so
-    factoring d again (trial division up to its cube root) would find
-    nothing new.
+    Outside input goes through ``QuadExt(a, b, d)``, which rejects a d
+    that is not square-free, or :meth:`make`, which splits the square part
+    off d and hands the rest to :meth:`from_split`.  Arithmetic results
+    are built by :func:`_quad` from ints instead: every operand already
+    carries a square-free d, and so does every sum, product and quotient
+    of them, so factoring d again (trial division up to its cube root)
+    would find nothing new.
     """
 
     __slots__ = ("A", "B", "D", "d")
 
     def __init__(self, a: Rational, b: Rational, d: int):
-        if b == 0 or d <= 1:
+        if b == 0 or d <= 1 or square_free_split(d)[0] != 1:
             raise ValueError("QuadExt needs b != 0 and square-free d > 1")
+        self._fill(a, b, d)
+
+    def _fill(self, a: Rational, b: Rational, d: int):
         a, b = as_fraction(a), as_fraction(b)
         # with a and b in lowest terms, their common denominator already
         # leaves gcd(A, B, D) == 1
@@ -118,6 +124,15 @@ class QuadExt:
         self.d = d
 
     @staticmethod
+    def from_split(a: Rational, b: Rational, d: int) -> "QuadExt":
+        """a + b*sqrt(d) with b != 0 and a d > 1 that the caller has
+        already made square-free with ``square_free_split``: d is not
+        factored again."""
+        x = object.__new__(QuadExt)
+        x._fill(a, b, d)
+        return x
+
+    @staticmethod
     def make(a: Rational, b: Rational, d: int) -> Scalar:
         """Build a + b*sqrt(d), collapsing to a rational (an int when it
         is integral) when b == 0 or d is a square."""
@@ -126,7 +141,7 @@ class QuadExt:
         s, d0 = square_free_split(d)
         if d0 == 1:
             return compact(as_fraction(a) + as_fraction(b) * s)
-        return QuadExt(a, as_fraction(b) * s, d0)
+        return QuadExt.from_split(a, as_fraction(b) * s, d0)
 
     @property
     def a(self) -> Rational:

@@ -46,7 +46,21 @@ def test_validate_violation(tmp_path, capsys):
     }
     path = write(tmp_path, "bad.json", bad)
     assert run(["validate", path]) == 1
-    assert "triple (1, 2, 3)" in _capture(capsys)
+    assert _capture(capsys) == "violation at triple (1, 2, 3): residual ['0', '1', '0']"
+    # [[X1, X3], X4] + [[X4, X1], X3] + [[X3, X4], X1] = 0 + 0 - (1/2 + sqrt2) X2;
+    # the triples (1, 2, 3) and (1, 2, 4) hold
+    quad = {
+        "dim": 4,
+        "brackets": [
+            {"i": 1, "j": 3, "coeffs": ["0", {"a": "1/2", "b": "1", "d": 2}, "0", "0"]},
+            {"i": 3, "j": 4, "coeffs": ["0", "0", "1", "0"]},
+        ],
+    }
+    path = write(tmp_path, "quad.json", quad)
+    assert run(["validate", path]) == 1
+    assert _capture(capsys) == (
+        "violation at triple (1, 3, 4): residual ['0', {'a': '-1/2', 'b': '-1', 'd': 2}, '0', '0']"
+    )
 
 
 def test_malformed_input_exit_1(tmp_path, capsys):

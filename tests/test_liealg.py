@@ -482,3 +482,116 @@ def test_lie_algebra_computes_no_series_until_one_is_read(monkeypatch):
         assert alg.upper_central_dims == upper_central_dims_t(t)
         assert alg.center == center_t(t)
         assert alg.solvable == (not derived_series_t(t)[-1])
+
+
+def _dense_validate(t):
+    """The all-triples loop `validate` ran before it visited only the
+    triples that touch a nonzero bracket: (ok, triple, residual)."""
+    n = t.n
+    basis = standard_basis(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                r = (0,) * n
+                for p, q, s in ((i, j, k), (k, i, j), (j, k, i)):
+                    bpq = t.bracket_basis(p, q)
+                    if any(x != 0 for x in bpq):
+                        r = tuple(a + b for a, b in zip(r, t.bracket(bpq, basis[s])))
+                if any(x != 0 for x in r):
+                    return False, (i + 1, j + 1, k + 1), r
+    return True, None, None
+
+
+def _random_tensors(rng, count):
+    """Seeded tables with n = 2..7 over int, Fraction or Q(sqrt2) entries,
+    most of them not Lie algebras."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        kind = rng.randrange(3)
+        brackets = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    vec = []
+                    for _ in range(n):
+                        x = rng.choice((0, 0, 0, 1, -1, 2))
+                        if kind == 1:
+                            x = Fraction(x, rng.randint(1, 3))
+                        elif kind == 2 and rng.random() < 0.3:
+                            x = x * QuadExt(1, 1, 2)
+                        vec.append(x)
+                    brackets[(i, j)] = vec
+        out.append(StructureTensor(n, brackets))
+    return out
+
+
+def test_validate_matches_the_all_triples_loop():
+    from solvlie.harness import fuzz_stream
+
+    fuzz = list(fuzz_stream(random.Random(7), 300, max_dim=8))
+    tables = _random_tensors(random.Random(41), 400)
+    failing = []
+    for t in fuzz + tables:
+        rep = validate(t)
+        assert (rep.ok, rep.triple, rep.residual) == _dense_validate(t)
+        if not rep.ok:
+            failing.append(rep)
+            # compacted, as the JSON writer prints them
+            assert not any(isinstance(x, Fraction) and x.denominator == 1 for x in rep.residual)
+    assert len(failing) >= 200
+    assert any(isinstance(x, QuadExt) for rep in failing for x in rep.residual)
+    assert any(isinstance(x, Fraction) for rep in failing for x in rep.residual)
+
+
+def _check_built_tensor(t):
+    """The invariants the checking constructor enforces, held by a tensor
+    the program built without it."""
+    assert t == StructureTensor(t.n, t.brackets)
+    for (i, j), vec in t.brackets.items():
+        assert 0 <= i < j < t.n
+        assert len(vec) == t.n and any(x != 0 for x in vec)
+        assert not any(isinstance(x, Fraction) and x.denominator == 1 for x in vec)
+
+
+def test_built_tensors_hold_the_checked_invariants(monkeypatch):
+    from solvlie import catalog
+    from solvlie.classify_n2 import classify_n2
+    from solvlie.codim2 import normalize_codim2
+    from solvlie.harness import corpus_labels, fuzz_stream
+
+    built = {"transform_sparse": [], "permute": []}
+    for name, seen in built.items():
+        real = getattr(StructureTensor, name)
+
+        def recording(self, *args, real=real, seen=seen):
+            out = real(self, *args)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(StructureTensor, name, recording)
+    for t in fuzz_stream(random.Random(7), 60, max_dim=8):
+        classify_n2(t)
+    for i, lab in enumerate(corpus_labels()):
+        t, _ = catalog.scramble_tensor(catalog.build_tensor(lab), i)
+        classify_n2(t)
+    for _, a_z in catalog.codim2_az_fixtures():
+        normalize_codim2(catalog.codim2_algebra(a_z))
+    # rational and Q(sqrt2) basis changes whose products turn integral
+    rng = random.Random(3)
+    half = Fraction(1, 2)
+    for lab in corpus_labels()[:30]:
+        t = catalog.build_tensor(lab)
+        n = t.n
+        while True:
+            m = Mat([[rng.choice((0, 0, 1, 2, half, -half, QuadExt(0, half, 2)))
+                      for _ in range(n)] for _ in range(n)])
+            if det(m) != 0:
+                break
+        bc = BasisChange(m)
+        t.transform(bc.matrix, bc.inverse)
+        t.transform(bc.inverse, bc.matrix)
+    assert len(built["transform_sparse"]) > 1000 and len(built["permute"]) > 200
+    for outs in built.values():
+        for t in outs:
+            _check_built_tensor(t)

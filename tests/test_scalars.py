@@ -31,6 +31,15 @@ def test_square_free_split():
         square_free_split(0)
 
 
+def test_quadext_rejects_a_radicand_with_a_square_factor():
+    for d in (4, 8, 12, 18, 4 * 999999999989):
+        with pytest.raises(ValueError):
+            QuadExt(0, 1, d)
+    # make splits the square part off instead
+    assert QuadExt.make(0, 1, 4) == 2
+    assert QuadExt.make(Fraction(1, 2), 1, 8) == QuadExt(Fraction(1, 2), 2, 2)
+
+
 def test_sqrt_exact_rational_and_irrational():
     assert sqrt_exact(Fraction(9, 4)) == Fraction(3, 2)
     r = sqrt_exact(Fraction(8))
@@ -119,7 +128,9 @@ def test_sign_and_order():
 
 def test_exdiv_and_compact_never_float():
     assert exdiv(1, 2) == Fraction(1, 2)
-    assert isinstance(exdiv(4, 2), Fraction)
+    assert exdiv(4, 2) == 2 and type(exdiv(4, 2)) is int
+    assert exdiv(6, -3) == -2 and type(exdiv(6, -3)) is int
+    assert exdiv(-7, 2) == Fraction(-7, 2) and type(exdiv(-7, 2)) is Fraction
     assert compact(Fraction(4, 2)) == 2 and isinstance(compact(Fraction(4, 2)), int)
     assert compact(Fraction(1, 2)) == Fraction(1, 2)
 
@@ -188,10 +199,11 @@ def test_arithmetic_never_refactors_the_radicand(monkeypatch):
         calls.append(n)
         return real(n)
 
+    # QuadExt(a, b, d) checks d, so the operands are built first
+    pairs = [(QuadExt(1, 2, d), QuadExt(Fraction(-1, 3), Fraction(1, 2), d))
+                for d in (2, 3)]
     monkeypatch.setattr(scalars, "square_free_split", counting)
-    for d in (2, 3):
-        x = QuadExt(1, 2, d)
-        y = QuadExt(Fraction(-1, 3), Fraction(1, 2), d)
+    for x, y in pairs:
         for other in (y, 3, Fraction(-2, 5)):
             for r in (x + other, other + x, x - other, other - x, x * other,
                       other * x, x / other, other / x):
