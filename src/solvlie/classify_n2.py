@@ -12,7 +12,6 @@ the commuting-pair pipeline.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from . import catalog, labels
@@ -29,6 +28,7 @@ from .liealg import (
 from .matrices import (
     Echelon,
     Mat,
+    _mat,
     common_eigendirections_2x2,
     cyclic_conjugator_2x2,
     det,
@@ -99,7 +99,7 @@ def classify_n2(a) -> Classification:
     adjoints = [pipe.adjoint(i) for i in range(2, n)]
     flat = [tuple(m[r, c] for r in range(2) for c in range(2)) for m in adjoints]
     nonzero = [f for f in flat if not vec_is_zero(f)]
-    dim_a = rank(Mat(nonzero)) if nonzero else 0
+    dim_a = rank(_mat(nonzero)) if nonzero else 0
     if dim_a > 2:
         raise ImpossibleBranch("adjoint span exceeds the commutative bound")
 
@@ -182,10 +182,10 @@ def _invertible_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
     pipe.step_cols(gl2)
     d = n - 3
     if cls.family == "diag":
-        return ClassLabel(labels.G3_2_1, abelian_ext=d, lam=cls.lam, j=Fraction(cls.j))
+        return ClassLabel(labels.G3_2_1, abelian_ext=d, lam=cls.lam, j=cls.j)
     if cls.family == "jordan":
         return ClassLabel(labels.G3_2_2, abelian_ext=d)
-    return ClassLabel(labels.G3_2_3, abelian_ext=d, j=Fraction(cls.j), cos_sign=cls.cos_sign)
+    return ClassLabel(labels.G3_2_3, abelian_ext=d, j=cls.j, cos_sign=cls.cos_sign)
 
 
 def _singular_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
@@ -582,7 +582,7 @@ def _plane_split_case(pipe: Frame, dirs) -> ClassLabel:
     for m in (a3, a4):
         if m[0, 1] != 0 or m[1, 0] != 0:
             raise ImpossibleBranch("simultaneous diagonalization failed")
-    mix = Mat([[a3[0, 0], a3[1, 1]], [a4[0, 0], a4[1, 1]]])
+    mix = _mat([[a3[0, 0], a3[1, 1]], [a4[0, 0], a4[1, 1]]])
     inv = inverse(mix)
     v3 = [0] * n
     v3[2], v3[3] = inv[0, 0], inv[0, 1]
@@ -634,7 +634,7 @@ def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
     x, y = idc
     mu3 = exdiv(a3.trace(), 2)
     mu4 = exdiv(a4.trace(), 2)
-    combo = Mat([[mu4, x], [-mu3, y]])
+    combo = _mat([[mu4, x], [-mu3, y]])
     if det(combo) == 0:
         raise ImpossibleBranch("nilpotent/identity combination is singular")
     v3 = [0] * n
@@ -654,4 +654,4 @@ def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
     if pipe.adjoint(2) != Mat([[0, 1], [0, 0]]) or pipe.adjoint(3) != Mat.identity(2):
         raise ImpossibleBranch("jordan-frame normalization failed")
     _residual_cleanup_a4_identity(pipe)
-    return ClassLabel(labels.G4_2_3, abelian_ext=n - 4, lam=Fraction(0))
+    return ClassLabel(labels.G4_2_3, abelian_ext=n - 4, lam=0)

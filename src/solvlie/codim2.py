@@ -26,7 +26,7 @@ from .liealg import (
     validate,
     vec_is_zero,
 )
-from .matrices import Echelon, Mat, det, inverse, kernel_basis, rank, row_space, solve
+from .matrices import Echelon, Mat, _mat, det, inverse, kernel_basis, rank, row_space, solve
 from .records import Record
 from .scalars import exdiv
 
@@ -101,7 +101,7 @@ def normalize_codim2(a) -> Codim2Form:
     a_z = fr.adjoint(n - 1)
     flat = [tuple(m[r, c] for r in range(k) for c in range(k)) for m in (a_y, a_z)]
     nonzero = [f for f in flat if not vec_is_zero(f)]
-    dim_a = rank(Mat(nonzero)) if nonzero else 0
+    dim_a = rank(_mat(nonzero)) if nonzero else 0
     if dim_a == 0:
         raise ImpossibleBranch("adjoint line cannot vanish when the derived ideal is large")
     if dim_a == 2:
@@ -206,12 +206,12 @@ def normalize_codim2(a) -> Codim2Form:
         ok_shape = all(a_bar[i, k - 1] == 0 for i in range(k)) and all(
             a_bar[k - 1, j] == 0 for j in range(k)
         )
-        a_in = Mat([[a_bar[i, j] for j in range(k - 1)] for i in range(k - 1)])
+        a_in = _mat([[a_bar[i, j] for j in range(k - 1)] for i in range(k - 1)])
     else:
         ok_shape = all(a_bar[i, 0] == 0 for i in range(k)) and all(
             a_bar[k - 1, j] == 0 for j in range(k)
         )
-        a_in = Mat([[a_bar[i, j + 1] for j in range(k - 1)] for i in range(k - 1)])
+        a_in = _mat([[a_bar[i, j + 1] for j in range(k - 1)] for i in range(k - 1)])
     if not ok_shape or det(a_in) == 0:
         raise ImpossibleBranch(f"structure matrix is not in {shape} block shape")
     return Codim2Form(
@@ -279,7 +279,7 @@ def _build_m_f(a_bar: Mat, b_bar: Mat, c, cmat: Mat) -> Mat:
         rows.append([cmat[i, j] for j in range(k)] + [u[i], 0])
     rows.append([0] * k + [c, 0])
     rows.append([0] * k + [0, exdiv(1, c)])
-    m_f = Mat(rows)
+    m_f = _mat(rows)
     # exact bracket transport: the target tensor in the m_f basis is the source
     if codim2_tensor(b_bar).transform(m_f, inverse(m_f)) != codim2_tensor(a_bar):
         raise ImpossibleBranch("isomorphism matrix failed bracket transport")

@@ -1,8 +1,10 @@
 """JSON wire formats.
 
 Rationals are strings "p/q" in lowest terms (plain "p" for integers);
-quadratic-extension scalars are objects {"a": "p/q", "b": "p/q", "d": n}
-with 1 < n <= MAX_RADICAND.
+a reader takes any "[+-]p[/q]" or plain decimal "[+-]p.q" and no other
+form (no exponent, no underscore).  Quadratic-extension scalars are
+objects {"a": "p/q", "b": "p/q", "d": n} with 1 < n <= MAX_RADICAND, whose
+parts a and b are read as a bare scalar is.
 Matrices are arrays of arrays; algebras are
 {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": [...]}, ...]} with
 1-based i < j in ascending order and coefficient vectors of length n.
@@ -15,12 +17,12 @@ Writers emit a fixed key order so equal values give byte-equal output.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import re
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import Unsupported
 from .matrices import Mat
-from .scalars import QuadExt, Scalar, compact, format_rational, square_free_split
+from .scalars import QuadExt, Rational, Scalar, _rational, format_rational, square_free_split
 
 # the algebra readers and writers import liealg when called, so that the
 # matrix commands (`solvlie propsim`) do not compile it
@@ -57,32 +59,55 @@ def _json_int(v, what: str) -> int:
     raise FormatError(f"{what} must be an integer, got {v!r}")
 
 
-def parse_rational(v: str) -> Fraction:
-    """A rational from its "p/q" (or decimal) text; FormatError otherwise."""
+# "[+-]p", "[+-]p/q" or a plain decimal with digits on one side of the
+# point at least; surrounding whitespace is stripped first
+_RATIONAL = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?|([0-9]*)\.([0-9]*))")
+
+
+def parse_rational(v: str) -> Rational:
+    """A rational from its "p/q" or plain decimal text, as an int when it
+    is integral; FormatError for any other text (an exponent form too)."""
+    m = _RATIONAL.fullmatch(v.strip())
+    if m is None or m[4] == m[5] == "":
+        raise FormatError(f"bad rational {v!r}")
+    sign, num, den, whole, frac = m.groups()
     try:
-        return Fraction(v.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        if num is None:
+            n, d = int(whole + frac), 10 ** len(frac)
+        else:
+            n, d = int(num), int(den or 1)
+    except ValueError as exc:  # beyond int's digit limit
         raise FormatError(f"bad rational {v!r}") from exc
+    if d == 0:
+        raise FormatError(f"bad rational {v!r}")
+    return _rational(-n if sign == "-" else n, d)
+
+
+def _rational_from_json(v, what: str) -> Rational:
+    """A rational scalar: a string parse_rational reads, or a JSON integer."""
+    if isinstance(v, str):
+        return parse_rational(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise FormatError(f"bad {what} {v!r}")
 
 
 def scalar_from_json(v, splits: Optional[dict] = None) -> Scalar:
     """A scalar from its JSON form; ``splits`` maps radicands already read
     to their ``square_free_split``, so that a reader of many entries
     factors each distinct radicand once."""
-    if isinstance(v, str):
-        return compact(parse_rational(v))
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
     if isinstance(v, dict):
         try:
-            a, b, d = Fraction(str(v["a"])), Fraction(str(v["b"])), v["d"]
-        except (KeyError, ValueError, TypeError) as exc:
+            a = _rational_from_json(v["a"], "part")
+            b = _rational_from_json(v["b"], "part")
+            d = v["d"]
+        except (KeyError, FormatError) as exc:
             raise FormatError(f"bad quadratic scalar {v!r}") from exc
         d = _json_int(d, "radicand 'd'")
         if d > MAX_RADICAND:
             raise Unsupported(f"radicand {d} above {MAX_RADICAND}")
         if b == 0:
-            return QuadExt.make(a, b, d)
+            return a
         splits = {} if splits is None else splits
         if d not in splits:
             try:
@@ -91,8 +116,8 @@ def scalar_from_json(v, splits: Optional[dict] = None) -> Scalar:
                 raise FormatError(f"bad quadratic scalar {v!r}") from exc
         s, d0 = splits[d]
         # as QuadExt.make, with the split of d looked up
-        return compact(a + b * s) if d0 == 1 else QuadExt.from_split(a, b * s, d0)
-    raise FormatError(f"bad scalar {v!r}")
+        return a + b * s if d0 == 1 else QuadExt.from_split(a, b * s, d0)
+    return _rational_from_json(v, "scalar")
 
 
 def matrix_to_json(m: Mat) -> list:

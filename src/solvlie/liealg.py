@@ -29,6 +29,7 @@ from .matrices import (
     Echelon,
     Mat,
     Vec,
+    _mat,
     inverse,
     kernel_basis,
     row_space,
@@ -105,12 +106,9 @@ class StructureTensor:
         n = self.n
         touched = set(repl)
 
-        def reexpress(w, fresh=False):
+        def reexpress(w):
             # untouched coordinates stay and each nonzero touched one adds its
-            # inverse column; a first term is stored, not added to 0, which
-            # would take Fraction's slower mixed-type path.  Entries formed
-            # here, or all of w when it was just formed (`fresh`), are
-            # compacted, as the checking constructor would.
+            # inverse column; a first term is stored, not added to 0
             out = None
             for j, c in inv_cols.items():
                 wj = w[j]
@@ -121,11 +119,7 @@ class StructureTensor:
                         if x:
                             o = out[r]
                             out[r] = o + wj * x if o else wj * x
-            if out is None:
-                if not fresh:
-                    return tuple(w)
-                out = w
-            return tuple(x if type(x) is int else compact(x) for x in out)
+            return tuple(w if out is None else out)
 
         out = {}
         for (i, j), vec in self.brackets.items():
@@ -144,7 +138,7 @@ class StructureTensor:
                 w = self.bracket(vi, vj)
                 if vec_is_zero(w):
                     continue
-                w = reexpress(w, fresh=True)
+                w = reexpress(w)
                 if vec_is_zero(w):
                     continue
                 if i < j:
@@ -187,7 +181,7 @@ class StructureTensor:
 
 def _tensor(n: int, brackets: dict) -> StructureTensor:
     """A tensor the program built itself: keys 0 <= i < j < n, nonzero
-    vectors of length n with compacted exact entries.  No checks."""
+    vectors of length n with canonical exact entries.  No checks."""
     t = object.__new__(StructureTensor)
     t.n = n
     t.brackets = brackets
@@ -247,7 +241,7 @@ def validate(t: StructureTensor) -> ValidationReport:
                 add_term(acc, k, i, j)
                 add_term(acc, j, k, i)
                 if any(acc.values()):
-                    r = tuple(compact(acc.get(m, 0)) for m in range(n))
+                    r = tuple(acc.get(m, 0) for m in range(n))
                     return ValidationReport(False, (i + 1, j + 1, k + 1), r)
     return ValidationReport(True)
 
@@ -325,11 +319,11 @@ class Frame:
             if any(row[p] == 0 for p, row in enumerate(block)):
                 raise SingularInput("matrix is not invertible")
             a_inv = [
-                [compact(exdiv(1, x)) if p == q else 0 for q, x in enumerate(row)]
+                [exdiv(1, x) if p == q else 0 for q, x in enumerate(row)]
                 for p, row in enumerate(block)
             ]
         else:
-            a_inv = inverse(Mat(block)).data
+            a_inv = inverse(_mat(block)).data
         inv_cols = {}
         for q, j in enumerate(cols):
             col: list = [0] * n
@@ -399,7 +393,7 @@ class Frame:
 def span_rows(vectors: Sequence[Vec], n: int) -> list[Vec]:
     if not vectors:
         return []
-    return row_space(Mat(list(vectors))) if any(not vec_is_zero(v) for v in vectors) else []
+    return row_space(_mat(vectors)) if any(not vec_is_zero(v) for v in vectors) else []
 
 
 def bracket_span(t: StructureTensor, basis_a: Sequence[Vec], basis_b: Sequence[Vec]) -> list[Vec]:
@@ -466,7 +460,7 @@ def center_t(t: StructureTensor) -> list[Vec]:
     stacked = []
     for m in _ad_columns(t):
         stacked.extend(m.data)
-    kern = kernel_basis(Mat(stacked))
+    kern = kernel_basis(_mat(stacked))
     return span_rows(kern, n)
 
 
@@ -487,7 +481,7 @@ def upper_central_dims_t(t: StructureTensor) -> list[int]:
         proj_rows = []
         for m in ads:
             proj_rows.extend(Mat.from_columns([span.reduce(m.col(i)) for i in range(n)]).data)
-        kern = kernel_basis(Mat(proj_rows))
+        kern = kernel_basis(_mat(proj_rows))
         if len(kern) == span.dim:
             break
         for v in kern:
@@ -507,7 +501,7 @@ def adjoint_restriction(t: StructureTensor, x: Sequence[Scalar], sub_basis: Sequ
         if coords is None:
             raise DimensionError("subspace is not invariant under ad_x")
         cols.append(coords)
-    return Mat.from_columns(cols) if k else Mat([[0]])
+    return Mat.from_columns(cols) if k else _mat([[0]])
 
 
 def adjoint_algebra_t(t: StructureTensor, derived_basis: Optional[list[Vec]] = None):
@@ -531,7 +525,7 @@ def adjoint_algebra_t(t: StructureTensor, derived_basis: Optional[list[Vec]] = N
         return [], 0, gens
     flat = [[m[r, c] for r in range(k) for c in range(k)] for m in gens]
     rows = span_rows([tuple(f) for f in flat], k * k)
-    mats = [Mat([row[r * k : (r + 1) * k] for r in range(k)]) for row in rows]
+    mats = [_mat([row[r * k : (r + 1) * k] for r in range(k)]) for row in rows]
     return mats, len(mats), gens
 
 

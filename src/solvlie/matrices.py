@@ -26,31 +26,35 @@ Vec = tuple
 
 
 class Mat:
-    """Immutable row-major matrix of exact scalars."""
+    """Immutable row-major matrix of exact scalars.
+
+    ``Mat(data)`` checks data from outside: it must be non-empty and
+    rectangular, a float entry raises TypeError, and a plain ``Fraction``
+    entry is converted to its canonical ``int`` or ``Rat``.  The matrices
+    the program builds from canonical entries (``@``, ``+``, ``-``,
+    ``scale``, ``transpose``, ``from_columns``, ``identity``, ``rref``,
+    ``inverse``) come from :func:`_mat`, which checks nothing.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[Scalar]]):
-        self.data = tuple(tuple(row) for row in data)
+        self.data = tuple(tuple(map(_exact_entry, row)) for row in data)
         self.rows = len(self.data)
         if self.rows == 0:
             raise DimensionError("empty matrix")
         self.cols = len(self.data[0])
         if any(len(r) != self.cols for r in self.data):
             raise DimensionError("ragged rows")
-        for row in self.data:
-            for x in row:
-                if isinstance(x, float):
-                    raise TypeError("float entry leaked into an exact matrix")
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[Scalar]]) -> "Mat":
-        n = len(cols[0])
-        return Mat([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        """The matrix with the given columns, of canonical scalars."""
+        return _mat(zip(*cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -85,27 +89,18 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return _mat([[x + y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return _mat([[x - y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
 
     def scale(self, c: Scalar) -> "Mat":
-        return Mat([[c * x for x in row] for row in self.data])
+        c = _exact_entry(c)
+        return _mat([[c * x for x in row] for row in self.data])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -120,7 +115,7 @@ class Mat:
                     for j, b in orows[k]:
                         acc[j] = acc[j] + a * b
             out.append(acc)
-        return Mat(out)
+        return _mat(out)
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         if len(v) != self.cols:
@@ -129,7 +124,7 @@ class Mat:
         return tuple(sum(row[j] * x for j, x in nz if row[j]) for row in self.data)
 
     def transpose(self) -> "Mat":
-        return Mat([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return _mat(zip(*self.data))
 
     @property
     def shape(self):
@@ -152,6 +147,22 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({[list(r) for r in self.data]})"
+
+
+def _exact_entry(x):
+    if isinstance(x, float):
+        raise TypeError("float entry leaked into an exact matrix")
+    return compact(x)
+
+
+def _mat(data: Iterable[Iterable[Scalar]]) -> Mat:
+    """A matrix the program built: non-empty rectangular rows of canonical
+    exact scalars.  No checks."""
+    m = object.__new__(Mat)
+    m.data = rows = tuple(map(tuple, data))
+    m.rows = len(rows)
+    m.cols = len(rows[0])
+    return m
 
 
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
@@ -257,7 +268,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     order = sorted(range(e.dim), key=e.pivots.__getitem__)
     zero = [0] * m.cols
     rows = [e.rows[i] for i in order] + [zero] * (m.rows - e.dim)
-    return Mat(rows), tuple(e.pivots[i] for i in order)
+    return _mat(rows), tuple(e.pivots[i] for i in order)
 
 
 def rank(m: Mat) -> int:
@@ -284,10 +295,10 @@ def inverse(m: Mat) -> Mat:
     m._require_square()
     n = m.rows
     a = [list(m.data[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red, pivots = rref(Mat(a))
+    red, pivots = rref(_mat(a))
     if len(pivots) < n or pivots[n - 1] >= n:
         raise SingularInput("matrix is not invertible")
-    return Mat([[compact(x) for x in red.data[i][n:]] for i in range(n)])
+    return _mat(row[n:] for row in red.data)
 
 
 def kernel_basis(m: Mat) -> list[Vec]:
@@ -304,7 +315,7 @@ def kernel_basis(m: Mat) -> list[Vec]:
         v: list = [0] * m.cols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = compact(-red.data[r][fc])
+            v[pc] = -red.data[r][fc]
         basis.append(tuple(v))
     return basis
 
@@ -313,7 +324,7 @@ def row_space(m: Mat) -> list[Vec]:
     """Canonical (reduced echelon) basis of the row space; subspace equality
     is plain equality of these row lists."""
     red, pivots = rref(m)
-    return [tuple(compact(x) for x in red.data[i]) for i in range(len(pivots))]
+    return [red.data[i] for i in range(len(pivots))]
 
 
 def solve(m: Mat, b: Sequence[Scalar]) -> Optional[Vec]:
@@ -323,13 +334,13 @@ def solve(m: Mat, b: Sequence[Scalar]) -> Optional[Vec]:
     """
     if len(b) != m.rows:
         raise DimensionError("rhs length mismatch")
-    aug = Mat([list(m.data[i]) + [b[i]] for i in range(m.rows)])
+    aug = _mat([list(m.data[i]) + [compact(b[i])] for i in range(m.rows)])
     red, pivots = rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
     x: list = [0] * m.cols
     for r, pc in enumerate(pivots):
-        x[pc] = compact(red.data[r][m.cols])
+        x[pc] = red.data[r][m.cols]
     return tuple(x)
 
 
@@ -352,7 +363,7 @@ def char_poly(m: Mat) -> list:
     for row in m.data:
         for x in row:
             den = lcm(den, x.D if isinstance(x, QuadExt) else x.denominator)
-    a = [[compact(x * den) for x in row] for row in m.data]
+    a = [[x * den for x in row] for row in m.data]
     # A's nonzero entries by row: no product with a zero factor is formed
     nz = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     mk = a
@@ -377,15 +388,15 @@ def char_poly(m: Mat) -> list:
         ck = _exact_quotient(-tr, k)
         coeffs_high.append(ck)
     if den != 1:
-        coeffs_high = [compact(exdiv(c, den**k)) for k, c in enumerate(coeffs_high)]
+        coeffs_high = [exdiv(c, den**k) for k, c in enumerate(coeffs_high)]
     return coeffs_high[::-1]
 
 
 def _exact_quotient(x: Scalar, k: int) -> Scalar:
     """x / k for an integer, or a Q(sqrt(d)) value with integer parts,
     that k divides."""
-    q = compact(exdiv(x, k))
-    integral = q.D == 1 if isinstance(q, QuadExt) else isinstance(q, int)
+    q = exdiv(x, k)
+    integral = (q.D if isinstance(q, QuadExt) else q.denominator) == 1
     if not integral:
         raise ImpossibleBranch(f"trace recursion: {k} does not divide {x}")
     return q

@@ -28,12 +28,12 @@ when it runs, so ``classify`` does not load it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionMismatch, ImpossibleBranch, SingularInput
 from .matrices import (
     Mat,
+    _mat,
     char_poly,
     cyclic_conjugator_2x2,
     det,
@@ -89,7 +89,7 @@ def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
     n = a.rows
     if a.is_zero() or b.is_zero():
         if a.is_zero() and b.is_zero():
-            return PropSimVerdict(True, Fraction(1), Mat.identity(n) if want_witness else None)
+            return PropSimVerdict(True, 1, Mat.identity(n) if want_witness else None)
         return PropSimVerdict(False)
     pa, pb = char_poly(a), char_poly(b)
     if _is_nilpotent_char(pa) or _is_nilpotent_char(pb):
@@ -97,9 +97,9 @@ def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
         if _is_nilpotent_char(pa) != _is_nilpotent_char(pb):
             return PropSimVerdict(False)
         if not want_witness:
-            return PropSimVerdict(True, Fraction(1)) if similar(a, b) else PropSimVerdict(False)
+            return PropSimVerdict(True, 1) if similar(a, b) else PropSimVerdict(False)
         cmat = similarity_witness(b, a)
-        return PropSimVerdict(False) if cmat is None else PropSimVerdict(True, Fraction(1), cmat)
+        return PropSimVerdict(False) if cmat is None else PropSimVerdict(True, 1, cmat)
     k = next(k for k in range(1, n + 1) if pa[n - k] != 0)
     bk = pb[n - k]
     if bk == 0:
@@ -221,7 +221,7 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
             if scalar_sign(c) < 0:
                 c = -c
         else:
-            rep = Mat([[0, -j], [1, j]])
+            rep = _mat([[0, -j], [1, j]])
             c = exdiv(j, t)
         # rep is the companion matrix of cA's characteristic polynomial
         cmat = cyclic_conjugator_2x2(a.scale(c), rep)
@@ -234,7 +234,7 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
         cls = GL2Class("jordan", j, Mat([[1, 1], [0, 1]]), exdiv(1, mu), cmat)
     elif sc.kind == "repeated_diagonalizable":
         mu = sc.mu1
-        cls = GL2Class("diag", j, Mat.identity(2), exdiv(1, mu), Mat.identity(2), lam=Fraction(1))
+        cls = GL2Class("diag", j, Mat.identity(2), exdiv(1, mu), Mat.identity(2), lam=1)
     else:
         mu1, mu2 = sc.mu1, sc.mu2
         if scalar_sign(scalar_abs(mu2) - scalar_abs(mu1)) >= 0:
@@ -245,7 +245,7 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
         v_base = _eigvec(a, base)
         v_other = _eigvec(a, other)
         cmat = Mat.from_columns([v_base, v_other])
-        rep = Mat([[1, 0], [0, lam]])
+        rep = _mat([[1, 0], [0, lam]])
         cls = GL2Class("diag", j, rep, exdiv(1, base), cmat, lam=lam)
     if (inverse(cls.cmat) @ a @ cls.cmat).scale(cls.c) != cls.rep:
         raise ImpossibleBranch(f"GL2 normalization of {a!r} missed {cls.rep!r}")

@@ -1,14 +1,16 @@
 """Exact scalars: rationals and real quadratic extensions Q(sqrt(d)).
 
-A scalar is an ``int``, a ``fractions.Fraction``, or a :class:`QuadExt`.
-Rational values always stay in the first two representations (``QuadExt``
-results with a vanishing irrational part collapse back to a rational), so a
-value is irrational exactly when it is a ``QuadExt``.  An integral value
-from ``QuadExt`` arithmetic, ``make``, ``sqrt_exact`` or
-``nth_root_rational`` is an ``int``.  A ``QuadExt`` is stored as
-(A + B*sqrt(d)) / D over ints with one common denominator, so its
-arithmetic runs on ints and takes at most one gcd per result.  All
-arithmetic is exact; there is no floating point anywhere in this module.
+A scalar is an ``int``, a :class:`Rat` or a :class:`QuadExt`, and each
+value has one representation: an integral value is an ``int``, any other
+rational a ``Rat`` (a ``fractions.Fraction`` subclass, n/d in lowest terms
+with d >= 2), and an irrational one a ``QuadExt``, stored as
+(A + B*sqrt(d)) / D over ints with one common denominator.  Arithmetic on
+them runs on ints, takes one gcd per result (two for a rational product or
+quotient) and returns the canonical value again, so only values from
+outside need converting: :func:`compact` turns a plain ``Fraction`` into
+an ``int`` or a ``Rat``.  Results are built by the trusted constructors
+:func:`_rat` and :func:`_quad`.  All arithmetic is exact; there is no
+floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -19,26 +21,199 @@ from typing import Union
 
 from .errors import FieldMismatch, Unsupported
 
-Rational = Union[int, Fraction]
-Scalar = Union[int, Fraction, "QuadExt"]
+Rational = Union[int, "Rat"]
+Scalar = Union[int, "Rat", "QuadExt"]
+
+
+class Rat(Fraction):
+    """A rational that is not an integer: n/d in lowest terms with d >= 2.
+
+    A ``Fraction`` subclass, so it compares and hashes as the equal
+    ``Fraction`` and reads as one wherever a ``Fraction`` is expected; its
+    ``repr`` is a ``Fraction``'s too.  Its operators run on the int pairs
+    (n, d) of an ``int``, a ``Rat`` or a plain ``Fraction`` operand, take
+    one gcd per result (two for ``*`` and ``/``) and return the canonical
+    value: an ``int`` when it is integral, else a ``Rat``.  Any other
+    operand gets ``NotImplemented``, so a ``QuadExt`` runs its own mixed
+    arithmetic and a float raises ``TypeError``.
+
+    Results are built by :func:`_rat`, which trusts its ints;
+    ``Rat(...)`` takes ``Fraction``'s arguments and returns the canonical
+    value, so it is an ``int`` when that value is integral.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numerator=0, denominator=None):
+        return _canonical(Fraction(numerator, denominator))
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __add__(a, b):
+        t = type(b)
+        if t is Rat:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if t is int:
+            d = a._denominator
+            return _rat(a._numerator + b * d, d)  # coprime to d, d >= 2
+        o = _num_den(b)
+        return NotImplemented if o is None else _sum(a._numerator, a._denominator, *o)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        t = type(b)
+        if t is Rat:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if t is int:
+            d = a._denominator
+            return _rat(a._numerator - b * d, d)
+        o = _num_den(b)
+        return NotImplemented if o is None else _sum(a._numerator, a._denominator, -o[0], o[1])
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            d = a._denominator
+            return _rat(b * d - a._numerator, d)
+        o = _num_den(b)
+        return NotImplemented if o is None else _sum(o[0], o[1], -a._numerator, a._denominator)
+
+    def __mul__(a, b):
+        t = type(b)
+        if t is Rat:
+            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
+        if t is int:
+            d = a._denominator
+            g = gcd(b, d)
+            if g == 1:
+                return _rat(a._numerator * b, d)  # coprime to d, d >= 2
+            d //= g
+            n = a._numerator * (b // g)
+            return n if d == 1 else _rat(n, d)
+        o = _num_den(b)
+        return NotImplemented if o is None else _product(a._numerator, a._denominator, *o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        t = type(b)
+        if t is Rat:
+            return _product(a._numerator, a._denominator, b._denominator, b._numerator)
+        o = (b, 1) if t is int else _num_den(b)
+        if o is None:
+            return NotImplemented
+        if not o[0]:
+            raise ZeroDivisionError(f"Fraction({a._numerator}, 0)")
+        return _product(a._numerator, a._denominator, o[1], o[0])
+
+    def __rtruediv__(a, b):
+        o = (b, 1) if type(b) is int else _num_den(b)
+        if o is None:
+            return NotImplemented
+        return _product(o[0], o[1], a._denominator, a._numerator)
+
+    def __eq__(a, b):
+        t = type(b)
+        if t is int:
+            return False  # a Rat is never integral
+        if t is Rat:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__
+
+    def __bool__(a):
+        return True  # zero is the int 0
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __pos__(a):
+        return a
+
+    def __abs__(a):
+        return a if a._numerator > 0 else _rat(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if not isinstance(b, int):
+            return NotImplemented
+        n, d = a._numerator, a._denominator
+        if b > 0:
+            return _rat(n**b, d**b)
+        if b == 0:
+            return 1
+        n, d = d ** -b, n ** -b
+        if d < 0:
+            n, d = -n, -d
+        return n if d == 1 else _rat(n, d)
+
+
+_new = object.__new__
+
+
+def _rat(n: int, d: int) -> Rat:
+    """n / d for coprime ints with d >= 2: no gcd, no checks."""
+    x = _new(Rat)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _sum(n1: int, d1: int, n2: int, d2: int) -> Rational:
+    """n1/d1 + n2/d2 for lowest-terms pairs with d1, d2 >= 1."""
+    n, d = n1 * d2 + n2 * d1, d1 * d2
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return n if d == 1 else _rat(n, d)
+
+
+def _product(n1: int, d1: int, n2: int, d2: int) -> Rational:
+    """(n1/d1) * (n2/d2) for lowest-terms pairs with d1 >= 1 and d2 != 0:
+    the cross gcds leave the product in lowest terms."""
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    n = (n1 // g1) * (n2 // g2)
+    d = (d1 // g2) * (d2 // g1)
+    if d < 0:
+        n, d = -n, -d
+    return n if d == 1 else _rat(n, d)
+
+
+def _num_den(x):
+    """(numerator, denominator) of an int or a Fraction, else None.  A
+    QuadExt is turned away first: an ABC isinstance check is slow."""
+    if type(x) is QuadExt:
+        return None
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    return None
+
+
+def _canonical(x: Fraction) -> Rational:
+    return x._numerator if x._denominator == 1 else _rat(x._numerator, x._denominator)
+
 
 def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def as_fraction(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def as_rational(x) -> Rational:
+    """An int or a Fraction in canonical form; TypeError otherwise."""
+    if isinstance(x, (int, Fraction)):
+        return compact(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 def compact(x: Scalar) -> Scalar:
-    """Collapse integral fractions to int; keeps arithmetic on the int
-    fast path wherever values stay integral."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
+    """The canonical form of an exact scalar, for values from outside: a
+    ``Fraction`` that is not a ``Rat`` becomes an ``int`` when it is
+    integral and a ``Rat`` otherwise.  Every other value, and so every
+    arithmetic result, is returned as it is."""
+    t = type(x)
+    if t is not int and t is not Rat and t is not QuadExt and isinstance(x, Fraction):
+        return _canonical(x)
     return x
 
 
@@ -46,8 +221,7 @@ def exdiv(x: Scalar, y: Scalar) -> Scalar:
     """Exact division; never falls back to float like int / int would.
     An integral quotient of two ints is an ``int``."""
     if isinstance(x, int) and isinstance(y, int):
-        q, r = divmod(x, y)
-        return Fraction(x, y) if r else q
+        return _rational(x, y)
     return x / y
 
 
@@ -114,7 +288,7 @@ class QuadExt:
         self._fill(a, b, d)
 
     def _fill(self, a: Rational, b: Rational, d: int):
-        a, b = as_fraction(a), as_fraction(b)
+        a, b = as_rational(a), as_rational(b)
         # with a and b in lowest terms, their common denominator already
         # leaves gcd(A, B, D) == 1
         den = lcm(a.denominator, b.denominator)
@@ -136,12 +310,13 @@ class QuadExt:
     def make(a: Rational, b: Rational, d: int) -> Scalar:
         """Build a + b*sqrt(d), collapsing to a rational (an int when it
         is integral) when b == 0 or d is a square."""
+        a, b = as_rational(a), as_rational(b)
         if b == 0:
-            return compact(as_fraction(a))
+            return a
         s, d0 = square_free_split(d)
         if d0 == 1:
-            return compact(as_fraction(a) + as_fraction(b) * s)
-        return QuadExt.from_split(a, as_fraction(b) * s, d0)
+            return a + b * s
+        return QuadExt.from_split(a, b * s, d0)
 
     @property
     def a(self) -> Rational:
@@ -161,15 +336,18 @@ class QuadExt:
     def _ints(self, other):
         """other as ints (p, q, r), other = (p + q sqrt(d)) / r with r >= 1,
         or None for a type that does not mix with QuadExt."""
-        if isinstance(other, int):
+        t = type(other)
+        if t is int:
             return other, 0, 1
-        if isinstance(other, QuadExt):
+        if t is Rat:
+            return other._numerator, 0, other._denominator
+        if t is QuadExt:
             if other.d != self.d:
                 lo, hi = sorted((self.d, other.d))
                 raise FieldMismatch(f"the input mixes the radicands {lo} and {hi}; "
                                     "one Q(sqrt(d)) per input is supported")
             return other.A, other.B, other.D
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return other.numerator, 0, other.denominator
         return None
 
@@ -303,17 +481,24 @@ class QuadExt:
 
 
 def _rational(n: int, den: int) -> Rational:
-    """n / den as an int when integral, else a Fraction."""
+    """n / den for ints: an int when integral, else a Rat; one gcd."""
     if den == 1:
         return n
-    q, r = divmod(n, den)
-    return Fraction(n, den) if r else q
+    if not den:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = gcd(n, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        den //= g
+    return n if den == 1 else _rat(n, den)
 
 
 def _quad(A: int, B: int, D: int, d: int) -> Scalar:
     """(A + B sqrt d) / D for any ints with D != 0 and a d already known
     square-free (an arithmetic result): no re-factoring, no re-validation,
-    one gcd.  Collapses to an int or a Fraction when B == 0."""
+    one gcd.  Collapses to an int or a Rat when B == 0."""
     if not B:
         return _rational(A, D)
     if D != 1:
@@ -344,19 +529,19 @@ def sqrt_exact(r: Rational):
     they raise :class:`Unsupported`, which the CLI reports as out of regime."""
     if isinstance(r, QuadExt):
         raise Unsupported(f"square root of the quadratic irrational {format_scalar(r)}")
-    r = as_fraction(r)
+    r = as_rational(r)
     if r < 0:
         raise ValueError("sqrt_exact needs a nonnegative rational")
     if r == 0:
         return 0
     s, d = square_free_split(r.numerator * r.denominator)
     coeff = _rational(s, r.denominator)
-    return coeff if d == 1 else QuadExt(0, coeff, d)
+    return coeff if d == 1 else QuadExt.from_split(0, coeff, d)
 
 
 def nth_root_rational(r: Rational, m: int):
     """Exact real m-th root of r when it is rational, else None."""
-    r = as_fraction(r)
+    r = as_rational(r)
     if m <= 0:
         raise ValueError("m must be positive")
     if r == 0:
@@ -389,7 +574,7 @@ def _int_nth_root(n: int, m: int):
 
 
 def format_rational(x: Rational) -> str:
-    f = as_fraction(x)
+    f = as_rational(x)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

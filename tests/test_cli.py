@@ -385,6 +385,35 @@ def test_non_integral_or_boolean_json_integers_exit_1(tmp_path, capsys):
     assert _capture(capsys).splitlines()[:2] == ["dim: 3", "derived_series_dims: [3, 1, 0]"]
 
 
+def test_one_rational_grammar_and_strict_quadratic_parts(tmp_path, capsys):
+    from fractions import Fraction
+
+    from solvlie.jsonio import parse_rational
+    from solvlie.scalars import Rat
+
+    def algebra(coeff):
+        return {"dim": 3, "brackets": [{"i": 1, "j": 3, "coeffs": ["0", coeff, "0"]}]}
+
+    # a float part is malformed as a bare float is; exponent forms, which
+    # could build an arbitrarily long numerator, are not in the grammar
+    for coeff in ({"a": 1.5, "b": "1", "d": 2}, {"a": "0", "b": 0.5, "d": 2},
+                  {"a": "1e3", "b": "1", "d": 2}, "1e3", "1e200000", "1E-2", "1_000",
+                  "0x10", ".", "1/2/3", "3/-4", "--1", "1/0", "inf", "nan"):
+        path = write(tmp_path, "bad.json", algebra(coeff))
+        assert run(["validate", path]) == 1, coeff
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("malformed input: "), coeff
+    assert run(["gen", "g3_2_1", "--lam", "2e1"]) == 1
+    assert capsys.readouterr().err.startswith("malformed input: ")
+    for text, want in (("3", 3), ("-4/6", Fraction(-2, 3)), (" +1/2 ", Fraction(1, 2)),
+                       ("1.50", Fraction(3, 2)), ("-.25", Fraction(-1, 4)), ("5.", 5),
+                       ("0/7", 0)):
+        got = parse_rational(text)
+        assert got == want and type(got) is (int if want.denominator == 1 else Rat)
+    path = write(tmp_path, "ok.json", algebra({"a": 1, "b": "-.5", "d": 8}))
+    assert run(["validate", path]) == 0 and _capture(capsys) == "ok"
+
+
 def test_mixed_radicands_are_named_exit_2(tmp_path, capsys):
     sqrt2, sqrt3 = {"a": "0", "b": "1", "d": 2}, {"a": "0", "b": "1", "d": 12}
     message = "error: the input mixes the radicands 2 and 3; one Q(sqrt(d)) per input is supported"

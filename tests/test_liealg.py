@@ -35,7 +35,7 @@ from solvlie.liealg import (
     validate,
 )
 from solvlie.matrices import Mat, det, inverse, solve
-from solvlie.scalars import QuadExt
+from solvlie.scalars import QuadExt, Rat
 
 
 def test_validate_examples():
@@ -544,6 +544,14 @@ def test_validate_matches_the_all_triples_loop():
     assert any(isinstance(x, Fraction) for rep in failing for x in rep.residual)
 
 
+def _assert_canonical(x):
+    """x is in its one representation: an int, a non-integral Rat or a
+    QuadExt.  A plain Fraction would send every later operation on it down
+    fractions' slow path."""
+    t = type(x)
+    assert t is int or t is QuadExt or (t is Rat and x.denominator >= 2), repr(x)
+
+
 def _check_built_tensor(t):
     """The invariants the checking constructor enforces, held by a tensor
     the program built without it."""
@@ -551,7 +559,8 @@ def _check_built_tensor(t):
     for (i, j), vec in t.brackets.items():
         assert 0 <= i < j < t.n
         assert len(vec) == t.n and any(x != 0 for x in vec)
-        assert not any(isinstance(x, Fraction) and x.denominator == 1 for x in vec)
+        for x in vec:
+            _assert_canonical(x)
 
 
 def test_built_tensors_hold_the_checked_invariants(monkeypatch):
@@ -595,3 +604,65 @@ def test_built_tensors_hold_the_checked_invariants(monkeypatch):
     for outs in built.values():
         for t in outs:
             _check_built_tensor(t)
+
+
+def test_built_matrices_hold_only_canonical_scalars(monkeypatch):
+    """Every matrix the program builds unchecked (`_mat`), and in
+    particular the classify witnesses, the codim-2 M_f and the propsim C,
+    holds ints, non-integral Rats and QuadExts only, also when the inputs
+    carry plain Fractions."""
+    from importlib import import_module
+
+    from solvlie import catalog
+    from solvlie.classify_n2 import classify_n2
+    from solvlie.codim2 import codim2_isomorphic, normalize_codim2
+    from solvlie.harness import corpus_labels, fuzz_stream
+    from solvlie.propsim import prop_similar
+
+    built = []
+    real = import_module("solvlie.matrices")._mat
+
+    def recording(data):
+        m = real(data)
+        built.append(m)
+        return m
+
+    for name in ("matrices", "liealg", "classify_n2", "codim2", "propsim"):
+        monkeypatch.setattr(import_module(f"solvlie.{name}"), "_mat", recording)
+    named = []
+    for t in fuzz_stream(random.Random(11), 40, max_dim=7):
+        w = classify_n2(t).witness.transform
+        named += [w.matrix, w.inverse]
+    for i, lab in enumerate(corpus_labels()[::4]):
+        t, _ = catalog.scramble_tensor(catalog.build_tensor(lab), i)
+        named.append(classify_n2(t).witness.transform.matrix)
+    rng = random.Random(5)
+    for _, a_z in catalog.codim2_az_fixtures(Fraction(3, 2)):
+        alg = catalog.codim2_algebra(a_z)
+        f0 = normalize_codim2(alg)
+        f1 = normalize_codim2(catalog.scramble_tensor(alg.tensor, rng.random())[0])
+        v = codim2_isomorphic(f0, f1)
+        assert v.isomorphic and v.m_f is not None
+        named += [f1.witness.matrix, f1.a_bar, f1.a_inner, v.m_f]
+    half, s2 = Fraction(1, 2), QuadExt(0, 1, 2)
+    witnessed = 0
+    for n in (2, 3, 3, 4):
+        for c in (1, -1, half, Fraction(-3, 2), s2):
+            a = Mat([[rng.choice((0, 1, -2, half, Fraction(-1, 3))) for _ in range(n)]
+                     for _ in range(n)])
+            while True:
+                p = Mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                if det(p) != 0:
+                    break
+            v = prop_similar(a, (inverse(p) @ a @ p).scale(c))
+            assert v.equivalent
+            if v.witness is not None:
+                assert v.verify(a, (inverse(p) @ a @ p).scale(c))
+                named.append(v.witness)
+                _assert_canonical(v.c)
+                witnessed += 1
+    assert witnessed >= 10 and len(named) > 100 and len(built) > 4000
+    for m in named + built:
+        for row in m.data:
+            for x in row:
+                _assert_canonical(x)

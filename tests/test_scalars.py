@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from solvlie.errors import FieldMismatch
 from solvlie.scalars import (
     QuadExt,
+    Rat,
     compact,
     exdiv,
     nth_root_rational,
@@ -107,7 +108,7 @@ def test_integral_values_leave_the_scalar_boundary_as_int():
         (sqrt_exact(Fraction(9, 4)), Fraction(3, 2)),
         (nth_root_rational(Fraction(-27, 8), 3), Fraction(-3, 2)),
     ):
-        assert type(got) is Fraction and got == want
+        assert type(got) is Rat and got == want
 
 
 def test_sign_and_order():
@@ -130,7 +131,7 @@ def test_exdiv_and_compact_never_float():
     assert exdiv(1, 2) == Fraction(1, 2)
     assert exdiv(4, 2) == 2 and type(exdiv(4, 2)) is int
     assert exdiv(6, -3) == -2 and type(exdiv(6, -3)) is int
-    assert exdiv(-7, 2) == Fraction(-7, 2) and type(exdiv(-7, 2)) is Fraction
+    assert exdiv(-7, 2) == Fraction(-7, 2) and type(exdiv(-7, 2)) is Rat
     assert compact(Fraction(4, 2)) == 2 and isinstance(compact(Fraction(4, 2)), int)
     assert compact(Fraction(1, 2)) == Fraction(1, 2)
 
@@ -304,13 +305,13 @@ def _ref_sign(x, d):
 
 
 def _rational_type(f: Fraction):
-    return int if f.denominator == 1 else Fraction
+    return int if f.denominator == 1 else Rat
 
 
 def _agrees(got, want, d):
     """got is the reference value ``want``, in the canonical form: a
     QuadExt on reduced ints when irrational, else an int when integral and
-    a Fraction otherwise."""
+    a Rat otherwise."""
     a, b = want
     if b == 0:
         assert not isinstance(got, QuadExt)
@@ -410,7 +411,7 @@ def test_quadext_exposes_rational_a_b_d_read_only():
 
     x = QuadExt(Fraction(1, 2), Fraction(6, 2), 5)
     assert (x.a, x.b, x.d) == (Fraction(1, 2), 3, 5)
-    assert type(x.a) is Fraction and type(x.b) is int and type(x.d) is int
+    assert type(x.a) is Rat and type(x.b) is int and type(x.d) is int
     for name in ("a", "b"):
         with pytest.raises(AttributeError):
             setattr(x, name, 1)
@@ -425,3 +426,116 @@ def test_quadext_exposes_rational_a_b_d_read_only():
     spec.loader.exec_module(checker)
     got = checker.exact(x)
     assert (got.a, got.b, got.d) == (Fraction(1, 2), 3, 5)
+
+
+# ----------------------------------------------------------------------
+# Rat against fractions.Fraction as the reference
+# ----------------------------------------------------------------------
+
+plain = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+rats = plain.filter(lambda f: f.denominator > 1).map(compact)
+
+
+def rat_operands():
+    """An int, a plain Fraction or a Rat."""
+    return st.one_of(st.integers(-30, 30), plain, rats)
+
+
+def _canonical_rational(got, want: Fraction):
+    """got is the reference value ``want`` as an int when it is integral,
+    else as a Rat with the same numerator and denominator."""
+    assert got == want and want == got
+    assert type(got) is _rational_type(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+COMPARE = {"<": lambda x, y: x < y, "<=": lambda x, y: x <= y, ">": lambda x, y: x > y,
+           ">=": lambda x, y: x >= y, "==": lambda x, y: x == y, "!=": lambda x, y: x != y}
+
+
+@given(x=rats, y=rat_operands(), op=st.sampled_from(tuple(BINARY)))
+def test_rat_binary_ops_match_fraction(x, y, op):
+    assert type(x) is Rat
+    fx, fy = Fraction(x), Fraction(y)
+    assert type(fx) is Fraction
+    if op == "/" and y == 0:
+        with pytest.raises(ZeroDivisionError):
+            BINARY[op](x, y)
+    else:
+        _canonical_rational(BINARY[op](x, y), BINARY[op](fx, fy))
+    _canonical_rational(BINARY[op](y, x), BINARY[op](fy, fx))
+    for name, cmp in COMPARE.items():
+        assert cmp(x, y) == cmp(fx, fy), name
+        assert cmp(y, x) == cmp(fy, fx), name
+
+
+@given(x=rats, y=rats, e=st.sampled_from(RADICANDS), data=st.data(),
+       op=st.sampled_from(tuple(BINARY)))
+def test_rat_mixes_with_quadext_in_both_orders(x, y, e, data, op):
+    q = data.draw(quads(e))
+    for left, right in ((x, q), (q, x)):
+        _agrees(BINARY[op](left, right), _ref_binary(op, _pair(left), _pair(right), e), e)
+        want_sign = _ref_sign(_ref_binary("-", _pair(left), _pair(right), e), e)
+        assert (left < right, left <= right, left > right, left >= right) == (
+            want_sign < 0, want_sign <= 0, want_sign > 0, want_sign >= 0)
+        assert left != right and not left == right
+    # Rat with Rat stays rational
+    _canonical_rational(BINARY[op](x, y), BINARY[op](Fraction(x), Fraction(y)))
+
+
+@given(x=rats, n=st.integers(-4, 4))
+def test_rat_unary_ops_match_fraction(x, n):
+    f = Fraction(x)
+    _canonical_rational(-x, -f)
+    _canonical_rational(+x, +f)
+    _canonical_rational(abs(x), abs(f))
+    _canonical_rational(x ** n, f ** n)
+    assert bool(x) and bool(f)
+
+
+@given(x=rats)
+def test_rat_reads_and_hashes_as_the_equal_fraction(x):
+    import copy
+    import pickle
+
+    f = Fraction(x)
+    assert isinstance(x, Fraction)
+    assert x == f and f == x and hash(x) == hash(f)
+    assert {x: 1}[f] == 1 and {f: 1}[x] == 1
+    assert repr(x) == repr(f) == f"Fraction({f.numerator}, {f.denominator})"
+    assert str(x) == str(f)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is Rat and y == x
+    assert float(x) == float(f)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / Fraction(0)
+    with pytest.raises(TypeError):
+        x + 0.5  # a float never mixes into exact arithmetic
+
+
+@given(n=st.integers(-10**6, 10**6), d=st.integers(2, 10**6))
+def test_trusted_rat_equals_fraction_field_for_field(n, d):
+    from math import gcd as _gcd
+
+    from solvlie.scalars import _rat
+
+    if _gcd(n, d) != 1:
+        return
+    got, want = _rat(n, d), Fraction(n, d)
+    assert type(got) is Rat
+    assert (got._numerator, got._denominator) == (want._numerator, want._denominator)
+    assert got == want and hash(got) == hash(want)
+
+
+def test_rat_constructor_and_exdiv_return_the_canonical_value():
+    assert Rat(1, 2) == Fraction(1, 2) and type(Rat(1, 2)) is Rat
+    assert Rat(4, -2) == -2 and type(Rat(4, -2)) is int
+    assert type(Rat("3/6")) is Rat and Rat("3/6") == Fraction(1, 2)
+    assert type(compact(Fraction(3, 6))) is Rat
+    assert type(exdiv(Rat(1, 2), Rat(1, 4))) is int and exdiv(Rat(1, 2), 2) == Fraction(1, 4)
+    with pytest.raises(ZeroDivisionError):
+        Rat(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        exdiv(1, 0)
