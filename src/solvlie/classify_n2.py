@@ -211,7 +211,7 @@ def _case1_shape(pipe: Frame, a3: Mat, tr):
     shifted = a3 - Mat.identity(2).scale(tr)
     v_eig = kernel_basis(shifted)[0]
     v_ker = kernel_basis(a3)[0]
-    gl2 = _embed_g1(pipe, Mat.from_columns([v_eig, v_ker]))
+    gl2 = _embed_g1(pipe, _mat(zip(v_eig, v_ker)))
     gl2[2] = pipe.unit(2, exdiv(1, tr))
     pipe.step_cols(gl2)
     if pipe.adjoint(2) != Mat([[1, 0], [0, 0]]):
@@ -242,7 +242,7 @@ def _case2_shape(pipe: Frame, a3: Mat):
             break
     if w is None:
         raise ImpossibleBranch("nonzero nilpotent adjoint acts nontrivially somewhere")
-    pipe.step_cols(_embed_g1(pipe, Mat.from_columns([w, a3.apply(w)])))
+    pipe.step_cols(_embed_g1(pipe, _mat(zip(w, a3.apply(w)))))
     if pipe.adjoint(2) != Mat([[0, 0], [1, 0]]):
         raise ImpossibleBranch("nilpotent normalization failed")
     reps = {}
@@ -473,11 +473,11 @@ def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
         raise ImpossibleBranch("adjoint pair must commute")
 
     reps = {}
-    stacked = Mat.from_columns(
-        [
+    stacked = _mat(
+        zip(
             [a3[0, 0], a3[1, 0], a3[0, 1], a3[1, 1]],
             [a4[0, 0], a4[1, 0], a4[0, 1], a4[1, 1]],
-        ]
+        )
     )
     for i in range(4, n):
         ai = pipe.adjoint(i)
@@ -537,11 +537,11 @@ def _plane_complex_case(pipe: Frame) -> ClassLabel:
     a3 = pipe.adjoint(2)
     a4 = pipe.adjoint(3)
     # the centralizer of a complex-pair 2x2 is span(I, a3)
-    sys = Mat.from_columns(
-        [
+    sys = _mat(
+        zip(
             [1, 0, 0, 1],
             [a3[0, 0], a3[1, 0], a3[0, 1], a3[1, 1]],
-        ]
+        )
     )
     coords = solve(sys, (a4[0, 0], a4[1, 0], a4[0, 1], a4[1, 1]))
     if coords is None:
@@ -576,7 +576,7 @@ def _plane_complex_case(pipe: Frame) -> ClassLabel:
 
 def _plane_split_case(pipe: Frame, dirs) -> ClassLabel:
     n = pipe.n
-    cmat = Mat.from_columns([dirs[0], dirs[1]])
+    cmat = _mat(zip(dirs[0], dirs[1]))
     pipe.step_cols(_embed_g1(pipe, cmat))
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     for m in (a3, a4):
@@ -622,11 +622,11 @@ def _plane_split_case(pipe: Frame, dirs) -> ClassLabel:
 def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
     n = pipe.n
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
-    stacked = Mat.from_columns(
-        [
+    stacked = _mat(
+        zip(
             [a3[0, 0], a3[1, 0], a3[0, 1], a3[1, 1]],
             [a4[0, 0], a4[1, 0], a4[0, 1], a4[1, 1]],
-        ]
+        )
     )
     idc = solve(stacked, (1, 0, 0, 1))
     if idc is None:
@@ -650,7 +650,7 @@ def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
         if a3.apply(cand) != (0, 0):
             w = cand
             break
-    pipe.step_cols(_embed_g1(pipe, Mat.from_columns([a3.apply(w), w])))
+    pipe.step_cols(_embed_g1(pipe, _mat(zip(a3.apply(w), w))))
     if pipe.adjoint(2) != Mat([[0, 1], [0, 0]]) or pipe.adjoint(3) != Mat.identity(2):
         raise ImpossibleBranch("jordan-frame normalization failed")
     _residual_cleanup_a4_identity(pipe)

@@ -161,13 +161,13 @@ def normalize_codim2(a) -> Codim2Form:
         raise ImpossibleBranch("indecomposable case requires a singular a_Z")
     kvec = kernel_basis(a_z)[0]
     im_rows = row_space(a_z.transpose())
-    im_mat = Mat.from_columns(im_rows) if im_rows else None
+    im_mat = _mat(zip(*im_rows)) if im_rows else None
     in_im = solve(im_mat, kvec) is not None
 
     if not in_im:
         # B1: derived = Im + Ker; split [Z, Y] accordingly
         sys_cols = [a_z.col(j) for j in range(k)] + [kvec]
-        sol = solve(Mat.from_columns(sys_cols), w)
+        sol = solve(_mat(zip(*sys_cols)), w)
         if sol is None:
             raise ImpossibleBranch("[Z, Y] must decompose along Im + Ker")
         u = sol[:k]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import DimensionError, ImpossibleBranch
-from .matrices import Echelon, Mat, Vec, inverse, solve, vec_add, vec_is_zero, vec_scale
+from .matrices import Echelon, Mat, Vec, _mat, inverse, solve, vec_add, vec_is_zero, vec_scale
 from .scalars import Scalar, exdiv
 
 Poly = list
@@ -207,7 +207,7 @@ def cyclic_decomposition(m: Mat) -> list[tuple[list[Vec], Poly]]:
             for c in comp:
                 x = span.reduce(m.col(c))
                 cols.append([x[q] for q in comp])
-            vbar, f = _max_vector(Mat.from_columns(cols))
+            vbar, f = _max_vector(_mat(zip(*cols)))
             lift = [0] * n
             for c, val in zip(comp, vbar):
                 lift[c] = val
@@ -215,7 +215,7 @@ def cyclic_decomposition(m: Mat) -> list[tuple[list[Vec], Poly]]:
             # correct the lift so its annihilator is exactly f
             r = papply(f, m, v)
             if not vec_is_zero(r):
-                sys = Mat.from_columns([papply(f, m, b) for b in chain_vectors])
+                sys = _mat(zip(*[papply(f, m, b) for b in chain_vectors]))
                 x = solve(sys, r)
                 if x is None:
                     raise ImpossibleBranch("cyclic decomposition correction must solve")
@@ -242,7 +242,7 @@ def frobenius_form(m: Mat) -> tuple[list[Poly], Mat]:
     P^-1 m P block diagonal with the matching companion blocks: the
     columns of P are the decomposition's Krylov chains."""
     gens = cyclic_decomposition(m)[::-1]  # ascending
-    return [f for _, f in gens], Mat.from_columns([w for chain, _ in gens for w in chain])
+    return [f for _, f in gens], _mat(zip(*[w for chain, _ in gens for w in chain]))
 
 
 def invariant_factors(m: Mat) -> list[Poly]:

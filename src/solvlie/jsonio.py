@@ -7,7 +7,8 @@ objects {"a": "p/q", "b": "p/q", "d": n} with 1 < n <= MAX_RADICAND, whose
 parts a and b are read as a bare scalar is.
 Matrices are arrays of arrays; algebras are
 {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": [...]}, ...]} with
-1-based i < j in ascending order and coefficient vectors of length n.
+1 <= n <= MAX_DIM, 1-based i < j in ascending order and coefficient
+vectors of length n.
 Integers ("dim", an integer scalar) are JSON integers; a radicand, "i"
 and "j" are JSON integers or strings of one.  A float or a boolean is
 malformed, not truncated or read as 0/1.
@@ -33,6 +34,12 @@ if TYPE_CHECKING:
 # 10^6 divisions at this bound, 2 * 10^13 at forty digits.  A matrix or
 # algebra reader factors each distinct radicand once, not once per entry.
 MAX_RADICAND = 10**18
+
+# An algebra's series and center cost about n^2 at dimension n with few
+# brackets: `invariants` on an empty table takes about 0.4 s and 55 MB at
+# this bound, 2 s and 170 MB at twice it (CPython 3.11, one shared vCPU).
+# A larger dim is refused.
+MAX_DIM = 1000
 
 
 class FormatError(ValueError):
@@ -153,6 +160,8 @@ def algebra_from_json(d) -> StructureTensor:
     n = d["dim"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError("'dim' must be a positive integer")
+    if n > MAX_DIM:
+        raise Unsupported(f"dim {n} above {MAX_DIM}")
     table = {}
     splits: dict = {}
     for entry in d.get("brackets", []):

@@ -10,7 +10,13 @@ Every basis change runs through ``transform_sparse``; ``transform``
 replaces every column.  ``StructureTensor(n, brackets)`` checks outside
 data; the tensors the program builds itself (``transform_sparse``,
 ``permute``) hold the invariants by construction and skip the checks.
-``validate`` visits only the basis triples that touch a nonzero bracket.
+The tensor layer reads a table through ``_adjacency``, the nonzero
+entries of each nonzero bracket under both of its index orders, built
+once per call and never cached on the tensor: ``validate`` visits only
+the basis triples that touch a nonzero bracket, ``transform_sparse`` forms
+a replaced vector's brackets from the basis brackets it involves, and the
+series and the center set up their linear systems from the nonzero
+brackets alone.
 """
 
 from __future__ import annotations
@@ -101,24 +107,30 @@ class StructureTensor:
                          inv_cols: Mapping[int, Sequence[Scalar]]) -> "StructureTensor":
         """Transform under a basis change differing from the identity only
         in the columns `repl`; `inv_cols` are the matching columns of the
-        inverse.  Pairs of untouched vectors just get re-expressed, so the
-        cost scales with the sparsity, not with n^3."""
+        inverse.  Pairs of untouched vectors just get re-expressed, and a
+        touched vector's brackets are read off the nonzero brackets of the
+        basis vectors it involves, so the cost scales with the sparsity,
+        not with n^3.  The entries must be canonical (``int``, ``Rat`` or
+        ``QuadExt``), as a ``Mat``'s are: ``transform`` is the entry point
+        for outside matrices."""
         n = self.n
         touched = set(repl)
+        inv_nz = [(j, [(r, x) for r, x in enumerate(c) if x]) for j, c in inv_cols.items()]
 
         def reexpress(w):
             # untouched coordinates stay and each nonzero touched one adds its
             # inverse column; a first term is stored, not added to 0
             out = None
-            for j, c in inv_cols.items():
+            for j, c in inv_nz:
                 wj = w[j]
                 if wj:
                     if out is None:
-                        out = [0 if r in touched else x for r, x in enumerate(w)]
-                    for r, x in enumerate(c):
-                        if x:
-                            o = out[r]
-                            out[r] = o + wj * x if o else wj * x
+                        out = list(w)
+                        for r in touched:
+                            out[r] = 0
+                    for r, x in c:
+                        o = out[r]
+                        out[r] = o + wj * x if o else wj * x
             return tuple(w if out is None else out)
 
         out = {}
@@ -126,20 +138,19 @@ class StructureTensor:
             if i in touched or j in touched:
                 continue
             w = reexpress(vec)
-            if not vec_is_zero(w):
+            if any(w):
                 out[(i, j)] = w
-        basis = standard_basis(n)
+        adj = _adjacency(self)
         for i in sorted(touched):
-            vi = repl[i]
-            for j in range(n):
+            row = _ad_row(adj, repl[i])
+            for j in sorted(row.keys() | touched):
                 if j == i or (j in touched and j < i):
                     continue
-                vj = repl.get(j, basis[j])
-                w = self.bracket(vi, vj)
-                if vec_is_zero(w):
+                w = _bracket_from(row, repl[j]) if j in touched else row[j]
+                if not any(w.values()):
                     continue
-                w = reexpress(w)
-                if vec_is_zero(w):
+                w = reexpress(_dense(w.items(), n))
+                if not any(w):
                     continue
                 if i < j:
                     out[(i, j)] = w
@@ -188,6 +199,55 @@ def _tensor(n: int, brackets: dict) -> StructureTensor:
     return t
 
 
+def _adjacency(t: StructureTensor) -> list:
+    """adj[a][b]: the nonzero (m, c) of [X_a, X_b] = sum c X_m, for every
+    pair with a nonzero bracket, in both signs."""
+    adj: list = [{} for _ in range(t.n)]
+    for (i, j), vec in t.brackets.items():
+        nz = [(m, x) for m, x in enumerate(vec) if x]
+        adj[i][j] = nz
+        adj[j][i] = [(m, -x) for m, x in nz]
+    return adj
+
+
+def _ad_row(adj: list, u: Sequence[Scalar]) -> dict:
+    """b -> [u, X_b] as {m: coefficient}, for each b that a nonzero
+    bracket [X_a, X_b] with u[a] != 0 reaches."""
+    row: dict = {}
+    for a, x in enumerate(u):
+        if x:
+            for b, nz in adj[a].items():
+                acc = row.get(b)
+                if acc is None:
+                    row[b] = {m: x * c for m, c in nz}
+                else:
+                    for m, c in nz:
+                        o = acc.get(m)
+                        acc[m] = x * c if o is None else o + x * c
+    return row
+
+
+def _bracket_from(row: dict, v: Sequence[Scalar]) -> dict:
+    """[u, v] = sum_b v[b] [u, X_b] as {m: coefficient}, from u's
+    ``_ad_row``."""
+    acc: dict = {}
+    for b, ub in row.items():
+        y = v[b]
+        if y:
+            for m, c in ub.items():
+                o = acc.get(m)
+                acc[m] = y * c if o is None else o + y * c
+    return acc
+
+
+def _dense(pairs, n: int) -> list:
+    """The length-n vector with the given (m, coefficient) entries."""
+    out: list = [0] * n
+    for m, c in pairs:
+        out[m] = c
+    return out
+
+
 class ValidationReport(Record):
     __slots__ = ("ok", "triple", "residual")
 
@@ -212,12 +272,7 @@ def validate(t: StructureTensor) -> ValidationReport:
     visited, in lexicographic order, and each term [[X_p, X_q], X_s] is
     formed from the nonzero bracket entries alone."""
     n = t.n
-    # ad[a][b]: the nonzero (m, c) of [X_a, X_b] = sum c X_m, both signs
-    ad: list = [{} for _ in range(n)]
-    for (i, j), vec in t.brackets.items():
-        nz = [(m, x) for m, x in enumerate(vec) if x]
-        ad[i][j] = nz
-        ad[j][i] = [(m, -x) for m, x in nz]
+    ad = _adjacency(t)
 
     def add_term(acc, p, q, s):
         # acc += [[X_p, X_q], X_s] = sum_r c_pq^r [X_r, X_s]
@@ -299,7 +354,7 @@ class Frame:
 
     @property
     def total(self) -> Mat:
-        return Mat.from_columns(self._tot_cols)
+        return _mat(zip(*self._tot_cols))
 
     def step_cols(self, repl: Mapping[int, Sequence[Scalar]]):
         """Replace the given columns of the identity by new basis vectors
@@ -362,13 +417,13 @@ class Frame:
     def bracket(self, i: int, j: int) -> tuple:
         """[X_i, X_j] in the coordinates of X_1..X_k; it must lie there."""
         vec = self.t.bracket_basis(i, j)
-        if any(vec[r] != 0 for r in range(self.k, self.n)):
+        if any(vec[self.k :]):
             raise ImpossibleBranch("bracket left the front ideal")
         return tuple(vec[: self.k])
 
     def adjoint(self, i: int) -> Mat:
         """ad_{X_i} restricted to span(X_1..X_k), in that basis."""
-        return Mat.from_columns([self.bracket(i, j) for j in range(self.k)])
+        return _mat(zip(*[self.bracket(i, j) for j in range(self.k)]))
 
     def witness(self, target: Optional[StructureTensor] = None) -> BasisChange:
         """The accumulated basis change, once the running tensor is
@@ -397,12 +452,15 @@ def span_rows(vectors: Sequence[Vec], n: int) -> list[Vec]:
 
 
 def bracket_span(t: StructureTensor, basis_a: Sequence[Vec], basis_b: Sequence[Vec]) -> list[Vec]:
+    adj = _adjacency(t)
     vecs = []
     for u in basis_a:
-        for v in basis_b:
-            w = t.bracket(u, v)
-            if not vec_is_zero(w):
-                vecs.append(w)
+        row = _ad_row(adj, u)
+        if row:
+            for v in basis_b:
+                w = _bracket_from(row, v)
+                if any(w.values()):
+                    vecs.append(_dense(w.items(), t.n))
     return span_rows(vecs, t.n)
 
 
@@ -418,6 +476,7 @@ def derived_ideal_t(t: StructureTensor) -> list[Vec]:
 def derived_series_t(t: StructureTensor) -> list[list[Vec]]:
     series = [standard_basis(t.n)]
     nxt = derived_ideal_t(t)
+    adj = _adjacency(t)
     while len(nxt) < len(series[-1]):
         series.append(nxt)
         if not nxt:
@@ -425,10 +484,12 @@ def derived_series_t(t: StructureTensor) -> list[list[Vec]]:
         # [u, u] = 0 and [v, u] = -[u, v]: one bracket per pair a < b
         vecs = []
         for a, u in enumerate(nxt):
-            for v in nxt[a + 1 :]:
-                w = t.bracket(u, v)
-                if not vec_is_zero(w):
-                    vecs.append(w)
+            row = _ad_row(adj, u)
+            if row:
+                for v in nxt[a + 1 :]:
+                    w = _bracket_from(row, v)
+                    if any(w.values()):
+                        vecs.append(_dense(w.items(), t.n))
         nxt = span_rows(vecs, t.n)
     return series
 
@@ -445,22 +506,30 @@ def lower_central_series_t(t: StructureTensor) -> list[list[Vec]]:
     return series
 
 
-def _ad_columns(t: StructureTensor) -> list[Mat]:
-    """For each basis vector e_j, the matrix sending x to [x, e_j]."""
-    n = t.n
-    mats = []
+def _center_system(adj: list, span: Optional[Echelon] = None) -> list[list]:
+    """The nonzero rows of the linear map x -> ([x, X_j])_j, each column
+    [X_i, X_j] reduced modulo ``span`` when one is given.  Only the
+    nonzero brackets of the adjacency ``adj`` are read: the kernel is the
+    same as with the n^2 rows of the n ad matrices, zero rows included."""
+    n = len(adj)
+    rows = []
     for j in range(n):
-        cols = [t.bracket_basis(i, j) for i in range(n)]
-        mats.append(Mat.from_columns(cols))
-    return mats
+        by_m: dict = {}  # m -> {i: coefficient of X_m in [X_i, X_j]}
+        for i in adj[j]:
+            col = adj[i][j]
+            if span is not None and span.dim:
+                col = [(m, x) for m, x in enumerate(span.reduce(_dense(col, n))) if x]
+            for m, x in col:
+                by_m.setdefault(m, {})[i] = x
+        for m in sorted(by_m):
+            rows.append(_dense(by_m[m].items(), n))
+    return rows
 
 
 def center_t(t: StructureTensor) -> list[Vec]:
     n = t.n
-    stacked = []
-    for m in _ad_columns(t):
-        stacked.extend(m.data)
-    kern = kernel_basis(_mat(stacked))
+    rows = _center_system(_adjacency(t))
+    kern = kernel_basis(_mat(rows)) if rows else standard_basis(n)
     return span_rows(kern, n)
 
 
@@ -471,17 +540,14 @@ def upper_central_dims_t(t: StructureTensor) -> list[int]:
     so one echelon spans every C_k in turn: each round adds the kernel
     basis, whose vectors in C_k are skipped."""
     n = t.n
-    ads = _ad_columns(t)
+    adj = _adjacency(t)
     span = Echelon()  # spans C_k, starting at C_0 = 0
     dims = []
     for _ in range(n + 1):
         if span.dim == n:
             break
-        # each ad matrix with its columns [e_i, e_j] reduced modulo C_k
-        proj_rows = []
-        for m in ads:
-            proj_rows.extend(Mat.from_columns([span.reduce(m.col(i)) for i in range(n)]).data)
-        kern = kernel_basis(_mat(proj_rows))
+        rows = _center_system(adj, span)
+        kern = kernel_basis(_mat(rows)) if rows else standard_basis(n)
         if len(kern) == span.dim:
             break
         for v in kern:
@@ -493,7 +559,7 @@ def upper_central_dims_t(t: StructureTensor) -> list[int]:
 def adjoint_restriction(t: StructureTensor, x: Sequence[Scalar], sub_basis: Sequence[Vec]) -> Mat:
     """Matrix of ad_x restricted to the span of sub_basis, in that basis."""
     k = len(sub_basis)
-    base = Mat.from_columns(list(sub_basis))
+    base = _mat(zip(*sub_basis))
     cols = []
     for b in sub_basis:
         w = t.bracket(x, b)
@@ -501,7 +567,7 @@ def adjoint_restriction(t: StructureTensor, x: Sequence[Scalar], sub_basis: Sequ
         if coords is None:
             raise DimensionError("subspace is not invariant under ad_x")
         cols.append(coords)
-    return Mat.from_columns(cols) if k else _mat([[0]])
+    return _mat(zip(*cols)) if k else _mat([[0]])
 
 
 def adjoint_algebra_t(t: StructureTensor, derived_basis: Optional[list[Vec]] = None):

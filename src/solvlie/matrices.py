@@ -30,10 +30,12 @@ class Mat:
 
     ``Mat(data)`` checks data from outside: it must be non-empty and
     rectangular, a float entry raises TypeError, and a plain ``Fraction``
-    entry is converted to its canonical ``int`` or ``Rat``.  The matrices
-    the program builds from canonical entries (``@``, ``+``, ``-``,
-    ``scale``, ``transpose``, ``from_columns``, ``identity``, ``rref``,
-    ``inverse``) come from :func:`_mat`, which checks nothing.
+    entry is converted to its canonical ``int`` or ``Rat``;
+    ``from_columns`` checks its entries the same way.  The matrices the
+    program builds from canonical entries (``@``, ``+``, ``-``, ``scale``,
+    ``transpose``, ``identity``, ``rref``, ``inverse``, and its own
+    column lists as ``_mat(zip(*cols))``) come from :func:`_mat`, which
+    checks nothing.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -53,8 +55,8 @@ class Mat:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[Scalar]]) -> "Mat":
-        """The matrix with the given columns, of canonical scalars."""
-        return _mat(zip(*cols))
+        """The matrix with the given columns, checked as ``Mat(...)`` is."""
+        return Mat(zip(*cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -166,7 +168,9 @@ def _mat(data: Iterable[Iterable[Scalar]]) -> Mat:
 
 
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return all(x == 0 for x in v)
+    # exact: a zero entry is falsy (the int 0 or a plain Fraction(0)), and
+    # every Rat and QuadExt is nonzero
+    return not any(v)
 
 
 def vec_add(u, v):
@@ -194,13 +198,16 @@ def cmp_vec(u, v) -> int:
 
 
 class Echelon:
-    """Incremental reduced row echelon form: the one elimination routine.
+    """Incremental row echelon form: the one elimination routine.
 
-    Every row is 1 at its own pivot and 0 at every other pivot.  Rows stay
-    in the order they were added, ``pivots[i]`` being row i's pivot
-    column.  Each row's nonzero off-pivot entries are cached as
-    (column, value) pairs, so reducing by it forms no product with a zero
-    factor.
+    Each row is 1 at its own pivot and 0 at the pivots of the rows added
+    before it; rows stay in the order they were added, ``pivots[i]`` being
+    row i's pivot column.  Reducing in that order leaves a vector 0 at
+    every pivot, and that reduction is unique, so ``reduce``, ``det``'s
+    pivot values and ``local_min_poly``'s tags are those of a fully
+    reduced form; only ``rref`` back-substitutes, once.  Each row's
+    nonzero off-pivot entries are cached as (column, value) pairs, so
+    reducing by it forms no product with a zero factor.
     """
 
     __slots__ = ("rows", "pivots", "_nz")
@@ -242,14 +249,6 @@ class Echelon:
                 if piv != 1:
                     x = w[q] = exdiv(x, piv)
                 nz.append((q, x))
-        for i, row in enumerate(self.rows):
-            f = row[p]
-            if f:
-                row[p] = 0
-                for q, x in nz:
-                    row[q] = row[q] - f * x
-                pi = self.pivots[i]
-                self._nz[i] = [(q, x) for q, x in enumerate(row) if x and q != pi]
         self.rows.append(w)
         self.pivots.append(p)
         self._nz.append(nz)
@@ -265,10 +264,27 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     e = Echelon()
     for row in m.data:
         e.add(row)
-    order = sorted(range(e.dim), key=e.pivots.__getitem__)
+    rows, pivots, nzs = e.rows, e.pivots, e._nz
+    # back-substitution, from the last row up: the rows after row i are
+    # already 0 at every other pivot, so clearing row i at their pivots
+    # keeps it 0 at the pivots of the rows before it
+    for i in range(e.dim - 2, -1, -1):
+        row = rows[i]
+        cleared = False
+        for k in range(i + 1, e.dim):
+            p = pivots[k]
+            f = row[p]
+            if f:
+                cleared = True
+                row[p] = 0
+                for q, x in nzs[k]:
+                    row[q] = row[q] - f * x
+        if cleared:
+            nzs[i] = [(q, x) for q, x in enumerate(row) if x and q != pivots[i]]
+    order = sorted(range(e.dim), key=pivots.__getitem__)
     zero = [0] * m.cols
-    rows = [e.rows[i] for i in order] + [zero] * (m.rows - e.dim)
-    return _mat(rows), tuple(e.pivots[i] for i in order)
+    out = [rows[i] for i in order] + [zero] * (m.rows - e.dim)
+    return _mat(out), tuple(pivots[i] for i in order)
 
 
 def rank(m: Mat) -> int:
@@ -453,8 +469,8 @@ def cyclic_conjugator_2x2(m: Mat, target: Mat) -> Mat:
     [e1, m e1] @ inverse([e1, target e1]), since both Krylov bases carry
     their matrix onto the same companion matrix."""
     e1 = (1, 0)
-    krylov = Mat.from_columns([e1, m.apply(e1)])
-    return krylov @ inverse(Mat.from_columns([e1, target.apply(e1)]))
+    krylov = _mat(zip(e1, m.apply(e1)))
+    return krylov @ inverse(_mat(zip(e1, target.apply(e1))))
 
 
 def eigendirections_2x2(m: Mat) -> list[tuple[Scalar, Vec]]:

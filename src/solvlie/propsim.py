@@ -230,7 +230,7 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
         mu = sc.mu1
         nil = a.scale(exdiv(1, mu)) - Mat.identity(2)
         w = _first_non_kernel(nil)
-        cmat = Mat.from_columns([nil.apply(w), w])
+        cmat = _mat(zip(nil.apply(w), w))
         cls = GL2Class("jordan", j, Mat([[1, 1], [0, 1]]), exdiv(1, mu), cmat)
     elif sc.kind == "repeated_diagonalizable":
         mu = sc.mu1
@@ -244,7 +244,7 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
         lam = exdiv(other, base)
         v_base = _eigvec(a, base)
         v_other = _eigvec(a, other)
-        cmat = Mat.from_columns([v_base, v_other])
+        cmat = _mat(zip(v_base, v_other))
         rep = _mat([[1, 0], [0, lam]])
         cls = GL2Class("diag", j, rep, exdiv(1, base), cmat, lam=lam)
     if (inverse(cls.cmat) @ a @ cls.cmat).scale(cls.c) != cls.rep:

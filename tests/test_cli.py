@@ -207,6 +207,41 @@ def test_propsim_radicand_above_bound_exit_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_dim_above_bound_exit_2(tmp_path, capsys):
+    from solvlie.jsonio import MAX_DIM
+
+    path = write(tmp_path, "big.json", {"dim": MAX_DIM + 1, "brackets": []})
+    for cmd in ("validate", "invariants", "classify", "codim2"):
+        assert run([cmd, path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0] == f"error: dim {MAX_DIM + 1} above {MAX_DIM}"
+
+
+def test_invariants_of_a_large_sparse_table_in_time(tmp_path, capsys):
+    """The series and the center read only the nonzero brackets: one
+    bracket [X_1, X_2] = X_3 at n = 400 gives its dims well within 5 s
+    (about 34 s on two shared vCPUs when the n^2 x n systems were formed)."""
+    import time
+
+    n = 400
+    coeffs = ["0"] * n
+    coeffs[2] = "1"
+    path = write(tmp_path, "h3.json", {"dim": n, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]})
+    start = time.perf_counter()
+    assert run(["invariants", path, "--format", "json"]) == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(_capture(capsys)) == {
+        "dim": n,
+        "derived_series_dims": [n, 1, 0],
+        "lower_central_series_dims": [n, 1, 0],
+        "upper_central_series_dims": [n - 2, n],
+        "center_dim": n - 2,
+        "solvable": True,
+        "nilpotent": True,
+        "nilpotency_step": 2,
+    }
+
+
 def test_classify_not_in_class_exit_2(tmp_path, capsys):
     path = write(tmp_path, "h3.json", H3)
     assert run(["classify", path]) == 2

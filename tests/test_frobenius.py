@@ -267,3 +267,27 @@ def test_frobenius_outputs_are_pinned():
         text = " | ".join(" ".join(format_scalar(x) for x in f) for f in factors)
         got.append((text, _digest(p), _digest(similarity_witness(b, a))))
     assert tuple(got) == PINNED
+
+
+def _canonical(x):
+    from solvlie.scalars import QuadExt, Rat
+
+    t = type(x)
+    return t is int or t is QuadExt or (t is Rat and x.denominator >= 2)
+
+
+def test_companion_converts_plain_fractions():
+    """`companion` is public: plain `Fraction` coefficients come out as
+    ints and `Rat`s, so its characteristic polynomial is canonical too."""
+    from solvlie.matrices import char_poly
+    from solvlie.scalars import QuadExt
+
+    for p in (
+        [Fraction(-3, 2), Fraction(4, 1), Fraction(0), Fraction(1)],
+        [Fraction(5, 3), Fraction(-2, 1), Fraction(1)],
+        [QuadExt(Fraction(1, 2), Fraction(1, 1), 2), Fraction(6, 3), Fraction(1)],
+    ):
+        c = companion(p)
+        assert all(_canonical(x) for row in c.data for x in row)
+        cp = char_poly(c)
+        assert cp == p and all(_canonical(x) for x in cp)

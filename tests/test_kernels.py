@@ -181,7 +181,23 @@ def test_det_matches_the_leibniz_expansion():
     assert singular >= 10
 
 
+def ref_reduce(m, v):
+    """v minus its part in the row space of m, by the reference reduced
+    rows: each row is 0 at every other pivot, so it subtracts v's entry at
+    its own pivot times that row."""
+    red, pivots = ref_rref(m)
+    w = list(v)
+    for row, p in zip(red.data, pivots):
+        f = v[p]
+        w = [x - f * y for x, y in zip(w, row)]
+    return w
+
+
 def test_echelon_grows_with_the_rank_and_reduces_into_its_span():
+    """Each row as added is 1 at its own pivot and 0 before it and at the
+    pivots of the rows added earlier; reducing by those rows gives what
+    reducing by the fully reduced rows gives, and `rref` ends at the
+    reference form."""
     rng = random.Random(59)
     for kind in KINDS:
         for _ in range(20):
@@ -200,10 +216,14 @@ def test_echelon_grows_with_the_rank_and_reduces_into_its_span():
                 # v - reduce(v) lies in the span: the rank does not grow
                 part = tuple(x - y for x, y in zip(v, w))
                 assert len(ref_rref(Mat(list(m.data[: i + 1]) + [part]))[1]) == rank
+                assert w == ref_reduce(Mat(m.data[: i + 1]), v)
+            for k, (row, p) in enumerate(zip(e.rows, e.pivots)):
+                assert row[p] == 1 and all(x == 0 for x in row[:p])
+                assert all(row[q] == 0 for q in e.pivots[:k])
             red, pivots = ref_rref(m)
             order = sorted(range(e.dim), key=e.pivots.__getitem__)
             assert [e.pivots[i] for i in order] == list(pivots)
-            assert [tuple(e.rows[i]) for i in order] == list(red.data[: len(pivots)])
+            assert rref(m) == (red, pivots)
 
 
 def _special(rng, kind, n):

@@ -365,14 +365,21 @@ def test_frame_witness_rejects_a_corrupted_total():
     assert rejected >= 10
 
 
+def _dense_ad_columns(t):
+    """For each basis vector e_j, the n x n matrix sending x to [x, e_j],
+    built from every pair (i, j), zero brackets included."""
+    n = t.n
+    return [Mat.from_columns([t.bracket_basis(i, j) for i in range(n)]) for j in range(n)]
+
+
 def _reference_upper_central_dims(t):
     """The per-round loop: C_k rebuilt from its reduced basis every round,
     and the kernel basis taken to reduced echelon form again."""
-    from solvlie.liealg import _ad_columns, span_rows
+    from solvlie.liealg import span_rows
     from solvlie.matrices import Echelon, kernel_basis
 
     n = t.n
-    ads = _ad_columns(t)
+    ads = _dense_ad_columns(t)
     current, dims = [], []
     for _ in range(n + 1):
         if len(current) == n:
@@ -407,6 +414,51 @@ def test_upper_central_dims_match_the_per_round_rebuild():
         seen.add(tuple(dims))
     # centerless algebras and nilpotent chains alike
     assert () in seen and any(len(d) >= 2 for d in seen)
+
+
+def _dense_center(t):
+    from solvlie.liealg import span_rows
+    from solvlie.matrices import kernel_basis
+
+    stacked = [row for m in _dense_ad_columns(t) for row in m.data]
+    return span_rows(kernel_basis(Mat(stacked)), t.n)
+
+
+def _dense_derived_series(t):
+    """The derived series with every bracket formed by the all-table
+    `StructureTensor.bracket`."""
+    from solvlie.liealg import span_rows
+
+    series = [standard_basis(t.n)]
+    nxt = span_rows(list(t.brackets.values()), t.n)
+    while len(nxt) < len(series[-1]):
+        series.append(nxt)
+        if not nxt:
+            break
+        nxt = span_rows([t.bracket(u, v) for a, u in enumerate(nxt) for v in nxt[a + 1 :]], t.n)
+    return series
+
+
+def test_series_and_center_match_the_dense_systems():
+    """The series, the center and the lower central series read only the
+    nonzero brackets; they equal the all-pairs forms, on corpus algebras,
+    their scrambles, Q(sqrt2) tables and tables that fail Jacobi."""
+    from solvlie import catalog
+    from solvlie.harness import corpus_labels
+    from solvlie.liealg import center_t, span_rows
+
+    samples = [heisenberg(2), aff_r(), l6gamma(QuadExt(1, 1, 2)), abelian_tensor(3)]
+    for i, lab in enumerate(corpus_labels()[::3]):
+        t = catalog.build_tensor(lab)
+        samples += [t, catalog.scramble_tensor(t, i)[0]]
+    samples += _random_tensors(random.Random(43), 60)
+    for t in samples:
+        assert derived_series_t(t) == _dense_derived_series(t)
+        assert center_t(t) == _dense_center(t)
+        full = standard_basis(t.n)
+        for sub in lower_central_series_t(t)[1:]:
+            dense = [t.bracket(u, v) for u in full for v in sub]
+            assert bracket_span(t, full, sub) == span_rows(dense, t.n)
 
 
 def _dense_transform(t, tm, tinv):
@@ -606,6 +658,101 @@ def test_built_tensors_hold_the_checked_invariants(monkeypatch):
             _check_built_tensor(t)
 
 
+def _table_transform_sparse(t, repl, inv_cols):
+    """`StructureTensor.transform_sparse` as it was before it read the
+    bracket adjacency: each touched pair's bracket by the all-table
+    `bracket`, against standard basis vectors for the untouched ones.
+    Returns the bracket dict, in the order it was built."""
+    n = t.n
+    touched = set(repl)
+
+    def reexpress(w):
+        out = [0 if r in touched else x for r, x in enumerate(w)]
+        for j, c in inv_cols.items():
+            if w[j]:
+                for r, x in enumerate(c):
+                    if x:
+                        out[r] = out[r] + w[j] * x
+        return tuple(out)
+
+    out = {}
+    for (i, j), vec in t.brackets.items():
+        if i not in touched and j not in touched:
+            w = reexpress(vec)
+            if any(x != 0 for x in w):
+                out[(i, j)] = w
+    basis = standard_basis(n)
+    for i in sorted(touched):
+        for j in range(n):
+            if j == i or (j in touched and j < i):
+                continue
+            w = t.bracket(repl[i], repl.get(j, basis[j]))
+            if any(x != 0 for x in w):
+                w = reexpress(w)
+            if any(x != 0 for x in w):
+                out[(i, j) if i < j else (j, i)] = w if i < j else tuple(-x for x in w)
+    return out
+
+
+def _random_replacement(rng, n, kinds):
+    """Columns replaced in the identity (one to all of them, several in
+    most draws) by random canonical vectors, with the matching columns of
+    the inverse: the inverse of such a matrix is the identity on the
+    untouched columns too."""
+    while True:
+        cols = sorted(rng.sample(range(n), rng.randint(1, n)))
+        m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        for c in cols:
+            for r in range(n):
+                m[r][c] = rng.choice(kinds)
+        mat = Mat(m)
+        if det(mat) != 0:
+            inv = inverse(mat)
+            return {c: mat.col(c) for c in cols}, {c: inv.col(c) for c in cols}
+
+
+def test_transform_sparse_matches_the_all_table_loop(monkeypatch):
+    """The adjacency transform builds the same bracket dict, key order
+    included, as the loop that called the all-table `bracket` for every
+    touched pair: on the calls a classify makes on `fuzz` and scrambled
+    corpus inputs, and on random replacements of several columns (so
+    touched-touched pairs occur) of Q(sqrt2) tables and tables that fail
+    Jacobi."""
+    from solvlie import catalog
+    from solvlie.classify_n2 import classify_n2
+    from solvlie.harness import corpus_labels, fuzz_stream
+
+    calls = []
+    real = StructureTensor.transform_sparse
+
+    def recording(self, repl, inv_cols):
+        calls.append((self, dict(repl), dict(inv_cols)))
+        return real(self, repl, inv_cols)
+
+    monkeypatch.setattr(StructureTensor, "transform_sparse", recording)
+    for t in fuzz_stream(random.Random(7), 60, max_dim=8):
+        classify_n2(t)
+    for i, lab in enumerate(corpus_labels()):
+        classify_n2(catalog.scramble_tensor(catalog.build_tensor(lab), i)[0])
+    monkeypatch.undo()
+    recorded = len(calls)
+    rng = random.Random(29)
+    half, s2 = Rat(1, 2), QuadExt(0, 1, 2)
+    for t in _random_tensors(random.Random(31), 120):
+        for _ in range(2):
+            repl, inv_cols = _random_replacement(rng, t.n, (0, 0, 1, -1, 2, half, s2))
+            calls.append((t, repl, inv_cols))
+    assert recorded > 1000
+    assert sum(1 for t, _, _ in calls[recorded:] if not validate(t)) >= 100
+    several = 0
+    for t, repl, inv_cols in calls:
+        got = t.transform_sparse(repl, inv_cols)
+        assert list(got.brackets.items()) == list(_table_transform_sparse(t, repl, inv_cols).items())
+        _check_built_tensor(got)
+        several += len(repl) >= 2 and bool(got.brackets)
+    assert several >= 200
+
+
 def test_built_matrices_hold_only_canonical_scalars(monkeypatch):
     """Every matrix the program builds unchecked (`_mat`), and in
     particular the classify witnesses, the codim-2 M_f and the propsim C,
@@ -627,7 +774,7 @@ def test_built_matrices_hold_only_canonical_scalars(monkeypatch):
         built.append(m)
         return m
 
-    for name in ("matrices", "liealg", "classify_n2", "codim2", "propsim"):
+    for name in ("matrices", "liealg", "classify_n2", "codim2", "propsim", "frobenius"):
         monkeypatch.setattr(import_module(f"solvlie.{name}"), "_mat", recording)
     named = []
     for t in fuzz_stream(random.Random(11), 40, max_dim=7):

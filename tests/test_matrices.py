@@ -169,3 +169,15 @@ def test_cyclic_conjugator_matches_the_frobenius_witness():
         c = cyclic_conjugator_2x2(m, target)
         assert c == similarity_witness(m, target)
         assert inverse(c) @ m @ c == target
+
+
+def test_from_columns_checks_as_the_constructor_does():
+    from solvlie.scalars import Rat
+
+    m = Mat.from_columns([[Fraction(4, 2), Fraction(1, 3)], [0, Fraction(0)]])
+    assert m == Mat([[2, 0], [Fraction(1, 3), 0]])
+    assert [type(x) for row in m.data for x in row] == [int, int, Rat, int]
+    with pytest.raises(TypeError):
+        Mat.from_columns([[1.5, 0], [0, 1]])
+    with pytest.raises(DimensionError):
+        Mat.from_columns([])
