@@ -8,6 +8,16 @@ the input tensor.  Dispatch is on the dimension of
 the adjoint-restriction span: 0 is the two-step nilpotent regime (labelled,
 not classified further), 1 runs the singular/non-singular pipelines, 2 runs
 the commuting-pair pipeline.
+
+The opening finds the derived ideal g' before it checks anything else.
+When dim g' = 2 the algebra is solvable whatever the brackets are: g''
+is spanned by the one bracket [u, v] of a basis u, v of g', so
+dim g'' <= 1 and g''' = 0.  So the derived series is not formed, and the
+Jacobi identity, which holds in every basis or in none, is checked on the
+`Frame`'s front-loaded tensor, whose brackets lie in the first two coordinates.
+An input that fails a check, or whose g' has another dimension, runs the
+checks on the input in their documented order (Jacobi, solvability,
+dim g'), so each rejection is reported as the full checks report it.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from .liealg import (
     Frame,
     LieAlgebra,
     StructureTensor,
+    derived_ideal_t,
     derived_series_t,
     validate,
 )
@@ -78,22 +89,27 @@ def classify_n2(a) -> Classification:
     """Full classification of a validated solvable algebra with
     2-dimensional derived ideal; raises NotInClass otherwise.
 
-    Accepts a LieAlgebra or a bare StructureTensor."""
+    Accepts a LieAlgebra or a bare StructureTensor.  The derived ideal g'
+    comes first: it must be 2-dimensional, which makes the algebra
+    solvable.  Then the Jacobi identity is checked on the frame that moves
+    g' to the front.  On any failure the input is checked in the order
+    JacobiFails, NotSolvable, DerivedDimNot2, and the first failing check
+    is raised."""
     tensor = a.tensor if isinstance(a, LieAlgebra) else a
-    rep = validate(tensor)
-    if not rep.ok:
-        raise NotInClass("JacobiFails", f"first failing triple {rep.triple}")
-    series = derived_series_t(tensor)
-    if series[-1]:
-        raise NotInClass("NotSolvable")
-    g1 = series[1] if len(series) > 1 else []
+    g1 = derived_ideal_t(tensor)
     if len(g1) != 2:
-        raise NotInClass("DerivedDimNot2", f"dim of derived ideal is {len(g1)}")
-    n = tensor.n
-
+        _fail(tensor)
     pipe = Frame(tensor, g1)
+    if not validate(pipe.t).ok:
+        _fail(tensor)
+    return _classify_frame(pipe)
 
-    if not vec_is_zero(pipe.t.bracket_basis(0, 1)):
+
+def _classify_frame(pipe: Frame) -> Classification:
+    """The normalization of a checked input whose frame has its 2-dim
+    derived ideal in front."""
+    n = pipe.n
+    if (0, 1) in pipe.t.brackets:
         raise ImpossibleBranch("derived ideal of a validated solvable algebra must be abelian")
 
     adjoints = [pipe.adjoint(i) for i in range(2, n)]
@@ -118,6 +134,21 @@ def classify_n2(a) -> Classification:
 
     canonical = catalog.build_tensor(label)
     return Classification(label, Witness(pipe.witness(canonical), label, canonical))
+
+
+def _fail(tensor: StructureTensor):
+    """Raise NotInClass for the first check the input fails, in the order
+    JacobiFails, NotSolvable, DerivedDimNot2."""
+    rep = validate(tensor)
+    if not rep.ok:
+        raise NotInClass("JacobiFails", f"first failing triple {rep.triple}")
+    series = derived_series_t(tensor)
+    if series[-1]:
+        raise NotInClass("NotSolvable")
+    g1 = series[1] if len(series) > 1 else []
+    if len(g1) != 2:
+        raise NotInClass("DerivedDimNot2", f"dim of derived ideal is {len(g1)}")
+    raise ImpossibleBranch("the input passes the checks that its frame failed")
 
 
 # ----------------------------------------------------------------------

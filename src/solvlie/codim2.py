@@ -10,6 +10,15 @@ is materialized as a block matrix and checked by exact bracket transport.
 The normalizing basis change is audited the same way: `normalize_codim2`
 returns a witness only after an independent transport of the normalized
 tensor back by its inverse has reproduced the input.
+
+The opening finds the derived ideal g' before it checks anything else.
+An abelian g' makes g'' = 0, so the algebra is solvable and the derived
+series is not formed: with dim g' = n - 2 the `Frame` moves g' to the
+front, and the Jacobi identity, which holds in every basis or in none, is
+checked on its tensor, where only the brackets through Y and Z are
+nonzero.  An input that fails a check, or whose g' has another dimension,
+runs the checks on the input in their documented order, so each
+rejection is reported as the full checks report it.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .liealg import (
     Frame,
     LieAlgebra,
     StructureTensor,
+    derived_ideal_t,
     derived_series_t,
     validate,
     vec_is_zero,
@@ -78,25 +88,33 @@ def codim2_tensor(a_bar: Mat) -> StructureTensor:
 
 
 def normalize_codim2(a) -> Codim2Form:
+    """Normal form of a solvable algebra with an abelian derived ideal of
+    codimension 2; raises NotInClass otherwise.
+
+    The derived ideal g' comes first: with n >= 4 and dim g' = n - 2 the
+    frame moves g' to the front, the Jacobi identity is checked on its
+    tensor, and g' is abelian when no bracket of two front vectors is
+    nonzero, which also makes the algebra solvable.  On any failure the
+    input is checked in the order JacobiFails, NotSolvable,
+    DimensionTooSmall, DerivedDimNotCodim2, DerivedNotAbelian, and the
+    first failing check is raised."""
     tensor = a.tensor if isinstance(a, LieAlgebra) else a
-    rep = validate(tensor)
-    if not rep.ok:
-        raise NotInClass("JacobiFails", f"first failing triple {rep.triple}")
-    series = derived_series_t(tensor)
-    if series[-1]:
-        raise NotInClass("NotSolvable")
     n = tensor.n
-    if n < 4:
-        raise NotInClass("DimensionTooSmall", "need n >= 4")
-    g1 = series[1] if len(series) > 1 else []
-    if len(g1) != n - 2:
-        raise NotInClass("DerivedDimNotCodim2", f"dim of derived ideal is {len(g1)}")
-    if len(series) > 2 and series[2]:
-        raise NotInClass("DerivedNotAbelian")
-
-    fr = Frame(tensor, g1)
     k = n - 2
+    g1 = derived_ideal_t(tensor)
+    if n < 4 or len(g1) != k:
+        _fail(tensor)
+    fr = Frame(tensor, g1)
+    if any(j < k for _, j in fr.t.brackets) or not validate(fr.t).ok:
+        _fail(tensor)
+    return _normalize_frame(fr)
 
+
+def _normalize_frame(fr: Frame) -> Codim2Form:
+    """The normalization of a checked input whose frame has its abelian
+    codimension-2 derived ideal in front."""
+    n = fr.n
+    k = n - 2
     a_y = fr.adjoint(n - 2)
     a_z = fr.adjoint(n - 1)
     flat = [tuple(m[r, c] for r in range(k) for c in range(k)) for m in (a_y, a_z)]
@@ -222,6 +240,27 @@ def normalize_codim2(a) -> Codim2Form:
         a_inner=a_in,
         a_bar=a_bar,
     )
+
+
+def _fail(tensor: StructureTensor):
+    """Raise NotInClass for the first check the input fails, in the order
+    JacobiFails, NotSolvable, DimensionTooSmall, DerivedDimNotCodim2,
+    DerivedNotAbelian."""
+    rep = validate(tensor)
+    if not rep.ok:
+        raise NotInClass("JacobiFails", f"first failing triple {rep.triple}")
+    series = derived_series_t(tensor)
+    if series[-1]:
+        raise NotInClass("NotSolvable")
+    n = tensor.n
+    if n < 4:
+        raise NotInClass("DimensionTooSmall", "need n >= 4")
+    g1 = series[1] if len(series) > 1 else []
+    if len(g1) != n - 2:
+        raise NotInClass("DerivedDimNotCodim2", f"dim of derived ideal is {len(g1)}")
+    if len(series) > 2 and series[2]:
+        raise NotInClass("DerivedNotAbelian")
+    raise ImpossibleBranch("the input passes the checks that its frame failed")
 
 
 class Codim2IsoVerdict(Record):

@@ -416,10 +416,13 @@ class Frame:
 
     def bracket(self, i: int, j: int) -> tuple:
         """[X_i, X_j] in the coordinates of X_1..X_k; it must lie there."""
-        vec = self.t.bracket_basis(i, j)
-        if any(vec[self.k :]):
+        k = self.k
+        vec = self.t.brackets.get((i, j) if i < j else (j, i))
+        if vec is None:
+            return (0,) * k
+        if any(vec[k:]):
             raise ImpossibleBranch("bracket left the front ideal")
-        return tuple(vec[: self.k])
+        return vec[:k] if i < j else tuple(-x for x in vec[:k])
 
     def adjoint(self, i: int) -> Mat:
         """ad_{X_i} restricted to span(X_1..X_k), in that basis."""
@@ -433,11 +436,19 @@ class Frame:
         Transport is invertible, so this proves the same identity as
         transporting the input forward by the total; it is run from the
         normal form, which has few and sparse brackets, and still checks
-        every pair (i, j) exactly."""
+        every pair (i, j) exactly.  Only the columns where the total
+        differs from the identity are replaced: its inverse differs in
+        the same columns."""
         if target is not None and self.t != target:
             raise ImpossibleBranch(f"normalized to {self.t!r}, want {target!r}")
         change = BasisChange(self.total)
-        back = self.t.transform(change.inverse, change.matrix)
+        moved = [
+            j for j, col in enumerate(self._tot_cols)
+            if col[j] != 1 or any(col[:j]) or any(col[j + 1 :])
+        ]
+        back = self.t.transform_sparse(
+            {j: change.inverse.col(j) for j in moved}, {j: change.matrix.col(j) for j in moved}
+        )
         if back != self.input:
             raise ImpossibleBranch(
                 f"witness transport failed: got {back!r}, want {self.input!r}"

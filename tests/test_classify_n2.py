@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,19 @@ def test_dimension_bookkeeping():
             )
         )
         assert core.n + c.label.abelian_ext == t.n
+
+
+def test_classify_at_the_dimension_bound_is_fast():
+    # the frame reads each pair's bracket from the table and the witness
+    # transports back only its moved columns, so a table with three
+    # brackets classifies at the CLI's dimension bound in well under a second
+    from solvlie.jsonio import MAX_DIM
+
+    lab = ClassLabel(labels.G3_2_2, abelian_ext=MAX_DIM - 3)
+    t = build_tensor(lab)
+    start = time.perf_counter()
+    c = classify_n2(t)
+    assert time.perf_counter() - start < 5.0
+    assert c.label == lab and c.witness.canonical == t
+    w = c.witness.transform
+    assert t.transform(w.matrix, w.inverse) == c.witness.canonical

@@ -68,6 +68,9 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     assert run(["validate", path]) == 1
     path = write(tmp_path, "shape.json", {"dim": 2, "brackets": [{"i": 1}]})
     assert run(["classify", path]) == 1
+    for brackets in (5, None, {}, "", {"i": 1, "j": 2}):
+        path = write(tmp_path, "brackets.json", {"dim": 2, "brackets": brackets})
+        assert run(["validate", path]) == 1
     ragged = write(tmp_path, "ragged.json", [["1", "2"], ["3"]])
     square = write(tmp_path, "square.json", [["1", "2"], ["3", "4"]])
     assert run(["propsim", ragged, square]) == 1

@@ -1,0 +1,131 @@
+"""Seeded structural fuzzing of the command line: valid documents are
+mutated in their types, nesting, lengths, indices and scalars, and every
+command must answer with exit 0, 1 or 2, never with a traceback."""
+
+import copy
+import json
+import random
+import time
+import traceback
+
+import pytest
+
+from solvlie.catalog import codim2_algebra, codim2_az_fixtures
+from solvlie.cli import run
+from solvlie.jsonio import algebra_to_json
+
+AFFC = {
+    "dim": 4,
+    "brackets": [
+        {"i": 1, "j": 3, "coeffs": ["0", "1", "0", "0"]},
+        {"i": 2, "j": 3, "coeffs": ["-1", "0", "0", "0"]},
+        {"i": 1, "j": 4, "coeffs": ["-1", "0", "0", "0"]},
+        {"i": 2, "j": 4, "coeffs": ["0", "-1", "0", "0"]},
+    ],
+}
+QUAD_G3 = {
+    "dim": 3,
+    "brackets": [
+        {"i": 1, "j": 3, "coeffs": [{"a": "0", "b": "-1", "d": 2}, "0", "0"]},
+        {"i": 2, "j": 3, "coeffs": ["0", "-1/2", "0"]},
+    ],
+}
+CODIM2 = [algebra_to_json(codim2_algebra(az)) for _, az in codim2_az_fixtures()[:2]]
+MATRICES = [
+    [["1", "2"], ["0", "3"]],
+    [["2", "4"], ["0", "6"]],
+    [[{"a": "1", "b": "1", "d": 3}, "0"], ["1", "-1/3"]],
+]
+
+# replacements of every JSON type, and scalars that sit on the grammar's edges
+ODD_VALUES = [
+    None, True, False, 0, -1, 1, 2, 1.5, 10**6, "", "x", "1/0", "1e3", "nan", " 3 ", "+2/4",
+    "-.5", ".", "9" * 60, [], [[]], {}, {"a": "1", "b": "1", "d": 4},
+    {"a": "1", "b": "1", "d": -2}, {"a": "1", "b": 2.5, "d": 2}, {"a": "1", "d": 3},
+    {"dim": 2}, {"i": 1, "j": 2, "coeffs": ["0", "1"]},
+]
+
+
+def nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from nodes(value, path + (key,))
+
+
+def replace(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def mutate(rng: random.Random, doc):
+    """A copy of ``doc`` with one to three structural mutations."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        path, node = rng.choice(list(nodes(doc)))
+        op = rng.randrange(6)
+        if op == 0:  # a value of another type
+            new = copy.deepcopy(rng.choice(ODD_VALUES))
+        elif op == 1:  # one level more or less of nesting
+            new = [node] if rng.random() < 0.5 or not isinstance(node, list) or not node else node[0]
+        elif op == 2 and isinstance(node, list):  # a list one entry shorter or longer
+            new = list(node)
+            if new and rng.random() < 0.5:
+                del new[rng.randrange(len(new))]
+            else:
+                new.insert(rng.randint(0, len(new)), copy.deepcopy(rng.choice(new)) if new else "1")
+        elif op == 3 and isinstance(node, dict) and node:  # a key dropped or added
+            new = dict(node)
+            if rng.random() < 0.5:
+                del new[rng.choice(list(new))]
+            else:
+                new[rng.choice(("i", "j", "dim", "coeffs", "brackets", "extra"))] = rng.choice(ODD_VALUES)
+        elif op == 4:  # an index, a dimension or a count off by a little
+            new = rng.choice((-1, 0, 1, 2, 3, 5, 13, "2", "x", 2.0))
+        else:  # another scalar
+            new = rng.choice(("0", "1", "-3/4", "2.25", "1/0", "abc", "1e2", {"a": "1/2", "b": "-1", "d": 5}))
+        doc = replace(doc, path, new)
+    return doc
+
+
+def test_mutated_documents_never_raise(tmp_path, capsys):
+    rng = random.Random(19)
+    algebras = [AFFC, QUAD_G3, *CODIM2]
+    cases = []
+    for _ in range(90):
+        for cmd in ("validate", "invariants", "classify", "codim2"):
+            flags = rng.choice(([], ["--format", "text"], ["--witness"])) if cmd == "classify" else []
+            cases.append(([cmd], [mutate(rng, rng.choice(algebras))], flags))
+        a, b = rng.sample(CODIM2, 2) if rng.random() < 0.5 else [rng.choice(CODIM2)] * 2
+        docs = [mutate(rng, a), b] if rng.random() < 0.5 else [a, mutate(rng, b)]
+        cases.append((["codim2-iso"], docs, rng.choice(([], ["--witness"]))))
+        a, b = rng.choice(MATRICES), rng.choice(MATRICES)
+        docs = [mutate(rng, a), b] if rng.random() < 0.5 else [a, mutate(rng, b)]
+        cases.append((["propsim"], docs, rng.choice(([], ["--witness"]))))
+    codes = set()
+    for n, (cmd, docs, flags) in enumerate(cases):
+        paths = []
+        for m, doc in enumerate(docs):
+            p = tmp_path / f"{n}_{m}.json"
+            p.write_text(json.dumps(doc))
+            paths.append(str(p))
+        argv = cmd + paths + flags
+        start = time.perf_counter()
+        try:
+            code = run(argv)
+        except Exception:
+            pytest.fail(f"{argv} on {docs} raised:\n{traceback.format_exc()}")
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, docs, code, err)
+        assert "Traceback" not in err, (argv, docs, err)
+        assert elapsed < 2.0, (argv, docs, elapsed)
+        codes.add(code)
+    # the mutations reach the parser's refusals, the class checks and success
+    assert codes == {0, 1, 2}
