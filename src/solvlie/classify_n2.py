@@ -77,12 +77,9 @@ class Classification(Record):
         self._set(label, witness)
 
 
-def _embed_g1(pipe: Frame, c: Mat) -> dict:
+def _embed_g1(c: Mat) -> dict:
     """Column replacements conjugating the derived-ideal basis by c."""
-    return {
-        0: [c[0, 0], c[1, 0]] + [0] * (pipe.n - 2),
-        1: [c[0, 1], c[1, 1]] + [0] * (pipe.n - 2),
-    }
+    return {0: {0: c[0, 0], 1: c[1, 0]}, 1: {0: c[0, 1], 1: c[1, 1]}}
 
 
 def classify_n2(a) -> Classification:
@@ -175,43 +172,33 @@ def _adjoint_line_normalize(pipe: Frame) -> Mat:
         if any(flat[k] != alpha * flat3[k] for k in range(4)):
             raise ImpossibleBranch("adjoint line is not one-dimensional")
         if alpha != 0:
-            v = pipe.unit(i)
-            v[2] = -alpha
-            reps[i] = v
-    if reps:
-        pipe.step_cols(reps)
-        for i in range(3, n):
-            if not pipe.adjoint(i).is_zero():
-                raise ImpossibleBranch("line normalization left a nonzero adjoint")
+            reps[i] = {i: 1, 2: -alpha}
+    pipe.step_cols(reps)
+    # a_{X_i} is zero exactly when no bracket [X_j, X_i] with j < 2 is in the table
+    if any(j < 2 < i for j, i in pipe.t.brackets):
+        raise ImpossibleBranch("line normalization left a nonzero adjoint")
     return pipe.adjoint(2)
 
 
 def _invertible_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
     """Non-singular a_{X_3}: the algebra splits off an abelian tail and the
     core is one of the three 3-dimensional families."""
-    n = pipe.n
-    for i in range(3, n):
-        for j in range(i + 1, n):
-            if pipe.bracket(i, j) != (0, 0):
-                raise ImpossibleBranch("brackets beyond X3 must vanish when a_X3 is invertible")
+    if pipe.far(3):
+        raise ImpossibleBranch("brackets beyond X3 must vanish when a_X3 is invertible")
     a3inv = inverse(a3)
     reps = {}
-    for k in range(3, n):
-        w = pipe.bracket(2, k)
-        if w != (0, 0):
+    for k, w in pipe.row(2).items():
+        if k >= 3:
             y, z = a3inv.apply(w)
-            v = pipe.unit(k)
-            v[0], v[1] = -y, -z
-            reps[k] = v
-    if reps:
-        pipe.step_cols(reps)
+            reps[k] = {k: 1, 0: -y, 1: -z}
+    pipe.step_cols(reps)
     cls = propsim_classify_gl2(a3)
     if not is_rational(cls.j):
         raise Unsupported(f"irrational key j = {format_scalar(cls.j)} of the 3-dimensional action")
-    gl2 = _embed_g1(pipe, cls.cmat)
-    gl2[2] = pipe.unit(2, cls.c)
+    gl2 = _embed_g1(cls.cmat)
+    gl2[2] = {2: cls.c}
     pipe.step_cols(gl2)
-    d = n - 3
+    d = pipe.n - 3
     if cls.family == "diag":
         return ClassLabel(labels.G3_2_1, abelian_ext=d, lam=cls.lam, j=cls.j)
     if cls.family == "jordan":
@@ -238,28 +225,17 @@ def _singular_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
 def _case1_shape(pipe: Frame, a3: Mat, tr):
     """Normalize a_{X_3} to the rank-one projector and clear the
     X_1-components of all remaining brackets."""
-    n = pipe.n
     shifted = a3 - Mat.identity(2).scale(tr)
     v_eig = kernel_basis(shifted)[0]
     v_ker = kernel_basis(a3)[0]
-    gl2 = _embed_g1(pipe, _mat(zip(v_eig, v_ker)))
-    gl2[2] = pipe.unit(2, exdiv(1, tr))
+    gl2 = _embed_g1(_mat(zip(v_eig, v_ker)))
+    gl2[2] = {2: exdiv(1, tr)}
     pipe.step_cols(gl2)
     if pipe.adjoint(2) != Mat([[1, 0], [0, 0]]):
         raise ImpossibleBranch("projector normalization failed")
-    reps = {}
-    for k in range(3, n):
-        y, _ = pipe.bracket(2, k)
-        if y != 0:
-            v = pipe.unit(k)
-            v[0] = -y
-            reps[k] = v
-    if reps:
-        pipe.step_cols(reps)
-    for i in range(3, n):
-        for j in range(i + 1, n):
-            if pipe.bracket(i, j)[0] != 0:
-                raise ImpossibleBranch("X1-component of a far bracket survived Jacobi")
+    pipe.step_cols({k: {k: 1, 0: -y} for k, (y, _) in pipe.row(2).items() if k >= 3 and y != 0})
+    if any(w[0] != 0 for w in pipe.far(3).values()):
+        raise ImpossibleBranch("X1-component of a far bracket survived Jacobi")
 
 
 def _case2_shape(pipe: Frame, a3: Mat):
@@ -273,45 +249,23 @@ def _case2_shape(pipe: Frame, a3: Mat):
             break
     if w is None:
         raise ImpossibleBranch("nonzero nilpotent adjoint acts nontrivially somewhere")
-    pipe.step_cols(_embed_g1(pipe, _mat(zip(w, a3.apply(w)))))
+    pipe.step_cols(_embed_g1(_mat(zip(w, a3.apply(w)))))
     if pipe.adjoint(2) != Mat([[0, 0], [1, 0]]):
         raise ImpossibleBranch("nilpotent normalization failed")
-    reps = {}
-    for k in range(3, n):
-        _, c2 = pipe.bracket(2, k)
-        if c2 != 0:
-            v = pipe.unit(k)
-            v[0] = -c2
-            reps[k] = v
-    if reps:
-        pipe.step_cols(reps)
-    for i in range(3, n):
-        for j in range(i + 1, n):
-            if pipe.bracket(i, j)[0] != 0:
-                raise ImpossibleBranch("X1-component of a far bracket survived Jacobi")
-    zs = [(k, pipe.bracket(2, k)[0]) for k in range(3, n)]
-    k0 = next((k for k, z in zs if z != 0), None)
+    pipe.step_cols({k: {k: 1, 0: -c2} for k, (_, c2) in pipe.row(2).items() if k >= 3 and c2 != 0})
+    if any(w[0] != 0 for w in pipe.far(3).values()):
+        raise ImpossibleBranch("X1-component of a far bracket survived Jacobi")
+    k0 = next((k for k, (z, _) in pipe.row(2).items() if k >= 3 and z != 0), None)
     if k0 is None:
         raise ImpossibleBranch("derived ideal cannot be 2-dimensional without a z-coefficient")
     if k0 != 3:
         order = list(range(n))
         order[3], order[k0] = order[k0], order[3]
         pipe.step_perm(order)
-    z4 = pipe.bracket(2, 3)[0]
-    reps = {3: pipe.unit(3, exdiv(1, z4))}
-    pipe.step_cols(reps)
-    reps = {}
-    for k in range(4, n):
-        zk = pipe.bracket(2, k)[0]
-        if zk != 0:
-            v = pipe.unit(k)
-            v[3] = -zk
-            reps[k] = v
-    if reps:
-        pipe.step_cols(reps)
-    if pipe.bracket(2, 3) != (1, 0) or any(
-        pipe.bracket(2, k) != (0, 0) for k in range(4, pipe.n)
-    ):
+    pipe.step_cols({3: {3: exdiv(1, pipe.bracket(2, 3)[0])}})
+    pipe.step_cols({k: {k: 1, 3: -z} for k, (z, _) in pipe.row(2).items() if k >= 4 and z != 0})
+    row = pipe.row(2)
+    if row.get(3) != (1, 0) or any(k >= 4 for k in row):
         raise ImpossibleBranch("chain seed normalization failed")
 
 
@@ -326,9 +280,6 @@ def _chain_normalize(pipe: Frame, anchor: int, block: list, comp: int):
     coefficient one.
     """
 
-    def omega(i, j):
-        return pipe.bracket(i, j)[comp]
-
     remaining = list(block)
     chains: list[tuple[int, list[int]]] = []  # (head index, chain vertices)
 
@@ -337,33 +288,34 @@ def _chain_normalize(pipe: Frame, anchor: int, block: list, comp: int):
         chain: list[int] = []
         current = head
         while True:
-            nxt = next((r for r in remaining if omega(current, r) != 0), None)
+            row = pipe.row(current)
+            nxt = next((r for r in remaining if r in row and row[r][comp] != 0), None)
             if nxt is None:
                 break
-            val = omega(current, nxt)
+            val = row[nxt][comp]
             if val != 1:
-                pipe.step_cols({nxt: pipe.unit(nxt, exdiv(1, val))})
-            reps = {}
-            for k in remaining:
-                if k == nxt:
-                    continue
-                c = omega(current, k)
-                if c != 0:
-                    v = pipe.unit(k)
-                    v[nxt] = -c
-                    reps[k] = v
-            if reps:
-                pipe.step_cols(reps)
+                # [X_current, X_k] for k != nxt lie in the front ideal, so
+                # rescaling X_nxt leaves them as read
+                pipe.step_cols({nxt: {nxt: exdiv(1, val)}})
+            pipe.step_cols({
+                k: {k: 1, nxt: -row[k][comp]}
+                for k in remaining
+                if k != nxt and k in row and row[k][comp] != 0
+            })
             chain.append(nxt)
             remaining.remove(nxt)
             current = nxt
         if chain:
             chains.append((head, chain))
         # earlier chains are fully decoupled from the residual; seed a pure one
-        seed = next(
-            (i for i in remaining if any(omega(i, j) != 0 for j in remaining if j != i)),
-            None,
-        )
+        rest = set(remaining)
+        hot = {
+            x
+            for i, j in pipe.t.brackets
+            if i in rest and j in rest and pipe.bracket(i, j)[comp] != 0
+            for x in (i, j)
+        }
+        seed = next((i for i in remaining if i in hot), None)
         if seed is None:
             break
         remaining.remove(seed)
@@ -398,9 +350,7 @@ def _telescope(pipe: Frame, verts: list, pinned: bool, comp: int):
         # odd number of edges: head keeps its partner, rest pair up
         for pos in range(L - 3, 0, -2):
             v, w = verts[pos], verts[pos + 2]
-            vec = pipe.unit(v)
-            vec[w] = 1
-            pipe.step_cols({v: vec})
+            pipe.step_cols({v: {v: 1, w: 1}})
         partner = verts[1]
         pairs = [(verts[i], verts[i + 1]) for i in range(2, L - 1, 2)]
         if pinned:
@@ -409,29 +359,23 @@ def _telescope(pipe: Frame, verts: list, pinned: bool, comp: int):
     # even number of edges: head decouples entirely
     for pos in range(L - 3, -1, -2):
         v, w = verts[pos], verts[pos + 2]
-        vec = pipe.unit(v)
-        vec[w] = 1
-        pipe.step_cols({v: vec})
+        pipe.step_cols({v: {v: 1, w: 1}})
     pairs = [(verts[i], verts[i + 1]) for i in range(1, L - 1, 2)]
     return None, pairs
 
 
 def _assert_chain_clean(pipe, anchor, block, comp, anchored, pairs):
-    oriented = {}
-    for a, b in pairs:
-        oriented[(a, b)] = 1
-        oriented[(b, a)] = -1
-    if anchored is not None:
-        oriented[(anchor, anchored)] = 1
-        oriented[(anchored, anchor)] = -1
-    idxs = [anchor] + block
-    for x, i in enumerate(idxs):
-        for j in idxs[x + 1 :]:
-            val = pipe.bracket(i, j)[comp]
-            if val != oriented.get((i, j), 0):
-                raise ImpossibleBranch(
-                    f"chain normalization left [{i + 1},{j + 1}] component {val}"
-                )
+    """The component-`comp` brackets inside {anchor} + block are exactly
+    [a, b] = 1 for the listed pairs and [anchor, anchored]."""
+    want = {}
+    for a, b in pairs + ([] if anchored is None else [(anchor, anchored)]):
+        want[(a, b) if a < b else (b, a)] = 1 if a < b else -1
+    idxs = {anchor, *block}
+    found = {ij for ij in pipe.far(anchor) if ij[0] in idxs and ij[1] in idxs}
+    for i, j in sorted(found | want.keys()):
+        val = pipe.bracket(i, j)[comp]
+        if val != want.get((i, j), 0):
+            raise ImpossibleBranch(f"chain normalization left [{i + 1},{j + 1}] component {val}")
 
 
 def _case1_assemble(pipe: Frame, anchored, pairs, leftover) -> ClassLabel:
@@ -517,11 +461,8 @@ def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
             raise ImpossibleBranch("adjoint outside the two-dimensional span")
         alpha, beta = coords
         if alpha != 0 or beta != 0:
-            v = pipe.unit(i)
-            v[2], v[3] = -alpha, -beta
-            reps[i] = v
-    if reps:
-        pipe.step_cols(reps)
+            reps[i] = {i: 1, 2: -alpha, 3: -beta}
+    pipe.step_cols(reps)
 
     s3 = spectral_classify_2x2(a3)
     s4 = spectral_classify_2x2(a4)
@@ -538,27 +479,14 @@ def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
 def _residual_cleanup_a4_identity(pipe: Frame):
     """With a_{X_4} = I (and a_{X_3} arbitrary in its centralizer), kill all
     remaining brackets involving indices >= 3 except those inside G^1."""
-    n = pipe.n
-    reps = {}
-    for k in range(4, n):
-        w = pipe.bracket(3, k)
-        if w != (0, 0):
-            v = pipe.unit(k)
-            v[0], v[1] = -w[0], -w[1]
-            reps[k] = v
-    if reps:
-        pipe.step_cols(reps)
-    for k in range(4, n):
-        if pipe.bracket(2, k) != (0, 0):
-            raise ImpossibleBranch("Jacobi should have cleared [X3, X_k] once [X4, X_k] = 0")
-        for j in range(k + 1, n):
-            if pipe.bracket(k, j) != (0, 0):
-                raise ImpossibleBranch("far brackets must vanish when a_X4 is the identity")
+    pipe.step_cols({k: {k: 1, 0: -w[0], 1: -w[1]} for k, w in pipe.row(3).items() if k >= 4})
+    if any(k >= 4 for k in pipe.row(2)):
+        raise ImpossibleBranch("Jacobi should have cleared [X3, X_k] once [X4, X_k] = 0")
+    if pipe.far(4):
+        raise ImpossibleBranch("far brackets must vanish when a_X4 is the identity")
     u = pipe.bracket(2, 3)
     if u != (0, 0):
-        v = pipe.unit(2)
-        v[0], v[1] = u[0], u[1]
-        pipe.step_cols({2: v})
+        pipe.step_cols({2: {2: 1, 0: u[0], 1: u[1]}})
 
 
 def _plane_complex_case(pipe: Frame) -> ClassLabel:
@@ -580,9 +508,7 @@ def _plane_complex_case(pipe: Frame) -> ClassLabel:
     s, t = coords
     if s == 0:
         raise ImpossibleBranch("independent partner cannot be a pure multiple")
-    v4 = [0] * n
-    v4[2], v4[3] = exdiv(-t, s), exdiv(1, s)
-    pipe.step_cols({3: v4})
+    pipe.step_cols({3: {2: exdiv(-t, s), 3: exdiv(1, s)}})
     if pipe.adjoint(3) != Mat.identity(2):
         raise ImpossibleBranch("identity normalization failed")
     _residual_cleanup_a4_identity(pipe)
@@ -591,15 +517,13 @@ def _plane_complex_case(pipe: Frame) -> ClassLabel:
     tau = a3.trace()
     alpha = exdiv(1, sqrt_exact(dd - exdiv(tau * tau, 4)))
     beta = exdiv(-alpha * tau, 2)
-    v3 = [0] * n
-    v3[2], v3[3] = alpha, beta
-    pipe.step_cols({2: v3})
+    pipe.step_cols({2: {2: alpha, 3: beta}})
     a3 = pipe.adjoint(2)
     if a3.trace() != 0 or det(a3) != 1:
         raise ImpossibleBranch("trace/determinant normalization failed")
     target = Mat([[0, 1], [-1, 0]])
     if a3 != target:
-        pipe.step_cols(_embed_g1(pipe, cyclic_conjugator_2x2(a3, target)))
+        pipe.step_cols(_embed_g1(cyclic_conjugator_2x2(a3, target)))
         if pipe.adjoint(2) != target:
             raise ImpossibleBranch("quarter-turn conjugation failed")
     return ClassLabel(labels.G4_2_4_AFFC, abelian_ext=n - 4)
@@ -607,44 +531,31 @@ def _plane_complex_case(pipe: Frame) -> ClassLabel:
 
 def _plane_split_case(pipe: Frame, dirs) -> ClassLabel:
     n = pipe.n
-    cmat = _mat(zip(dirs[0], dirs[1]))
-    pipe.step_cols(_embed_g1(pipe, cmat))
+    pipe.step_cols(_embed_g1(_mat(zip(dirs[0], dirs[1]))))
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     for m in (a3, a4):
         if m[0, 1] != 0 or m[1, 0] != 0:
             raise ImpossibleBranch("simultaneous diagonalization failed")
     mix = _mat([[a3[0, 0], a3[1, 1]], [a4[0, 0], a4[1, 1]]])
     inv = inverse(mix)
-    v3 = [0] * n
-    v3[2], v3[3] = inv[0, 0], inv[0, 1]
-    v4 = [0] * n
-    v4[2], v4[3] = inv[1, 0], inv[1, 1]
-    pipe.step_cols({2: v3, 3: v4})
+    pipe.step_cols({2: {2: inv[0, 0], 3: inv[0, 1]}, 3: {2: inv[1, 0], 3: inv[1, 1]}})
     if pipe.adjoint(2) != Mat([[1, 0], [0, 0]]) or pipe.adjoint(3) != Mat([[0, 0], [0, 1]]):
         raise ImpossibleBranch("weight mixing did not reach the projector pair")
+    row3, row4 = pipe.row(2), pipe.row(3)
     reps = {}
-    for k in range(4, n):
-        w3 = pipe.bracket(2, k)
-        w4 = pipe.bracket(3, k)
+    for k in sorted(row3.keys() | row4.keys()):
+        if k < 4:
+            continue
+        w3, w4 = row3.get(k, (0, 0)), row4.get(k, (0, 0))
         if w3[1] != 0 or w4[0] != 0:
             raise ImpossibleBranch("cross components survive Jacobi in the split case")
-        if w3[0] != 0 or w4[1] != 0:
-            v = pipe.unit(k)
-            v[0], v[1] = -w3[0], -w4[1]
-            reps[k] = v
-    if reps:
-        pipe.step_cols(reps)
-    for k in range(4, n):
-        for j in range(k + 1, n):
-            if pipe.bracket(k, j) != (0, 0):
-                raise ImpossibleBranch("far brackets must vanish in the split case")
+        reps[k] = {k: 1, 0: -w3[0], 1: -w4[1]}
+    pipe.step_cols(reps)
+    if pipe.far(4):
+        raise ImpossibleBranch("far brackets must vanish in the split case")
     alpha, beta = pipe.bracket(2, 3)
     if (alpha, beta) != (0, 0):
-        v3 = pipe.unit(2)
-        v3[1] = beta
-        v4 = pipe.unit(3)
-        v4[0] = -alpha
-        pipe.step_cols({2: v3, 3: v4})
+        pipe.step_cols({2: {2: 1, 1: beta}, 3: {3: 1, 0: -alpha}})
     if pipe.bracket(2, 3) != (0, 0):
         raise ImpossibleBranch("[X3, X4] must vanish after the correction")
     return ClassLabel(labels.AFFR_PLUS_AFFR, abelian_ext=n - 4)
@@ -668,11 +579,7 @@ def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
     combo = _mat([[mu4, x], [-mu3, y]])
     if det(combo) == 0:
         raise ImpossibleBranch("nilpotent/identity combination is singular")
-    v3 = [0] * n
-    v3[2], v3[3] = mu4, -mu3
-    v4 = [0] * n
-    v4[2], v4[3] = x, y
-    pipe.step_cols({2: v3, 3: v4})
+    pipe.step_cols({2: {2: mu4, 3: -mu3}, 3: {2: x, 3: y}})
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     if a4 != Mat.identity(2) or a3.trace() != 0 or not (a3 @ a3).is_zero() or a3.is_zero():
         raise ImpossibleBranch("expected a nonzero nilpotent with the identity partner")
@@ -681,7 +588,7 @@ def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
         if a3.apply(cand) != (0, 0):
             w = cand
             break
-    pipe.step_cols(_embed_g1(pipe, _mat(zip(a3.apply(w), w))))
+    pipe.step_cols(_embed_g1(_mat(zip(a3.apply(w), w))))
     if pipe.adjoint(2) != Mat([[0, 1], [0, 0]]) or pipe.adjoint(3) != Mat.identity(2):
         raise ImpossibleBranch("jordan-frame normalization failed")
     _residual_cleanup_a4_identity(pipe)

@@ -133,9 +133,7 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
             (r, c) for r in range(k) for c in range(k) if a_z[r, c] != 0
         )
         y = exdiv(a_y[lead[0], lead[1]], a_z[lead[0], lead[1]])
-        ycol = fr.unit(n - 2)
-        ycol[n - 1] = -y
-        fr.step_cols({n - 2: ycol})
+        fr.step_cols({n - 2: {n - 2: 1, n - 1: -y}})
         if not fr.adjoint(n - 2).is_zero():
             raise ImpossibleBranch("a_Y must vanish after the line correction")
         a_z = fr.adjoint(n - 1)
@@ -147,10 +145,7 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
 
     if not vec_is_zero(w) and r == k:
         u = solve(a_z, w)
-        ycol = fr.unit(n - 2)
-        for i in range(k):
-            ycol[i] = -u[i]
-        fr.step_cols({n - 2: ycol})
+        fr.step_cols({n - 2: {n - 2: 1, **{i: -x for i, x in enumerate(u)}}})
         w = fr.bracket(n - 1, n - 2)
         if not vec_is_zero(w):
             raise ImpossibleBranch("[Z, Y] must vanish after the inverse correction")
@@ -192,27 +187,23 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
         vcoef = sol[k]
         if vcoef == 0:
             raise ImpossibleBranch("[Z, Y] cannot lie in the image here")
-        vvec = tuple(vcoef * x for x in kvec)
-        new_basis = [list(row) for row in im_rows] + [list(vvec)]
-        step = {j: vec + [0, 0] for j, vec in enumerate(new_basis)}
-        ycol = fr.unit(n - 2)
-        for i in range(k):
-            ycol[i] = -u[i]
-        step[n - 2] = ycol
+        new_basis = im_rows + [tuple(vcoef * x for x in kvec)]
+        step = {j: dict(enumerate(vec)) for j, vec in enumerate(new_basis)}
+        step[n - 2] = {n - 2: 1, **{i: -x for i, x in enumerate(u)}}
         fr.step_cols(step)
         shape = LEFT
     else:
         # B2: kernel sits inside the image
-        basis = [list(kvec)]
+        basis = [kvec]
         span = Echelon()
         span.add(kvec)
         for row in im_rows:
             if span.add(row) is not None:
-                basis.append(list(row))
+                basis.append(row)
         if len(basis) != k - 1:
             raise ImpossibleBranch("image completion failed")
-        basis.append(list(w))
-        fr.step_cols({j: vec + [0, 0] for j, vec in enumerate(basis)})
+        basis.append(w)
+        fr.step_cols({j: dict(enumerate(vec)) for j, vec in enumerate(basis)})
         shape = RIGHT
 
     a_bar = fr.adjoint(n - 1)
@@ -298,7 +289,6 @@ def _build_m_f(a_bar: Mat, b_bar: Mat, c, cmat: Mat) -> Mat:
     derived block so it fixes X_{n-2} modulo the image and absorbing the
     leftover image part into the Y column."""
     k = a_bar.rows
-    n = k + 2
     e_last = tuple(1 if i == k - 1 else 0 for i in range(k))
     img = cmat.apply(e_last)
     kappa = img[k - 1]

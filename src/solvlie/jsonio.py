@@ -38,9 +38,10 @@ MAX_RADICAND = 10**18
 # An algebra's series and center cost about n^2 at dimension n with few
 # brackets: `invariants` on an empty table takes about 0.4 s and 55 MB at
 # this bound, 2 s and 170 MB at twice it (CPython 3.11, one shared vCPU).
-# `classify` on the canonical G3_2_2 + R^997 takes about 0.8 s at this
-# bound: the n x 2n elimination that inverts the witness and the scans
-# over the n^2 / 2 basis pairs take most of it.
+# `classify` on the canonical G3_2_2 + R^997 takes about 0.4-0.55 s at
+# this bound; the n x 2n elimination that inverts the witness in
+# `Frame.witness` takes about four fifths of it, since the steps read the
+# running table rather than the n^2 / 2 basis pairs.
 # A larger dim is refused.
 MAX_DIM = 1000
 

@@ -348,7 +348,7 @@ class Frame:
         # each reduced-echelon row is 1 at its own pivot and 0 at the other
         # pivots, so putting the rows on their pivot columns is a shear
         pivots = [next(c for c, x in enumerate(row) if x != 0) for row in ideal_rows]
-        self.step_cols(dict(zip(pivots, ideal_rows)))
+        self.step_cols({p: dict(enumerate(row)) for p, row in zip(pivots, ideal_rows)})
         taken = set(pivots)
         self.step_perm(pivots + [c for c in range(n) if c not in taken])
 
@@ -356,18 +356,21 @@ class Frame:
     def total(self) -> Mat:
         return _mat(zip(*self._tot_cols))
 
-    def step_cols(self, repl: Mapping[int, Sequence[Scalar]]):
+    def step_cols(self, repl: Mapping[int, Mapping[int, Scalar]]):
         """Replace the given columns of the identity by new basis vectors
-        in current coordinates.
+        in current coordinates, each given as {i: coefficient of X_i}
+        (an index not listed is 0); no columns is no step.
 
         With the replaced columns R first, the step is [[A, 0], [B, I]]
         and its inverse [[A^-1, 0], [-B A^-1, I]], so only the |R| x |R|
         block A is inverted (a singular A raises SingularInput and leaves
         the frame as it was) and the tensor always takes the sparse path.
         """
+        if not repl:
+            return
         n = self.n
         cols = sorted(repl)
-        block = [[repl[j][i] for j in cols] for i in cols]
+        block = [[repl[j].get(i, 0) for j in cols] for i in cols]
         if all(x == 0 for p, row in enumerate(block) for q, x in enumerate(row) if p != q):
             # diagonal, as the identity block of every entry step: inverted
             # entry by entry, to the values `inverse` would give
@@ -386,16 +389,18 @@ class Frame:
                 f = a_inv[p][q]
                 if f != 0:
                     col[i] = f
-                    for r, x in enumerate(repl[i]):
+                    for r, x in repl[i].items():
                         if x != 0 and r not in repl:
                             col[r] = col[r] - x * f
             inv_cols[j] = col
-        self.t = self.t.transform_sparse(repl, inv_cols)
+        self.t = self.t.transform_sparse(
+            {j: _dense(v.items(), n) for j, v in repl.items()}, inv_cols
+        )
         # total @ step differs from total only in the replaced columns
         new_cols = {}
         for j, v in repl.items():
             acc = [0] * n
-            for i, c in enumerate(v):
+            for i, c in v.items():
                 if c != 0:
                     for r, x in enumerate(self._tot_cols[i]):
                         if x != 0:
@@ -409,11 +414,6 @@ class Frame:
         self.t = self.t.permute(order)
         self._tot_cols = [self._tot_cols[o] for o in order]
 
-    def unit(self, i: int, scale: Scalar = 1) -> list:
-        v: list = [0] * self.n
-        v[i] = scale
-        return v
-
     def bracket(self, i: int, j: int) -> tuple:
         """[X_i, X_j] in the coordinates of X_1..X_k; it must lie there."""
         k = self.k
@@ -423,6 +423,16 @@ class Frame:
         if any(vec[k:]):
             raise ImpossibleBranch("bracket left the front ideal")
         return vec[:k] if i < j else tuple(-x for x in vec[:k])
+
+    def row(self, i: int) -> dict:
+        """{j: [X_i, X_j]} for the X_j with a nonzero bracket with X_i, in
+        ascending j, read off the running table."""
+        js = [b for a, b in self.t.brackets if a == i] + [a for a, b in self.t.brackets if b == i]
+        return {j: self.bracket(i, j) for j in sorted(js)}
+
+    def far(self, lo: int) -> dict:
+        """{(i, j): [X_i, X_j]} for the nonzero brackets with lo <= i < j."""
+        return {(i, j): self.bracket(i, j) for i, j in self.t.brackets if i >= lo}
 
     def adjoint(self, i: int) -> Mat:
         """ad_{X_i} restricted to span(X_1..X_k), in that basis."""
@@ -476,7 +486,7 @@ def bracket_span(t: StructureTensor, basis_a: Sequence[Vec], basis_b: Sequence[V
 
 
 def standard_basis(n: int) -> list[Vec]:
-    return [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    return [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
 
 
 def derived_ideal_t(t: StructureTensor) -> list[Vec]:

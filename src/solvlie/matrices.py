@@ -189,14 +189,6 @@ def normalize_leading(v: Sequence[Scalar]) -> Vec:
     return tuple(v)
 
 
-def cmp_vec(u, v) -> int:
-    for a, b in zip(u, v):
-        s = scalar_sign(a - b)
-        if s:
-            return s
-    return 0
-
-
 class Echelon:
     """Incremental row echelon form: the one elimination routine.
 
@@ -530,7 +522,8 @@ def common_eigendirections_2x2(m1: Mat, m2: Mat) -> Optional[list[Vec]]:
     for v in out:
         if v not in seen:
             seen.append(v)
-    seen.sort(key=_VecKey, reverse=True)
+    # int, Rat and QuadExt compare exactly with <, so tuples sort as they are
+    seen.sort(reverse=True)
     return seen if seen else None
 
 
@@ -541,13 +534,3 @@ def _is_multiple(w, v) -> bool:
             c = exdiv(w[i], x)
             return all(w[j] == c * v[j] for j in range(len(v)))
     return False
-
-
-class _VecKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return cmp_vec(self.v, other.v) < 0

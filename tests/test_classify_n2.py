@@ -5,12 +5,21 @@ from fractions import Fraction
 import pytest
 
 from solvlie import catalog, labels
-from solvlie.classify_n2 import classify_n2
+from solvlie.classify_n2 import (
+    _adjoint_line_normalize,
+    _assert_chain_clean,
+    _case1_shape,
+    _case2_shape,
+    _invertible_action_pipeline,
+    _plane_split_case,
+    _residual_cleanup_a4_identity,
+    classify_n2,
+)
 from solvlie.catalog import build, build_tensor, scramble_tensor, tensor_from_brackets
-from solvlie.errors import NotInClass
+from solvlie.errors import ImpossibleBranch, NotInClass
 from solvlie.harness import corpus_labels, expected_key
 from solvlie.labels import ClassLabel
-from solvlie.liealg import LieAlgebra, StructureTensor, validate
+from solvlie.liealg import Frame, LieAlgebra, StructureTensor, standard_basis, validate
 
 
 def test_two_step_nilpotent_regime():
@@ -204,3 +213,79 @@ def test_classify_at_the_dimension_bound_is_fast():
     assert c.label == lab and c.witness.canonical == t
     w = c.witness.transform
     assert t.transform(w.matrix, w.inverse) == c.witness.canonical
+
+
+def test_classify_at_the_dimension_bound_reads_brackets_linearly(monkeypatch):
+    # the steps read X_a's brackets and the far brackets off the running
+    # table, not off every basis pair (about n^2 / 2 reads each)
+    from solvlie.jsonio import MAX_DIM
+
+    reads = []
+    real = Frame.bracket
+    monkeypatch.setattr(Frame, "bracket", lambda fr, i, j: reads.append(1) or real(fr, i, j))
+    lab = ClassLabel(labels.G3_2_2, abelian_ext=MAX_DIM - 3)
+    assert classify_n2(build_tensor(lab)).label == lab
+    assert len(reads) <= 20 * MAX_DIM
+
+
+def _hand_frame(n, brackets):
+    """A frame on a table built by hand, X_1, X_2 in front; the table need
+    not be a Lie algebra."""
+    return Frame(tensor_from_brackets(n, brackets), standard_basis(n)[:2])
+
+
+def test_line_normalization_refuses_a_surviving_adjoint(monkeypatch):
+    # a_X4 = a_X3; with the step that subtracts X_3 from X_4 skipped,
+    # a_X4 survives
+    fr = _hand_frame(4, [(3, 1, {1: 1}), (4, 1, {1: 1})])
+    monkeypatch.setattr(Frame, "step_cols", lambda fr, repl: None)
+    with pytest.raises(ImpossibleBranch, match="left a nonzero adjoint"):
+        _adjoint_line_normalize(fr)
+
+
+def test_invertible_action_refuses_a_far_bracket():
+    fr = _hand_frame(5, [(3, 1, {1: 1}), (3, 2, {2: 1}), (4, 5, {1: 1})])
+    with pytest.raises(ImpossibleBranch, match="beyond X3 must vanish"):
+        _invertible_action_pipeline(fr, fr.adjoint(2))
+
+
+@pytest.mark.parametrize(
+    "shape, a3_bracket", [(_case1_shape, (3, 1, {1: 1})), (_case2_shape, (3, 1, {2: 1}))]
+)
+def test_singular_shapes_refuse_an_x1_component_in_a_far_bracket(shape, a3_bracket):
+    fr = _hand_frame(5, [a3_bracket, (4, 5, {1: 1, 2: 3})])
+    a3 = fr.adjoint(2)
+    args = (fr, a3, a3.trace()) if shape is _case1_shape else (fr, a3)
+    with pytest.raises(ImpossibleBranch, match="X1-component of a far bracket"):
+        shape(*args)
+
+
+@pytest.mark.parametrize(
+    "bracket, message",
+    [((3, 5, {1: 1}), "should have cleared"), ((5, 6, {2: 1}), "identity")],
+)
+def test_identity_cleanup_refuses_leftover_brackets(bracket, message):
+    fr = _hand_frame(6, [(4, 1, {1: 1}), (4, 2, {2: 1}), bracket])
+    with pytest.raises(ImpossibleBranch, match=message):
+        _residual_cleanup_a4_identity(fr)
+
+
+@pytest.mark.parametrize(
+    "bracket, message", [((3, 5, {2: 1}), "cross components"), ((5, 6, {1: 1}), "split case")]
+)
+def test_split_case_refuses_leftover_brackets(bracket, message):
+    # a_X3 = diag(1, 0) and a_X4 = diag(0, 1) on span(X_1, X_2)
+    fr = _hand_frame(6, [(3, 1, {1: 1}), (4, 2, {2: 1}), bracket])
+    with pytest.raises(ImpossibleBranch, match=message):
+        _plane_split_case(fr, [(1, 0), (0, 1)])
+
+
+def test_chain_check_refuses_a_wrong_pair_list():
+    # component X_2: [X_3, X_4] = 1 (anchored), [X_5, X_6] = 1 (a pair)
+    fr = _hand_frame(7, [(3, 4, {2: 1}), (5, 6, {2: 1}), (6, 7, {1: 1})])
+    block = [3, 4, 5, 6]
+    _assert_chain_clean(fr, 2, block, 1, 3, [(4, 5)])
+    wrong = ((3, []), (3, [(4, 6)]), (3, [(5, 4)]), (None, [(4, 5)]), (3, [(4, 5), (3, 6)]))
+    for anchored, pairs in wrong:
+        with pytest.raises(ImpossibleBranch, match="chain normalization left"):
+            _assert_chain_clean(fr, 2, block, 1, anchored, pairs)

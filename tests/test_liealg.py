@@ -265,7 +265,7 @@ def test_frame_steps_keep_tensor_and_total_consistent():
             a, b = rng.sample(range(n), 2)
             repl = {}
             for j in (a, b):
-                repl[j] = [0 if i in (a, b) else rng.randint(-2, 2) for i in range(n)]
+                repl[j] = dict(enumerate([0 if i in (a, b) else rng.randint(-2, 2) for i in range(n)]))
             if kind == "shear":
                 repl[a][a] = rng.choice((1, -1, 2, Fraction(1, 3)))
                 repl[b][b] = rng.choice((1, -2, Fraction(-3, 2)))
@@ -283,7 +283,7 @@ def test_frame_steps_keep_tensor_and_total_consistent():
         block = {a: (1, 0, 1), b: (1, 1, 0), c: (0, QuadExt(0, 1, 2), 1)}
         repl = {}
         for j, (xa, xb, xc) in block.items():
-            repl[j] = [rng.randint(-2, 2) for _ in range(n)]
+            repl[j] = dict(enumerate([rng.randint(-2, 2) for _ in range(n)]))
             repl[j][a], repl[j][b], repl[j][c] = xa, xb, xc
         fr.step_cols(repl)
         total = fr.total
@@ -292,7 +292,7 @@ def test_frame_steps_keep_tensor_and_total_consistent():
         assert fr.witness().matrix == total
         # a singular block A is refused before the frame changes
         before_t, before_total = fr.t, fr.total
-        repl = {a: fr.unit(a), b: fr.unit(a, 2)}
+        repl = {a: {a: 1}, b: {a: 2}}
         repl[b][c] = 1  # outside the block: A = [[1, 2], [0, 0]] stays singular
         with pytest.raises(SingularInput):
             fr.step_cols(repl)
@@ -311,7 +311,7 @@ def test_frame_inverts_a_diagonal_block_without_elimination(monkeypatch):
     assert eliminations == []  # the entry step's block is the identity
     n, s2 = fr.n, QuadExt(0, 1, 2)
     for diag in ((2, Fraction(-1, 3)), (s2, 1 + s2)):
-        repl = {0: [0] * n, n - 1: [0] * n}
+        repl = {0: {}, n - 1: {}}
         repl[0][0], repl[0][1] = diag[0], 1
         repl[n - 1][n - 1], repl[n - 1][2] = diag[1], -2
         fr.step_cols(repl)
@@ -320,10 +320,12 @@ def test_frame_inverts_a_diagonal_block_without_elimination(monkeypatch):
     assert eliminations == []
     # a zero on the diagonal is refused before the frame changes
     before_t, before_total = fr.t, fr.total
-    repl = {0: fr.unit(0, 0), 1: fr.unit(1)}
+    repl = {0: {0: 0}, 1: {1: 1}}
     repl[0][2] = 1
     with pytest.raises(SingularInput):
         fr.step_cols(repl)
+    assert fr.t is before_t and fr.total == before_total
+    fr.step_cols({})  # no columns is no step
     assert fr.t is before_t and fr.total == before_total
 
 
