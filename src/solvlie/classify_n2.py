@@ -105,12 +105,10 @@ def classify_n2(a) -> Classification:
 def _classify_frame(pipe: Frame) -> Classification:
     """The normalization of a checked input whose frame has its 2-dim
     derived ideal in front."""
-    n = pipe.n
     if (0, 1) in pipe.t.brackets:
         raise ImpossibleBranch("derived ideal of a validated solvable algebra must be abelian")
 
-    adjoints = [pipe.adjoint(i) for i in range(2, n)]
-    flat = [tuple(m[r, c] for r in range(2) for c in range(2)) for m in adjoints]
+    flat = _flat_adjoints(pipe)
     nonzero = [f for f in flat if not vec_is_zero(f)]
     dim_a = rank(_mat(nonzero)) if nonzero else 0
     if dim_a > 2:
@@ -121,16 +119,26 @@ def _classify_frame(pipe: Frame) -> Classification:
         return Classification(label, Witness(BasisChange(pipe.total), label, None))
 
     if dim_a == 1:
-        a3 = _adjoint_line_normalize(pipe)
+        a3 = _adjoint_line_normalize(pipe, flat)
         if det(a3) != 0:
             label = _invertible_action_pipeline(pipe, a3)
         else:
             label = _singular_action_pipeline(pipe, a3)
     else:
-        label = _adjoint_plane_pipeline(pipe)
+        label = _adjoint_plane_pipeline(pipe, flat)
 
     canonical = catalog.build_tensor(label)
     return Classification(label, Witness(pipe.witness(canonical), label, canonical))
+
+
+def _flat_adjoints(pipe: Frame) -> list:
+    """a_{X_i} for i = 3..n, each flattened row by row: (a, b, c, d) for
+    [[a, b], [c, d]]."""
+    out = []
+    for i in range(2, pipe.n):
+        (a, c), (b, d) = pipe.bracket(i, 0), pipe.bracket(i, 1)
+        out.append((a, b, c, d))
+    return out
 
 
 def _fail(tensor: StructureTensor):
@@ -153,23 +161,23 @@ def _fail(tensor: StructureTensor):
 # ----------------------------------------------------------------------
 
 
-def _adjoint_line_normalize(pipe: Frame) -> Mat:
-    """Arrange a_{X_3} spanning the adjoint line and a_{X_i} = 0, i >= 4."""
+def _adjoint_line_normalize(pipe: Frame, flat: list) -> Mat:
+    """Arrange a_{X_3} spanning the adjoint line and a_{X_i} = 0, i >= 4,
+    from the adjoints as `_flat_adjoints` read them on entry."""
     n = pipe.n
-    pivot = next(i for i in range(2, n) if not pipe.adjoint(i).is_zero())
+    pivot = next(i for i in range(2, n) if not vec_is_zero(flat[i - 2]))
     if pivot != 2:
         order = list(range(n))
         order[2], order[pivot] = order[pivot], order[2]
         pipe.step_perm(order)
-    a3 = pipe.adjoint(2)
-    flat3 = [a3[r, c] for r in range(2) for c in range(2)]
+        flat = [flat[o - 2] for o in order[2:]]
+    flat3 = flat[0]
     lead = next(k for k, x in enumerate(flat3) if x != 0)
     reps = {}
     for i in range(3, n):
-        ai = pipe.adjoint(i)
-        flat = [ai[r, c] for r in range(2) for c in range(2)]
-        alpha = exdiv(flat[lead], flat3[lead])
-        if any(flat[k] != alpha * flat3[k] for k in range(4)):
+        f = flat[i - 2]
+        alpha = exdiv(f[lead], flat3[lead])
+        if any(f[k] != alpha * flat3[k] for k in range(4)):
             raise ImpossibleBranch("adjoint line is not one-dimensional")
         if alpha != 0:
             reps[i] = {i: 1, 2: -alpha}
@@ -424,16 +432,16 @@ def _case2_assemble(pipe: Frame, anchored, pairs, leftover) -> ClassLabel:
 # ----------------------------------------------------------------------
 
 
-def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
+def _adjoint_plane_pipeline(pipe: Frame, flat: list) -> ClassLabel:
+    """dim A_G = 2, from the adjoints as `_flat_adjoints` read them on
+    entry."""
     n = pipe.n
-    pos3 = next(i for i in range(2, n) if not pipe.adjoint(i).is_zero())
-    base = pipe.adjoint(pos3)
+    pos3 = next(i for i in range(2, n) if not vec_is_zero(flat[i - 2]))
     span = Echelon()
-    span.add([base[r, c] for r in range(2) for c in range(2)])
+    span.add(flat[pos3 - 2])
     pos4 = None
     for i in range(pos3 + 1, n):
-        ai = pipe.adjoint(i)
-        if span.add([ai[r, c] for r in range(2) for c in range(2)]) is not None:
+        if span.add(flat[i - 2]) is not None:
             pos4 = i
             break
     if pos4 is None:
@@ -443,6 +451,7 @@ def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
     i4 = order.index(pos4)  # pos4 > pos3 >= 2, so it was not moved to slot 2
     order[3], order[i4] = order[i4], order[3]
     pipe.step_perm(order)
+    flat = [flat[o - 2] for o in order[2:]]
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     if a3 @ a4 != a4 @ a3:
         raise ImpossibleBranch("adjoint pair must commute")
@@ -455,8 +464,8 @@ def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
         )
     )
     for i in range(4, n):
-        ai = pipe.adjoint(i)
-        coords = solve(stacked, (ai[0, 0], ai[1, 0], ai[0, 1], ai[1, 1]))
+        a, b, c, d = flat[i - 2]
+        coords = solve(stacked, (a, c, b, d))
         if coords is None:
             raise ImpossibleBranch("adjoint outside the two-dimensional span")
         alpha, beta = coords

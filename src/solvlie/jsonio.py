@@ -11,7 +11,8 @@ Matrices are arrays of arrays; algebras are
 vectors of length n.
 Integers ("dim", an integer scalar) are JSON integers; a radicand, "i"
 and "j" are JSON integers or strings of one.  A float or a boolean is
-malformed, not truncated or read as 0/1.
+malformed, not truncated or read as 0/1.  An integer of more than
+MAX_DIGITS digits, anywhere in a document, is out of regime.
 Writers emit a fixed key order so equal values give byte-equal output.
 """
 
@@ -38,12 +39,24 @@ MAX_RADICAND = 10**18
 # An algebra's series and center cost about n^2 at dimension n with few
 # brackets: `invariants` on an empty table takes about 0.4 s and 55 MB at
 # this bound, 2 s and 170 MB at twice it (CPython 3.11, one shared vCPU).
-# `classify` on the canonical G3_2_2 + R^997 takes about 0.4-0.55 s at
-# this bound; the n x 2n elimination that inverts the witness in
-# `Frame.witness` takes about four fifths of it, since the steps read the
-# running table rather than the n^2 / 2 basis pairs.
+# `classify` on the canonical G3_2_2 + R^997 takes about 0.5 s at this
+# bound (best of five, same machine); the n x 2n elimination that inverts
+# the witness in `Frame.witness` takes about four fifths of it (0.70 of
+# 0.89 s under cProfile), since the opening reads the input at two pivots
+# and the steps read the running table rather than the n^2 / 2 pairs.
 # A larger dim is refused.
 MAX_DIM = 1000
+
+# Python converts an int of more than 4,300 digits to or from text only
+# under a raised `sys.set_int_max_str_digits`, so past that a reader
+# raises ValueError.  Every integer a document spells out (a JSON
+# integer; the numerator, the denominator or the digits of a string
+# rational; an integer string) is refused above this bound, which sits
+# well below Python's limit because results grow from their inputs (a
+# 3-dim classify of 1000-digit entries prints 13 KB).  The growth has no
+# bound: a 4x4 `propsim` witness of 1000-digit entries holds integers
+# past 4,300 digits, which no writer prints yet.
+MAX_DIGITS = 1000
 
 
 class FormatError(ValueError):
@@ -56,13 +69,22 @@ def scalar_to_json(x: Scalar):
     return format_rational(x)
 
 
+def _int_text(text: str) -> int:
+    """The integer that ``text`` spells; Unsupported, with a message that
+    gives the length and not the literal, above MAX_DIGITS digits."""
+    digits = len(text.strip().lstrip("+-"))
+    if digits > MAX_DIGITS:
+        raise Unsupported(f"a {digits}-digit integer, above {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _json_int(v, what: str) -> int:
     """``v`` as an int: a JSON integer or a string of one, as ``int()``
     read them before; a float or a boolean (an ``int`` subclass in
     Python) raises FormatError rather than being truncated or read as 0/1."""
     if isinstance(v, str):
         try:
-            return int(v)
+            return _int_text(v)
         except ValueError:
             pass
     elif isinstance(v, int) and not isinstance(v, bool):
@@ -82,13 +104,10 @@ def parse_rational(v: str) -> Rational:
     if m is None or m[4] == m[5] == "":
         raise FormatError(f"bad rational {v!r}")
     sign, num, den, whole, frac = m.groups()
-    try:
-        if num is None:
-            n, d = int(whole + frac), 10 ** len(frac)
-        else:
-            n, d = int(num), int(den or 1)
-    except ValueError as exc:  # beyond int's digit limit
-        raise FormatError(f"bad rational {v!r}") from exc
+    if num is None:
+        n, d = _int_text(whole + frac), 10 ** len(frac)
+    else:
+        n, d = _int_text(num), _int_text(den or "1")
     if d == 0:
         raise FormatError(f"bad rational {v!r}")
     return _rational(-n if sign == "-" else n, d)
@@ -206,6 +225,6 @@ def load_path(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_int=_int_text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc

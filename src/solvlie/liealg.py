@@ -7,9 +7,15 @@ construction.  Subspaces are kept as reduced-echelon row lists, so subspace
 equality is plain list equality; they are computed, and vectors reduced
 modulo them, by ``matrices.Echelon``, the one elimination routine.
 Every basis change runs through ``transform_sparse``; ``transform``
-replaces every column.  ``StructureTensor(n, brackets)`` checks outside
+replaces every column.  The one exception is a ``Frame``'s opening onto
+an ideal that holds every bracket: in the basis of the ideal's
+reduced-echelon rows and the input vectors off their pivots, a bracket's
+coordinates are its entries at the pivots, so the opening tensor is read
+off the input there (``_front_loaded``) and the witness audit checks it
+with every later step.  ``StructureTensor(n, brackets)`` checks outside
 data; the tensors the program builds itself (``transform_sparse``,
-``permute``) hold the invariants by construction and skip the checks.
+``permute``, ``_front_loaded``) hold the invariants by construction and
+skip the checks.
 The tensor layer reads a table through ``_adjacency``, the nonzero
 entries of each nonzero bracket under both of its index orders, built
 once per call and never cached on the tensor: ``validate`` visits only
@@ -328,29 +334,65 @@ class BasisChange:
         return f"BasisChange({self.matrix!r})"
 
 
+def _front_loaded(t: StructureTensor, rows: Sequence[Vec], pivots: list, rest: list) -> StructureTensor:
+    """``t`` in the basis R_1..R_k, X_c (c in ``rest``), R_r being the
+    reduced-echelon rows of an ideal that holds every bracket.
+
+    R_r is 1 at its pivot p_r and 0 at the other pivots, so a vector v of
+    the ideal is sum_r v[p_r] R_r: each bracket is read at the pivots,
+    and the brackets [R_r, .] are formed at the pivots alone, from the
+    input's brackets read there."""
+    n, k = t.n, len(rows)
+    tail = (0,) * (n - k)
+    pos = {c: k + s for s, c in enumerate(rest)}
+    adj: list = [{} for _ in range(n)]  # as `_adjacency`, in the coordinates of the R_r
+    out = {}
+    for (i, j), vec in t.brackets.items():
+        nz = [(r, vec[p]) for r, p in enumerate(pivots) if vec[p]]
+        if nz:
+            adj[i][j] = nz
+            adj[j][i] = [(r, -x) for r, x in nz]
+            if i in pos and j in pos:
+                out[(pos[i], pos[j])] = tuple(vec[p] for p in pivots) + tail
+    for r, row in enumerate(rows):
+        ad = _ad_row(adj, row)
+        for s in range(r + 1, k):
+            w = _bracket_from(ad, rows[s])
+            if any(w.values()):
+                out[(r, s)] = tuple(w.get(q, 0) for q in range(k)) + tail
+        for b, w in ad.items():
+            if b in pos and any(w.values()):
+                out[(r, pos[b])] = tuple(w.get(q, 0) for q in range(k)) + tail
+    return _tensor(n, out)
+
+
 class Frame:
     """Running tensor plus the accumulated basis change of a normalization.
 
-    Built from a tensor and the reduced-echelon basis of an ideal of
-    dimension k, which it first moves to the front, so that X_1..X_k span
-    the ideal.  Every step updates the tensor and the total together, and
-    `witness` audits the total by transporting the normal form back to the
-    input by its inverse.
+    Built from a tensor and the reduced-echelon rows R_1..R_k of an ideal
+    that holds every bracket (the derived ideal, or one above it), which
+    it moves to the front: the opening basis is R_1..R_k, then the X_c
+    off the rows' pivots in ascending order, so that X_1..X_k span the
+    ideal.  The opening tensor is read off the input at the pivots, with
+    no elimination and no transform (see `_front_loaded`).  Every step
+    updates the tensor and the total together, and `witness` audits the
+    total, the opening included, by transporting the normal form back to
+    the input by its inverse.
     """
 
     __slots__ = ("input", "t", "n", "k", "_tot_cols")
 
     def __init__(self, tensor: StructureTensor, ideal_rows: Sequence[Vec]):
-        n = tensor.n
-        self.input = self.t = tensor
-        self.n, self.k = n, len(ideal_rows)
-        self._tot_cols = standard_basis(n)
-        # each reduced-echelon row is 1 at its own pivot and 0 at the other
-        # pivots, so putting the rows on their pivot columns is a shear
-        pivots = [next(c for c, x in enumerate(row) if x != 0) for row in ideal_rows]
-        self.step_cols({p: dict(enumerate(row)) for p, row in zip(pivots, ideal_rows)})
+        n, k = tensor.n, len(ideal_rows)
+        self.input = tensor
+        self.n, self.k = n, k
+        pivots = [next(c for c, x in enumerate(row) if x) for row in ideal_rows]
         taken = set(pivots)
-        self.step_perm(pivots + [c for c in range(n) if c not in taken])
+        rest = [c for c in range(n) if c not in taken]
+        self._tot_cols = [tuple(row) for row in ideal_rows] + [
+            (0,) * c + (1,) + (0,) * (n - 1 - c) for c in rest
+        ]
+        self.t = _front_loaded(tensor, ideal_rows, pivots, rest)
 
     @property
     def total(self) -> Mat:
@@ -372,8 +414,8 @@ class Frame:
         cols = sorted(repl)
         block = [[repl[j].get(i, 0) for j in cols] for i in cols]
         if all(x == 0 for p, row in enumerate(block) for q, x in enumerate(row) if p != q):
-            # diagonal, as the identity block of every entry step: inverted
-            # entry by entry, to the values `inverse` would give
+            # diagonal, as the block of every shear and rescaling step:
+            # inverted entry by entry, to the values `inverse` would give
             if any(row[p] == 0 for p, row in enumerate(block)):
                 raise SingularInput("matrix is not invertible")
             a_inv = [

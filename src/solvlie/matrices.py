@@ -4,7 +4,11 @@ Everything is computed by exact elimination over the scalar field, and
 :class:`Echelon` is the one routine that eliminates: ``rref``, ``det``,
 ``inverse``, ``solve``, ``kernel_basis``, ``row_space`` and ``rank`` run on
 it, and so do the Krylov spans of the Frobenius decomposition and the
-quotients of the central series.  A matrix is invertible exactly when its
+quotients of the central series.  The 2x2 matrices, the adjoint
+restrictions of a 2-dimensional derived ideal, take closed forms instead:
+``det`` is ad - bc, ``inverse`` the adjugate over the determinant, and
+``kernel_basis`` the vector of the one reduced row, each equal to what
+elimination gives.  A matrix is invertible exactly when its
 determinant is nonzero, which is always checked and never assumed.
 ``char_poly`` does not eliminate: it runs the trace recursion on the
 matrix with its denominators cleared, in integer (or integral Q(sqrt(d)))
@@ -284,9 +288,12 @@ def rank(m: Mat) -> int:
 
 
 def det(m: Mat) -> Scalar:
-    """Product of the pivot values, times the sign of the pivot columns'
-    permutation."""
+    """ad - bc for a 2x2 matrix; else the product of the pivot values,
+    times the sign of the pivot columns' permutation."""
     m._require_square()
+    if m.rows == 2:
+        (a, b), (c, d) = m.data
+        return a * d - b * c
     e = Echelon()
     out: Scalar = 1
     for row in m.data:
@@ -300,8 +307,17 @@ def det(m: Mat) -> Scalar:
 
 
 def inverse(m: Mat) -> Mat:
+    """The adjugate over the determinant for a 2x2 matrix; else the right
+    half of the reduced echelon form of [m | I].  SingularInput when m is
+    not invertible."""
     m._require_square()
     n = m.rows
+    if n == 2:
+        (a, b), (c, d) = m.data
+        dt = a * d - b * c
+        if not dt:
+            raise SingularInput("matrix is not invertible")
+        return _mat(((exdiv(d, dt), exdiv(-b, dt)), (exdiv(-c, dt), exdiv(a, dt))))
     a = [list(m.data[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     red, pivots = rref(_mat(a))
     if len(pivots) < n or pivots[n - 1] >= n:
@@ -314,7 +330,17 @@ def kernel_basis(m: Mat) -> list[Vec]:
 
     One vector per free column, in ascending column order, with a 1 in the
     free position; this is the deterministic tie-break used everywhere.
+    A singular 2x2 matrix [[a, b], [c, d]] has the vector of its one
+    reduced row, (-b/a, 1) or (-d/c, 1), or (1, 0) when its first column
+    is 0 and it is not, read off without elimination.
     """
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.data
+        if a:
+            return [] if a * d != b * c else [(-exdiv(b, a), 1)]
+        if c:
+            return [] if b else [(-exdiv(d, c), 1)]
+        return [(1, 0)] if b or d else [(1, 0), (0, 1)]
     red, pivots = rref(m)
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]

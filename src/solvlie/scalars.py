@@ -534,9 +534,14 @@ def sqrt_exact(r: Rational):
         raise ValueError("sqrt_exact needs a nonnegative rational")
     if r == 0:
         return 0
-    s, d = square_free_split(r.numerator * r.denominator)
-    coeff = _rational(s, r.denominator)
-    return coeff if d == 1 else QuadExt.from_split(0, coeff, d)
+    # p and q are coprime, so p q is a square exactly when both are: a
+    # square's root is read off isqrt, and only a non-square is factored
+    p, q = r.numerator, r.denominator
+    sp, sq = isqrt(p), isqrt(q)
+    if sp * sp == p and sq * sq == q:
+        return _rational(sp, sq)
+    s, d = square_free_split(p * q)
+    return QuadExt.from_split(0, _rational(s, q), d)
 
 
 def nth_root_rational(r: Rational, m: int):

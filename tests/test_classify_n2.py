@@ -10,6 +10,7 @@ from solvlie.classify_n2 import (
     _assert_chain_clean,
     _case1_shape,
     _case2_shape,
+    _flat_adjoints,
     _invertible_action_pipeline,
     _plane_split_case,
     _residual_cleanup_a4_identity,
@@ -238,9 +239,10 @@ def test_line_normalization_refuses_a_surviving_adjoint(monkeypatch):
     # a_X4 = a_X3; with the step that subtracts X_3 from X_4 skipped,
     # a_X4 survives
     fr = _hand_frame(4, [(3, 1, {1: 1}), (4, 1, {1: 1})])
+    flat = _flat_adjoints(fr)
     monkeypatch.setattr(Frame, "step_cols", lambda fr, repl: None)
     with pytest.raises(ImpossibleBranch, match="left a nonzero adjoint"):
-        _adjoint_line_normalize(fr)
+        _adjoint_line_normalize(fr, flat)
 
 
 def test_invertible_action_refuses_a_far_bracket():
@@ -289,3 +291,18 @@ def test_chain_check_refuses_a_wrong_pair_list():
     for anchored, pairs in wrong:
         with pytest.raises(ImpossibleBranch, match="chain normalization left"):
             _assert_chain_clean(fr, 2, block, 1, anchored, pairs)
+
+
+def test_a_square_discriminant_is_not_factored(monkeypatch):
+    # a_X3 = diag(1, x) has the discriminant (1 - x)^2, whose root is read
+    # off isqrt: trial division of its 28-digit numerator took seconds
+    import solvlie.scalars
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(solvlie.scalars, "square_free_split", refuse)
+    x = Fraction(10**14, 3)
+    c = classify_n2(tensor_from_brackets(3, [(3, 1, {1: 1}), (3, 2, {2: x})]))
+    assert c.label == ClassLabel(labels.G3_2_1, lam=x, j=c.label.j)
+    assert solvlie.scalars.sqrt_exact((1 - x) ** 2) == x - 1

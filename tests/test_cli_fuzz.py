@@ -12,7 +12,7 @@ import pytest
 
 from solvlie.catalog import codim2_algebra, codim2_az_fixtures
 from solvlie.cli import run
-from solvlie.jsonio import algebra_to_json
+from solvlie.jsonio import MAX_DIGITS, algebra_to_json
 
 AFFC = {
     "dim": 4,
@@ -129,3 +129,38 @@ def test_mutated_documents_never_raise(tmp_path, capsys):
         codes.add(code)
     # the mutations reach the parser's refusals, the class checks and success
     assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 5000])
+def test_numbers_past_the_digit_bound_exit_2(tmp_path, capsys, digits):
+    # Python reads and prints ints of at most 4,300 digits; every integer a
+    # document spells out is bounded below that, and the refusal is one
+    # line that names the length, not the literal
+    big = "9" * digits
+    coeffs = ["1", "0", "0"]
+    algebras = []
+    for spot in ("@", '"@"', '"1/@"', '"-@/7"', '"0.@"', '{"a": "1", "b": "@", "d": 2}',
+                 '{"a": "1", "b": "1", "d": @}', '{"a": "1", "b": "1", "d": "@"}'):
+        doc = json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": ["%"] + coeffs[1:]}]})
+        algebras.append(doc.replace('"%"', spot.replace("@", big)))
+    algebras.append(json.dumps({"dim": "%", "brackets": []}).replace('"%"', big))
+    algebras.append(json.dumps({"dim": 3, "brackets": [{"i": "%", "j": 2, "coeffs": coeffs}]})
+                    .replace('"%"', f'"{big}"'))
+    matrix = json.dumps([["1", "%"], ["0", "3"]]).replace('"%"', big)
+    cases = [([cmd], [doc]) for doc in algebras for cmd in ("validate", "invariants", "classify")]
+    cases.append((["propsim"], [matrix, json.dumps(MATRICES[0])]))
+    for n, (cmd, docs) in enumerate(cases):
+        paths = []
+        for m, doc in enumerate(docs):
+            p = tmp_path / f"{n}_{m}.json"
+            p.write_text(doc)
+            paths.append(str(p))
+        code = run(cmd + paths)
+        err = capsys.readouterr().err
+        assert code == 2, (cmd, docs[0][:80], err)
+        assert err.count("\n") == 1 and "99999" not in err and "Traceback" not in err, err
+    # at the bound a number is read
+    doc = json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": ["%", "0", "0"]}]})
+    p = tmp_path / "at_bound.json"
+    p.write_text(doc.replace('"%"', "9" * MAX_DIGITS))
+    assert run(["validate", str(p)]) == 0

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from solvlie.errors import DimensionError, NonCommuting
+from solvlie.errors import DimensionError, NonCommuting, SingularInput
 from solvlie.matrices import (
+    Echelon,
     Mat,
     char_poly,
     common_eigenvector,
@@ -15,6 +16,7 @@ from solvlie.matrices import (
     kernel_basis,
     rank,
     row_space,
+    rref,
     solve,
     spectral_classify_2x2,
 )
@@ -181,3 +183,57 @@ def test_from_columns_checks_as_the_constructor_does():
         Mat.from_columns([[1.5, 0], [0, 1]])
     with pytest.raises(DimensionError):
         Mat.from_columns([])
+
+
+def _eliminated_2x2(m):
+    """det, inverse (None when singular) and kernel of a 2x2 matrix by the
+    elimination the larger sizes run: the product of the `Echelon` pivot
+    values with the sign of their columns, the right half of rref([m | I]),
+    and the free-column vectors of rref(m)."""
+    e = Echelon()
+    d = 1
+    for row in m.data:
+        piv = e.add(row)
+        d = 0 if piv is None or d == 0 else d * piv
+    if d and e.pivots == [1, 0]:
+        d = -d
+    red, pivots = rref(Mat([list(row) + [int(i == j) for j in range(2)] for i, row in enumerate(m.data)]))
+    inv = None if pivots[:2] != (0, 1) else [row[2:] for row in red.data]
+    red, pivots = rref(m)
+    kern = []
+    for fc in (c for c in range(2) if c not in pivots):
+        v = [0, 0]
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.data[r][fc]
+        kern.append(tuple(v))
+    return d, inv, kern
+
+
+def test_2x2_closed_forms_equal_elimination():
+    # equal values of equal types (int, Rat, QuadExt): a closed form that
+    # left an integral Rat or a rational QuadExt behind would differ here
+    def typed(x):
+        if isinstance(x, (list, tuple)):
+            return [typed(y) for y in x]
+        return (x, type(x))
+
+    rng = random.Random(17)
+    s2 = QuadExt(0, 1, 2)
+    rational = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+    singular = 0
+    for kinds in (rational, rational + [s2, 1 + s2, Fraction(1, 3) * s2]):
+        for _ in range(1500):
+            a, b, c, d = (rng.choice(kinds) for _ in range(4))
+            f = rng.choice(kinds)
+            m = Mat(rng.choice(([[a, b], [c, d]], [[a, b], [f * a, f * b]], [[f * a, a], [f * c, c]])))
+            want_det, want_inv, want_kern = _eliminated_2x2(m)
+            assert typed(det(m)) == typed(want_det), m
+            assert typed(kernel_basis(m)) == typed(want_kern), m
+            if want_inv is None:
+                singular += 1
+                with pytest.raises(SingularInput):
+                    inverse(m)
+            else:
+                assert typed(inverse(m).data) == typed(want_inv), m
+    assert singular >= 1000
