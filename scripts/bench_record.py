@@ -8,6 +8,10 @@ Usage, from the repository root:
 Each ``--runs WORKLOAD:SEEDS`` entry runs ``benchmark/run.py`` once per
 seed in each checkout, one run at a time, alternating which side runs
 first, for as long as ``benchmark/run.py`` itself runs by default.
+Before each run the ``__pycache__`` directories under that checkout's
+``src/`` are removed, so both sides start from the same state: where
+``PYTHONDONTWRITEBYTECODE=1`` is set, a cache left in one checkout by an
+earlier run would spare only that side the compiling of every module.
 ``SEEDS`` is a comma-separated list of seeds or ``a-b`` ranges.  With
 ``--append`` the runs are added to those already in ``--out``; a
 (workload, seed, trace) that is already recorded, or named twice, is
@@ -32,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,6 +67,12 @@ def plan(specs: list, trace: int, runs: list) -> list:
             seen.add((workload, seed))
             todo.append((workload, seed))
     return todo
+
+
+def clear_bytecode(checkout: Path) -> None:
+    """Remove every ``__pycache__`` directory under ``checkout/src``."""
+    for cache in list((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -180,6 +191,7 @@ def main(argv=None) -> int:
     pair = list(zip(SIDES, (args.parent, args.change)))
     for i, (workload, seed) in enumerate(plan(args.runs, args.trace, record["runs"])):
         for side, checkout in pair if i % 2 == 0 else pair[::-1]:
+            clear_bytecode(checkout)
             res = run_once(checkout, workload, seed, args.trace)
             record["runs"].append({"side": side, "workload": workload, "seed": seed,
                                    "trace": args.trace, **res})

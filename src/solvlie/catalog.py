@@ -1,5 +1,10 @@
 """Constructors for every canonical family, regression fixtures, and the
-deterministic basis scrambler used by the invariance harnesses."""
+deterministic basis scrambler used by the invariance harnesses.
+
+A scramble (`scramble_change`) is built with its inverse, one elementary
+step at a time; only the matrices printed in the paper
+(`morozov_check`) are inverted by elimination, since they come from
+outside."""
 
 from __future__ import annotations
 
@@ -14,11 +19,12 @@ from .liealg import (
     BasisChange,
     LieAlgebra,
     StructureTensor,
+    _basis_change,
     abelian_tensor,
     direct_sum,
     validate,
 )
-from .matrices import Mat
+from .matrices import Mat, _mat
 from .records import Record
 from .scalars import Scalar, exdiv, scalar_sign, sqrt_exact
 
@@ -203,44 +209,48 @@ def build_tensor(label: ClassLabel) -> StructureTensor:
     return with_abelian_ext(core, label.abelian_ext)
 
 
-def scramble_matrix(n: int, seed, steps: Optional[int] = None) -> Mat:
-    """Deterministic pseudo-random integer matrix of determinant +-1: a
-    product of elementary transvections (multipliers bounded by 4), swaps,
-    and sign flips."""
+def scramble_change(n: int, seed, steps: Optional[int] = None) -> BasisChange:
+    """Deterministic pseudo-random integer basis change of determinant +-1
+    with its inverse: T is the product of ``steps`` (default 2n + 2)
+    elementary transvections (multipliers bounded by 4), swaps and sign
+    flips.  Each step is applied as a column operation on T and the inverse
+    row operation on T^-1, so neither a product nor an elimination is
+    formed: the transvection I + lam E_ij adds lam * column i of T to
+    column j and subtracts lam * row j of T^-1 from row i."""
     rng = random.Random(seed)
     if steps is None:
         steps = 2 * n + 2
-    t = Mat.identity(n)
+    cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]  # T by columns
+    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]  # T^-1 by rows
     for _ in range(steps):
         op = rng.randrange(4) if n > 1 else 3
         if op <= 1:
             i, j = rng.sample(range(n), 2)
             lam = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
-            e = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-            e[i][j] = lam
-            t = t @ Mat(e)
+            cols[j] = [x + lam * y for x, y in zip(cols[j], cols[i])]
+            rows[i] = [x - lam * y for x, y in zip(rows[i], rows[j])]
         elif op == 2:
             i, j = rng.sample(range(n), 2)
-            perm = list(range(n))
-            perm[i], perm[j] = perm[j], perm[i]
-            t = t @ Mat([[1 if perm[r] == c else 0 for c in range(n)] for r in range(n)])
+            cols[i], cols[j] = cols[j], cols[i]
+            rows[i], rows[j] = rows[j], rows[i]
         else:
             i = rng.randrange(n)
-            e = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-            e[i][i] = -1
-            t = t @ Mat(e)
-    return t
+            cols[i] = [-x for x in cols[i]]
+            rows[i] = [-x for x in rows[i]]
+    return _basis_change(_mat(zip(*cols)), _mat(rows))
 
 
 def scramble(a: LieAlgebra, seed, steps: Optional[int] = None):
-    """Scrambled copy plus the basis change that produced it."""
+    """Scrambled copy plus the basis change (`scramble_change`) that
+    produced it."""
     t, bc = scramble_tensor(a.tensor, seed, steps)
     return LieAlgebra(t), bc
 
 
 def scramble_tensor(t: StructureTensor, seed, steps: Optional[int] = None):
-    """Scrambled tensor plus the basis change that produced it."""
-    bc = BasisChange(scramble_matrix(t.n, seed, steps))
+    """Scrambled tensor plus the basis change (`scramble_change`) that
+    produced it."""
+    bc = scramble_change(t.n, seed, steps)
     return t.transform(bc.matrix, bc.inverse), bc
 
 

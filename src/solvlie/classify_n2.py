@@ -6,8 +6,9 @@ running tensor must be the canonical tensor of the reported class, and
 transporting it back by the inverse of the accumulated transform must give
 the input tensor.  Dispatch is on the dimension of
 the adjoint-restriction span: 0 is the two-step nilpotent regime (labelled,
-not classified further), 1 runs the singular/non-singular pipelines, 2 runs
-the commuting-pair pipeline.
+not classified further; its witness is the opening's basis change, audited
+the same way against the opening tensor), 1 runs the singular/non-singular
+pipelines, 2 runs the commuting-pair pipeline.
 
 The opening finds the derived ideal g' before it checks anything else.
 When dim g' = 2 the algebra is solvable whatever the brackets are: g''
@@ -116,7 +117,7 @@ def _classify_frame(pipe: Frame) -> Classification:
 
     if dim_a == 0:
         label = ClassLabel(labels.TWO_STEP_NILPOTENT)
-        return Classification(label, Witness(BasisChange(pipe.total), label, None))
+        return Classification(label, Witness(pipe.witness(), label, None))
 
     if dim_a == 1:
         a3 = _adjoint_line_normalize(pipe, flat)

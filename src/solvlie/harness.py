@@ -20,8 +20,8 @@ from .codim2 import codim2_isomorphic, normalize_codim2
 from .errors import ImpossibleBranch, NonAbelianDerivedIdeal, NotInClass
 from .labels import ClassLabel
 from .liealg import (
-    BasisChange,
     StructureTensor,
+    _basis_change,
     adjoint_algebra_t,
     derived_ideal_t,
     derived_series_t,
@@ -578,9 +578,8 @@ def redundancy_witnesses() -> Report:
         "orientations should present opposite cosine signs",
     )
     # the two witnesses compose into an exact isomorphism of the algebras
-    b1 = BasisChange(c1.witness.transform.matrix)
-    b2 = BasisChange(c2.witness.transform.matrix)
-    iso = b1.then(BasisChange(b2.inverse))
+    w2 = c2.witness.transform
+    iso = c1.witness.transform.then(_basis_change(w2.inverse, w2.matrix))
     rep.check(
         _three_dim_from(m1).transform(iso.matrix, iso.inverse) == _three_dim_from(m2),
         "composed rotation isomorphism",

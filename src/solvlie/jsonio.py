@@ -10,10 +10,11 @@ Matrices are arrays of arrays; algebras are
 1 <= n <= MAX_DIM, 1-based i < j in ascending order and coefficient
 vectors of length n.
 Integers ("dim", an integer scalar) are JSON integers; a radicand, "i"
-and "j" are JSON integers or strings of one.  A float or a boolean is
-malformed, not truncated or read as 0/1.  An integer of more than
-MAX_DIGITS digits, anywhere in a document, is out of regime.
-Writers emit a fixed key order so equal values give byte-equal output.
+and "j" are JSON integers or strings "[+-]p" of ASCII digits.  A float or
+a boolean is malformed, not truncated or read as 0/1.  An integer of more
+than MAX_DIGITS digits, anywhere in a document, is out of regime.
+Writers emit a fixed key order so equal values give byte-equal output,
+and print every integer whole, whatever its length.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ MAX_DIM = 1000
 # well below Python's limit because results grow from their inputs (a
 # 3-dim classify of 1000-digit entries prints 13 KB).  The growth has no
 # bound: a 4x4 `propsim` witness of 1000-digit entries holds integers
-# past 4,300 digits, which no writer prints yet.
+# past 4,300 digits, which the writers print whole
+# (`scalars.format_rational`).
 MAX_DIGITS = 1000
 
 
@@ -79,14 +81,14 @@ def _int_text(text: str) -> int:
 
 
 def _json_int(v, what: str) -> int:
-    """``v`` as an int: a JSON integer or a string of one, as ``int()``
-    read them before; a float or a boolean (an ``int`` subclass in
-    Python) raises FormatError rather than being truncated or read as 0/1."""
+    """``v`` as an int: a JSON integer, or a string in the rational
+    grammar's integer form (ASCII digits, one optional sign, surrounding
+    whitespace).  Any other string (``"1_0"``, non-ASCII digits), a float
+    or a boolean (an ``int`` subclass in Python) raises FormatError, so
+    nothing is read as ``int()`` would read it, truncated or read as 0/1."""
     if isinstance(v, str):
-        try:
+        if _INTEGER.fullmatch(v.strip()):
             return _int_text(v)
-        except ValueError:
-            pass
     elif isinstance(v, int) and not isinstance(v, bool):
         return v
     raise FormatError(f"{what} must be an integer, got {v!r}")
@@ -95,6 +97,8 @@ def _json_int(v, what: str) -> int:
 # "[+-]p", "[+-]p/q" or a plain decimal with digits on one side of the
 # point at least; surrounding whitespace is stripped first
 _RATIONAL = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?|([0-9]*)\.([0-9]*))")
+# the grammar's integer form "[+-]p", for the strings read as integers
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_rational(v: str) -> Rational:

@@ -309,7 +309,9 @@ def validate(t: StructureTensor) -> ValidationReport:
 
 class BasisChange:
     """Invertible change of basis; columns are the new basis vectors in old
-    coordinates.  The inverse is computed once and cached."""
+    coordinates.  ``BasisChange(matrix)`` checks a matrix from outside and
+    computes its inverse by elimination; a change the program builds
+    together with its inverse comes from `_basis_change`."""
 
     __slots__ = ("matrix", "inverse")
 
@@ -324,14 +326,24 @@ class BasisChange:
 
     @staticmethod
     def identity(n: int) -> "BasisChange":
-        return BasisChange(Mat.identity(n))
+        e = Mat.identity(n)
+        return _basis_change(e, e)
 
     def then(self, other: "BasisChange") -> "BasisChange":
         """First this change, then `other` expressed in the new basis."""
-        return BasisChange(self.matrix @ other.matrix)
+        return _basis_change(self.matrix @ other.matrix, other.inverse @ self.inverse)
 
     def __repr__(self):
         return f"BasisChange({self.matrix!r})"
+
+
+def _basis_change(matrix: Mat, inverse: Mat) -> BasisChange:
+    """A basis change the program built with its inverse: square matrices
+    whose product is the identity.  No checks."""
+    b = object.__new__(BasisChange)
+    b.matrix = matrix
+    b.inverse = inverse
+    return b
 
 
 def _front_loaded(t: StructureTensor, rows: Sequence[Vec], pivots: list, rest: list) -> StructureTensor:

@@ -578,11 +578,26 @@ def _int_nth_root(n: int, m: int):
     return lo if lo ** m == n else None
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` of any length.  Python refuses to convert an int of more
+    digits than ``sys.get_int_max_str_digits()`` (4,300 by default), a
+    guard for reading untrusted text; a number the program computed is
+    printed whole, split by a power of ten into parts under the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal(-n)
+        k = n.bit_length() * 3 // 20  # about half the decimal digits
+        hi, lo = divmod(n, 10**k)
+        return _decimal(hi) + _decimal(lo).rjust(k, "0")
+
+
 def format_rational(x: Rational) -> str:
     f = as_rational(x)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return _decimal(f.numerator)
+    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
 
 def format_scalar(x: Scalar) -> str:

@@ -117,3 +117,32 @@ def test_recorder_reports_failures_per_workload_and_side():
         ["fuzz", "change", "failed", "3/230,", "not", "correct", "in", "1", "of", "2", "runs"],
         ["fuzz", "parent", "failed", "0/190,", "not", "correct", "in", "0", "of", "2", "runs"],
     ]
+
+
+def test_recorder_runs_each_side_without_cached_bytecode(tmp_path, monkeypatch, capsys):
+    """Before each run the recorder removes the ``__pycache__`` directories
+    under that checkout's ``src/``, and leaves everything else there."""
+    br = _recorder()
+    sides = {name: tmp_path / name for name in SIDES}
+    for checkout in sides.values():
+        for cache in ("src/pkg/__pycache__", "src/pkg/sub/__pycache__", "benchmark/__pycache__"):
+            (checkout / cache).mkdir(parents=True)
+            (checkout / cache / "mod.cpython-311.pyc").write_bytes(b"stale")
+        (checkout / "src/pkg/mod.py").write_text("")
+    seen = []
+
+    def run_once(checkout, workload, seed, trace):
+        seen.append((checkout, sorted(p.relative_to(checkout).as_posix()
+                                      for p in checkout.rglob("__pycache__"))))
+        (checkout / "src/pkg/__pycache__").mkdir()  # as a run that writes bytecode
+        return {"metrics": {}, "failed": 0, "attempted": 1, "correct": True}
+
+    monkeypatch.setattr(br, "run_once", run_once)
+    out = tmp_path / "BENCH_1.json"
+    assert br.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                    "--runs", "fuzz:1-2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [c for c, _ in seen] == [sides["parent"], sides["change"], sides["change"], sides["parent"]]
+    assert all(caches == ["benchmark/__pycache__"] for _, caches in seen)
+    assert (sides["parent"] / "src/pkg/mod.py").exists()
+    assert len(json.loads(out.read_text())["runs"]) == 4

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from solvlie.catalog import (
     l6gamma,
     morozov_check,
     scramble,
-    scramble_matrix,
+    scramble_change,
     codim2_az_fixtures,
     tensor_from_brackets,
 )
@@ -29,7 +30,7 @@ from solvlie.errors import ParamOutOfDomain
 from solvlie.harness import corpus_labels
 from solvlie.labels import ClassLabel
 from solvlie.liealg import BasisChange, LieAlgebra, derived_series_t, validate
-from solvlie.matrices import Mat, det
+from solvlie.matrices import Mat, det, inverse
 
 
 def test_heisenberg_bracket_table():
@@ -93,7 +94,51 @@ def test_scramble_contract():
     back = s1.change_basis(BasisChange(bc1.inverse))
     assert back.tensor == alg.tensor
     for seed in range(10):
-        assert det(scramble_matrix(5, seed)) in (1, -1)
+        assert det(scramble_change(5, seed).matrix) in (1, -1)
+
+
+def _scramble_product(n, seed, steps=None):
+    """The scramble as the product of its elementary matrices, the form
+    `scramble_change` replaced: same draws, one n x n product per step."""
+    rng = random.Random(seed)
+    if steps is None:
+        steps = 2 * n + 2
+    t = Mat.identity(n)
+    for _ in range(steps):
+        op = rng.randrange(4) if n > 1 else 3
+        if op <= 1:
+            i, j = rng.sample(range(n), 2)
+            lam = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+            e = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+            e[i][j] = lam
+            t = t @ Mat(e)
+        elif op == 2:
+            i, j = rng.sample(range(n), 2)
+            perm = list(range(n))
+            perm[i], perm[j] = perm[j], perm[i]
+            t = t @ Mat([[1 if perm[r] == c else 0 for c in range(n)] for r in range(n)])
+        else:
+            i = rng.randrange(n)
+            e = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+            e[i][i] = -1
+            t = t @ Mat(e)
+    return t
+
+
+def test_scramble_change_matches_the_elementary_product():
+    """The column and row operations give the product of the elementary
+    matrices, and the carried inverse is the one elimination gives, with
+    every entry an int."""
+    rng = random.Random(31)
+    for n in range(1, 14):
+        cases = [(rng.random(), None) for _ in range(12)] + [(s, None) for s in range(6)]
+        cases += [(rng.random(), 0), (3, 0), (n, 1), (n, 3 * n)]
+        for seed, steps in cases:
+            bc = scramble_change(n, seed, steps)
+            assert bc.matrix == _scramble_product(n, seed, steps), (n, seed, steps)
+            assert bc.inverse == inverse(bc.matrix), (n, seed, steps)
+            for m in (bc.matrix, bc.inverse):
+                assert all(type(x) is int for row in m.data for x in row)
 
 
 def test_morozov_checks_pass_exactly():

@@ -10,6 +10,7 @@ from solvlie.classify_n2 import (
     _assert_chain_clean,
     _case1_shape,
     _case2_shape,
+    _classify_frame,
     _flat_adjoints,
     _invertible_action_pipeline,
     _plane_split_case,
@@ -20,7 +21,8 @@ from solvlie.catalog import build, build_tensor, scramble_tensor, tensor_from_br
 from solvlie.errors import ImpossibleBranch, NotInClass
 from solvlie.harness import corpus_labels, expected_key
 from solvlie.labels import ClassLabel
-from solvlie.liealg import Frame, LieAlgebra, StructureTensor, standard_basis, validate
+from solvlie.liealg import Frame, LieAlgebra, StructureTensor, derived_ideal_t, standard_basis, validate
+from solvlie.matrices import Mat
 
 
 def test_two_step_nilpotent_regime():
@@ -28,6 +30,24 @@ def test_two_step_nilpotent_regime():
     c = classify_n2(LieAlgebra(t))
     assert c.label.family == labels.TWO_STEP_NILPOTENT
     assert c.witness.canonical is None
+
+
+def test_two_step_witness_is_audited():
+    """The two-step regime's witness is the opening's basis change, and it
+    passes the same transport audit: scrambled inputs verify, and a frame
+    whose total no longer carries the input onto its tensor is refused."""
+    base = tensor_from_brackets(6, [(1, 2, {5: 1}), (3, 4, {6: 1})])
+    for seed in range(5):
+        st, _ = scramble_tensor(base, seed)
+        w = classify_n2(st).witness.transform
+        assert w.inverse @ w.matrix == Mat.identity(6)
+        g1 = derived_ideal_t(st)
+        pipe = Frame(st, g1)
+        assert _classify_frame(pipe).witness.transform.matrix == w.matrix
+        pipe = Frame(st, g1)
+        pipe._tot_cols[2] = tuple(2 * x for x in pipe._tot_cols[2])
+        with pytest.raises(ImpossibleBranch, match="witness transport failed"):
+            _classify_frame(pipe)
 
 
 def test_aff_c_and_chain_examples():

@@ -164,3 +164,59 @@ def test_numbers_past_the_digit_bound_exit_2(tmp_path, capsys, digits):
     p = tmp_path / "at_bound.json"
     p.write_text(doc.replace('"%"', "9" * MAX_DIGITS))
     assert run(["validate", str(p)]) == 0
+
+
+@pytest.mark.parametrize("spot", ['"i": "1_0"', '"i": "0_1"', '"i": "١"', '"i": "+ 1"', '"i": "1.0"',
+                                  '"i": "0x1"', '"i": "1 2"', '"d": "1_7"', '"d": "٣"'])
+def test_integer_strings_take_the_grammar_integer_form(tmp_path, capsys, spot):
+    # an index or radicand string is "[+-]digits" in ASCII, as the rational
+    # grammar's integer form, and not whatever int() accepts
+    key = spot.split(":")[0].strip('"')
+    good = {"i": '"i": " +1 "', "d": '"d": "17"'}[key]
+    doc = ('{"dim": 3, "brackets": [{"i": 1, "j": 3, "coeffs": '
+           '[{"a": "0", "b": "1", "d": 17}, "0", "0"]}]}')
+    doc = doc.replace('"i": 1', "@") if key == "i" else doc.replace('"d": 17', "@")
+    for text, want in ((good, 0), (spot, 1)):
+        p = tmp_path / "doc.json"
+        p.write_text(doc.replace("@", text), encoding="utf-8")
+        code = run(["validate", str(p)])
+        err = capsys.readouterr().err
+        assert code == want, (text, err)
+        assert "Traceback" not in err
+    assert err.startswith("malformed input:") and err.count("\n") == 1
+
+
+def test_results_past_the_int_text_limit_are_printed_whole(tmp_path, capsys):
+    # every input integer is within MAX_DIGITS, but the 4x4 witness holds
+    # integers past the 4,300 digits that Python's str(int) refuses
+    import sys
+    from fractions import Fraction
+
+    from solvlie.matrices import Mat
+    from solvlie.propsim import PropSimVerdict
+
+    rng = random.Random(3)
+    a = [[str(rng.randrange(10 ** (MAX_DIGITS - 1), 10**MAX_DIGITS)) for _ in range(4)] for _ in range(4)]
+    b = [list(row) for row in zip(*a)]
+    paths = []
+    for name, m in (("a", a), ("b", b)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(m))
+        paths.append(str(p))
+    start = time.perf_counter()
+    assert run(["propsim", *paths, "--witness"]) == 0
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    entries = [x for row in out["C"] for x in row]
+    assert max(len(x) for x in entries) > sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        c, m = Fraction(out["c"]), Mat([[Fraction(x) for x in row] for row in out["C"]])
+        verdict = PropSimVerdict(out["equivalent"], c, m)
+        assert verdict.verify(Mat([[int(x) for x in row] for row in a]),
+                              Mat([[int(x) for x in row] for row in b]))
+    finally:
+        sys.set_int_max_str_digits(limit)

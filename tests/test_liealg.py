@@ -10,7 +10,7 @@ from solvlie.catalog import (
     heisenberg,
     l6gamma,
     morozov_transform_positive,
-    scramble_matrix,
+    scramble_change,
     tensor_from_brackets,
 )
 from solvlie.errors import (
@@ -131,11 +131,28 @@ def test_change_basis_is_group_action():
     rng = random.Random(12)
     alg = LieAlgebra(aff_c())
     for seed in range(5):
-        t1 = BasisChange(scramble_matrix(4, seed))
-        t2 = BasisChange(scramble_matrix(4, seed + 100))
+        t1 = scramble_change(4, seed)
+        t2 = scramble_change(4, seed + 100)
         lhs = alg.change_basis(t1).change_basis(t2)
         rhs = alg.change_basis(t1.then(t2))
         assert lhs.tensor == rhs.tensor
+
+
+def test_then_carries_the_inverse_elimination_gives():
+    """`then` composes the two carried inverses; the result is the inverse
+    that eliminating the product gives, over Q and Q(sqrt2) as well."""
+    rng = random.Random(41)
+    changes = [scramble_change(4, seed) for seed in range(4)] + [BasisChange.identity(4)]
+    while len(changes) < 10:
+        m = Mat([[rng.choice((0, 1, -2, Fraction(1, 3), QuadExt.make(0, 1, 2))) for _ in range(4)]
+                 for _ in range(4)])
+        if det(m) != 0:
+            changes.append(BasisChange(m))
+    for a in changes:
+        for b in changes:
+            ab = a.then(b)
+            assert ab.matrix == a.matrix @ b.matrix
+            assert ab.inverse == inverse(ab.matrix)
 
 
 def test_series_invariant_under_basis_change():
@@ -147,7 +164,7 @@ def test_series_invariant_under_basis_change():
     ]
     for alg in samples:
         for seed in range(6):
-            moved = alg.change_basis(BasisChange(scramble_matrix(alg.dim, seed)))
+            moved = alg.change_basis(scramble_change(alg.dim, seed))
             assert [len(b) for b in moved.derived_series] == [
                 len(b) for b in alg.derived_series
             ]
@@ -528,7 +545,7 @@ def test_transform_matches_the_dense_pair_loop():
     cases = []
     for i, lab in enumerate(corpus_labels()):
         t = catalog.build_tensor(lab)
-        cases.append((t, BasisChange(scramble_matrix(t.n, i))))
+        cases.append((t, scramble_change(t.n, i)))
         if t.n <= 6:
             # a dense basis change over Q(sqrt2)
             while True:
@@ -829,13 +846,14 @@ def test_built_matrices_hold_only_canonical_scalars(monkeypatch):
         built.append(m)
         return m
 
-    for name in ("matrices", "liealg", "classify_n2", "codim2", "propsim", "frobenius"):
+    for name in ("matrices", "liealg", "catalog", "classify_n2", "codim2", "propsim", "frobenius"):
         monkeypatch.setattr(import_module(f"solvlie.{name}"), "_mat", recording)
     named = []
     for t in fuzz_stream(random.Random(11), 40, max_dim=7):
         w = classify_n2(t).witness.transform
         named += [w.matrix, w.inverse]
-    for i, lab in enumerate(corpus_labels()[::2]):
+    labs = corpus_labels()
+    for i, lab in enumerate(labs[::2] + labs[1::2]):
         t, _ = catalog.scramble_tensor(catalog.build_tensor(lab), i)
         named.append(classify_n2(t).witness.transform.matrix)
     rng = random.Random(5)
