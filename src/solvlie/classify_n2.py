@@ -35,6 +35,7 @@ from .liealg import (
     StructureTensor,
     derived_ideal_t,
     derived_series_t,
+    span_rows,
     validate,
 )
 from .matrices import (
@@ -46,7 +47,6 @@ from .matrices import (
     det,
     inverse,
     kernel_basis,
-    rank,
     solve,
     spectral_classify_2x2,
     vec_is_zero,
@@ -109,9 +109,8 @@ def _classify_frame(pipe: Frame) -> Classification:
     if (0, 1) in pipe.t.brackets:
         raise ImpossibleBranch("derived ideal of a validated solvable algebra must be abelian")
 
-    flat = _flat_adjoints(pipe)
-    nonzero = [f for f in flat if not vec_is_zero(f)]
-    dim_a = rank(_mat(nonzero)) if nonzero else 0
+    flat = pipe.flat_adjoints()
+    dim_a = len(span_rows(flat, 4))
     if dim_a > 2:
         raise ImpossibleBranch("adjoint span exceeds the commutative bound")
 
@@ -130,16 +129,6 @@ def _classify_frame(pipe: Frame) -> Classification:
 
     canonical = catalog.build_tensor(label)
     return Classification(label, Witness(pipe.witness(canonical), label, canonical))
-
-
-def _flat_adjoints(pipe: Frame) -> list:
-    """a_{X_i} for i = 3..n, each flattened row by row: (a, b, c, d) for
-    [[a, b], [c, d]]."""
-    out = []
-    for i in range(2, pipe.n):
-        (a, c), (b, d) = pipe.bracket(i, 0), pipe.bracket(i, 1)
-        out.append((a, b, c, d))
-    return out
 
 
 def _fail(tensor: StructureTensor):
@@ -164,7 +153,7 @@ def _fail(tensor: StructureTensor):
 
 def _adjoint_line_normalize(pipe: Frame, flat: list) -> Mat:
     """Arrange a_{X_3} spanning the adjoint line and a_{X_i} = 0, i >= 4,
-    from the adjoints as `_flat_adjoints` read them on entry."""
+    from the adjoints as `Frame.flat_adjoints` read them on entry."""
     n = pipe.n
     pivot = next(i for i in range(2, n) if not vec_is_zero(flat[i - 2]))
     if pivot != 2:
@@ -434,8 +423,8 @@ def _case2_assemble(pipe: Frame, anchored, pairs, leftover) -> ClassLabel:
 
 
 def _adjoint_plane_pipeline(pipe: Frame, flat: list) -> ClassLabel:
-    """dim A_G = 2, from the adjoints as `_flat_adjoints` read them on
-    entry."""
+    """dim A_G = 2, from the adjoints as `Frame.flat_adjoints` read them
+    on entry.  Every 2x2 system is solved on the flats, row by row."""
     n = pipe.n
     pos3 = next(i for i in range(2, n) if not vec_is_zero(flat[i - 2]))
     span = Echelon()
@@ -458,15 +447,9 @@ def _adjoint_plane_pipeline(pipe: Frame, flat: list) -> ClassLabel:
         raise ImpossibleBranch("adjoint pair must commute")
 
     reps = {}
-    stacked = _mat(
-        zip(
-            [a3[0, 0], a3[1, 0], a3[0, 1], a3[1, 1]],
-            [a4[0, 0], a4[1, 0], a4[0, 1], a4[1, 1]],
-        )
-    )
+    stacked = _mat(zip(flat[0], flat[1]))
     for i in range(4, n):
-        a, b, c, d = flat[i - 2]
-        coords = solve(stacked, (a, c, b, d))
+        coords = solve(stacked, flat[i - 2])
         if coords is None:
             raise ImpossibleBranch("adjoint outside the two-dimensional span")
         alpha, beta = coords
@@ -477,13 +460,13 @@ def _adjoint_plane_pipeline(pipe: Frame, flat: list) -> ClassLabel:
     s3 = spectral_classify_2x2(a3)
     s4 = spectral_classify_2x2(a4)
     if s3.kind == "complex_pair" or s4.kind == "complex_pair":
-        return _plane_complex_case(pipe)
+        return _plane_complex_case(pipe, flat[0], flat[1])
     dirs = common_eigendirections_2x2(a3, a4)
     if dirs is None:
         raise ImpossibleBranch("real commuting pair must share an eigenvector")
     if len(dirs) >= 2:
         return _plane_split_case(pipe, dirs)
-    return _plane_one_eigenline_case(pipe)
+    return _plane_one_eigenline_case(pipe, flat[0], flat[1])
 
 
 def _residual_cleanup_a4_identity(pipe: Frame):
@@ -499,20 +482,14 @@ def _residual_cleanup_a4_identity(pipe: Frame):
         pipe.step_cols({2: {2: 1, 0: u[0], 1: u[1]}})
 
 
-def _plane_complex_case(pipe: Frame) -> ClassLabel:
+def _plane_complex_case(pipe: Frame, f3: tuple, f4: tuple) -> ClassLabel:
+    """f3, f4: a_{X_3} and a_{X_4}, flattened row by row."""
     n = pipe.n
     if spectral_classify_2x2(pipe.adjoint(2)).kind != "complex_pair":
         pipe.step_perm([0, 1, 3, 2] + list(range(4, n)))
-    a3 = pipe.adjoint(2)
-    a4 = pipe.adjoint(3)
+        f3, f4 = f4, f3
     # the centralizer of a complex-pair 2x2 is span(I, a3)
-    sys = _mat(
-        zip(
-            [1, 0, 0, 1],
-            [a3[0, 0], a3[1, 0], a3[0, 1], a3[1, 1]],
-        )
-    )
-    coords = solve(sys, (a4[0, 0], a4[1, 0], a4[0, 1], a4[1, 1]))
+    coords = solve(_mat(zip((1, 0, 0, 1), f3)), f4)
     if coords is None:
         raise ImpossibleBranch("commuting partner escaped the centralizer span")
     s, t = coords
@@ -571,16 +548,11 @@ def _plane_split_case(pipe: Frame, dirs) -> ClassLabel:
     return ClassLabel(labels.AFFR_PLUS_AFFR, abelian_ext=n - 4)
 
 
-def _plane_one_eigenline_case(pipe: Frame) -> ClassLabel:
+def _plane_one_eigenline_case(pipe: Frame, f3: tuple, f4: tuple) -> ClassLabel:
+    """f3, f4: a_{X_3} and a_{X_4}, flattened row by row."""
     n = pipe.n
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
-    stacked = _mat(
-        zip(
-            [a3[0, 0], a3[1, 0], a3[0, 1], a3[1, 1]],
-            [a4[0, 0], a4[1, 0], a4[0, 1], a4[1, 1]],
-        )
-    )
-    idc = solve(stacked, (1, 0, 0, 1))
+    idc = solve(_mat(zip(f3, f4)), (1, 0, 0, 1))
     if idc is None:
         raise ImpossibleBranch("identity must lie in the span in the one-eigenline case")
     x, y = idc

@@ -33,6 +33,7 @@ from .liealg import (
     StructureTensor,
     derived_ideal_t,
     derived_series_t,
+    span_rows,
     validate,
     vec_is_zero,
 )
@@ -115,16 +116,13 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
     codimension-2 derived ideal in front."""
     n = fr.n
     k = n - 2
-    a_y = fr.adjoint(n - 2)
-    a_z = fr.adjoint(n - 1)
-    flat = [tuple(m[r, c] for r in range(k) for c in range(k)) for m in (a_y, a_z)]
-    nonzero = [f for f in flat if not vec_is_zero(f)]
-    dim_a = rank(_mat(nonzero)) if nonzero else 0
+    dim_a = len(span_rows(fr.flat_adjoints(), k * k))
     if dim_a == 0:
         raise ImpossibleBranch("adjoint line cannot vanish when the derived ideal is large")
     if dim_a == 2:
         raise Unsupported("two-dimensional adjoint span on a codimension-2 derived ideal")
 
+    a_y, a_z = fr.adjoint(n - 2), fr.adjoint(n - 1)
     if a_z.is_zero():
         fr.step_perm(list(range(n - 2)) + [n - 1, n - 2])
         a_y, a_z = fr.adjoint(n - 2), fr.adjoint(n - 1)

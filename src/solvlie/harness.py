@@ -28,7 +28,7 @@ from .liealg import (
     lower_central_series_t,
     validate,
 )
-from .matrices import Mat, det, inverse, kernel_basis, rank
+from .matrices import Mat, det, inverse, kernel_basis
 from .propsim import prop_similar
 from .scalars import exdiv
 
@@ -179,11 +179,10 @@ def derived_ideal_guard_sweep(seed, fuzz_count: int = 300, fail_fast: bool = Fal
     rng = child_rng(seed, "derived-guard")
     tensors += [t for t in fuzz_stream(rng, fuzz_count, max_dim=7)]
     for t in tensors:
-        g1 = derived_ideal_t(t)
-        if len(g1) != 2:
+        if len(derived_ideal_t(t)) != 2:
             continue
         try:
-            mats, dim, _ = adjoint_algebra_t(t, g1)
+            mats, dim = adjoint_algebra_t(t)
         except NonAbelianDerivedIdeal:
             rep.check(False, "non-abelian 2-dim derived ideal on validated input")
             if fail_fast:

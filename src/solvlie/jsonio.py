@@ -32,9 +32,11 @@ from .scalars import QuadExt, Rational, Scalar, _rational, format_rational, squa
 if TYPE_CHECKING:
     from .liealg import LieAlgebra, StructureTensor
 
-# Reading a radicand factors it by trial division up to its cube root:
-# 10^6 divisions at this bound, 2 * 10^13 at forty digits.  A matrix or
-# algebra reader factors each distinct radicand once, not once per entry.
+# Reading a radicand factors it by trial division up to its cube root, so
+# at most to 10^6 at this bound, which is `scalars.MAX_TRIAL_DIVISOR`, the
+# divisor where every factoring stops (a radicand formed inside a
+# computation and left unresolved there is refused with exit 2).  A matrix
+# or algebra reader factors each distinct radicand once, not once per entry.
 MAX_RADICAND = 10**18
 
 # An algebra's series and center cost about n^2 at dimension n with few

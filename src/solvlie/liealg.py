@@ -22,7 +22,10 @@ once per call and never cached on the tensor: ``validate`` visits only
 the basis triples that touch a nonzero bracket, ``transform_sparse`` forms
 a replaced vector's brackets from the basis brackets it involves, and the
 series and the center set up their linear systems from the nonzero
-brackets alone.
+brackets alone.  The bracket of two vectors has one path: u's row
+``_ad_row``, then ``_bracket_from`` against v.  The adjoint restrictions
+to an ideal have one reader, the ``Frame`` that moves the ideal to the
+front (``Frame.adjoint``, ``Frame.flat_adjoints``).
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .matrices import (
     inverse,
     kernel_basis,
     row_space,
-    solve,
     vec_is_zero,
 )
 from .records import Record
@@ -90,18 +92,7 @@ class StructureTensor:
         return (0,) * self.n
 
     def bracket(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
-        out: list = [0] * self.n
-        for (i, j), c in self.brackets.items():
-            # products with a zero factor are skipped, not formed
-            ui, uj = u[i], u[j]
-            s = ui * v[j] if ui and v[j] else 0
-            if uj and v[i]:
-                s = s - uj * v[i]
-            if s:
-                for k, ck in enumerate(c):
-                    if ck != 0:
-                        out[k] = out[k] + s * ck
-        return tuple(out)
+        return tuple(_dense(_bracket_from(_ad_row(_adjacency(self), u), v).items(), self.n))
 
     def transform(self, t: Mat, tinv: Mat) -> "StructureTensor":
         """Tensor in the basis given by the columns of t."""
@@ -389,7 +380,8 @@ class Frame:
     no elimination and no transform (see `_front_loaded`).  Every step
     updates the tensor and the total together, and `witness` audits the
     total, the opening included, by transporting the normal form back to
-    the input by its inverse.
+    the input by its inverse.  The adjoint restrictions a_{X_i} to the
+    ideal are read off the running table (`adjoint`, `flat_adjoints`).
     """
 
     __slots__ = ("input", "t", "n", "k", "_tot_cols")
@@ -492,6 +484,16 @@ class Frame:
         """ad_{X_i} restricted to span(X_1..X_k), in that basis."""
         return _mat(zip(*[self.bracket(i, j) for j in range(self.k)]))
 
+    def flat_adjoints(self) -> list:
+        """a_{X_i} for i = k+1..n, each flattened row by row: entry (r, c)
+        of a_{X_i}, coordinate r of [X_i, X_c], is at r * k + c."""
+        k = self.k
+        out = []
+        for i in range(k, self.n):
+            cols = [self.bracket(i, c) for c in range(k)]
+            out.append(tuple(col[r] for r in range(k) for col in cols))
+        return out
+
     def witness(self, target: Optional[StructureTensor] = None) -> BasisChange:
         """The accumulated basis change, once the running tensor is
         `target` (when one is given) and an independent transport of the
@@ -521,9 +523,10 @@ class Frame:
 
 
 def span_rows(vectors: Sequence[Vec], n: int) -> list[Vec]:
-    if not vectors:
-        return []
-    return row_space(_mat(vectors)) if any(not vec_is_zero(v) for v in vectors) else []
+    """Reduced-echelon basis of the span; zero vectors are dropped before
+    the elimination."""
+    nonzero = [v for v in vectors if not vec_is_zero(v)]
+    return row_space(_mat(nonzero)) if nonzero else []
 
 
 def bracket_span(t: StructureTensor, basis_a: Sequence[Vec], basis_b: Sequence[Vec]) -> list[Vec]:
@@ -631,43 +634,24 @@ def upper_central_dims_t(t: StructureTensor) -> list[int]:
     return dims
 
 
-def adjoint_restriction(t: StructureTensor, x: Sequence[Scalar], sub_basis: Sequence[Vec]) -> Mat:
-    """Matrix of ad_x restricted to the span of sub_basis, in that basis."""
-    k = len(sub_basis)
-    base = _mat(zip(*sub_basis))
-    cols = []
-    for b in sub_basis:
-        w = t.bracket(x, b)
-        coords = solve(base, w)
-        if coords is None:
-            raise DimensionError("subspace is not invariant under ad_x")
-        cols.append(coords)
-    return _mat(zip(*cols)) if k else _mat([[0]])
+def adjoint_algebra_t(t: StructureTensor):
+    """Adjoint restriction algebra on the derived ideal g', which must be
+    abelian (else NonAbelianDerivedIdeal).
 
-
-def adjoint_algebra_t(t: StructureTensor, derived_basis: Optional[list[Vec]] = None):
-    """Adjoint restriction algebra on the derived ideal.
-
-    Returns (canonical basis of the span as matrices, dim, per-generator
-    restrictions a_{X_i} for the standard basis).  Requires the derived
-    ideal to be abelian.
-    """
-    g1 = derived_basis if derived_basis is not None else derived_ideal_t(t)
+    Returns (the canonical basis of the span of the restrictions a_x as
+    matrices in the basis of the reduced-echelon rows of g', its
+    dimension), read off the `Frame` that moves g' to the front; ([], 0)
+    when g' = 0."""
+    g1 = derived_ideal_t(t)
     k = len(g1)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if not vec_is_zero(t.bracket(g1[a], g1[b])):
-                raise NonAbelianDerivedIdeal("derived ideal is not abelian")
-    gens = []
-    for i in range(t.n):
-        e = tuple(1 if q == i else 0 for q in range(t.n))
-        gens.append(adjoint_restriction(t, e, g1))
     if k == 0:
-        return [], 0, gens
-    flat = [[m[r, c] for r in range(k) for c in range(k)] for m in gens]
-    rows = span_rows([tuple(f) for f in flat], k * k)
+        return [], 0
+    fr = Frame(t, g1)
+    if any(j < k for _, j in fr.t.brackets):
+        raise NonAbelianDerivedIdeal("derived ideal is not abelian")
+    rows = span_rows(fr.flat_adjoints(), k * k)
     mats = [_mat([row[r * k : (r + 1) * k] for r in range(k)]) for row in rows]
-    return mats, len(mats), gens
+    return mats, len(mats)
 
 
 class LieAlgebra:
@@ -714,10 +698,6 @@ class LieAlgebra:
     def dim(self) -> int:
         return self.tensor.n
 
-    @property
-    def derived_ideal(self) -> list[Vec]:
-        return self.derived_series[1] if len(self.derived_series) > 1 else []
-
     def validate(self) -> ValidationReport:
         return validate(self.tensor)
 
@@ -730,8 +710,7 @@ class LieAlgebra:
         return LieAlgebra(self.tensor.transform(t.matrix, t.inverse))
 
     def adjoint_algebra(self):
-        mats, dim, _ = adjoint_algebra_t(self.tensor, self.derived_ideal)
-        return mats, dim
+        return adjoint_algebra_t(self.tensor)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):

@@ -4,7 +4,9 @@ with c != 0 and C invertible, producing explicit witnesses.
 The scaling c is pinned by characteristic coefficients: if a_k is the first
 nonzero coefficient (of x^(n-k)) of A's characteristic polynomial, matching
 coefficients forces c^k = b_k / a_k, leaving at most two real candidates,
-told apart by their sign.  Invariant factors do not depend on the field, so
+told apart by their sign.  When both polynomials are x^n (the zero and the
+nilpotent matrices) scaling changes nothing, and the same loop runs with
+k = 1 and c = 1.  Invariant factors do not depend on the field, so
 c*A ~ B holds over R exactly when every invariant factor g of B is
 c^deg(f) f(x / c) for the matching factor f of A.  That is tested
 coefficient by coefficient in the field of the entries, without c itself:
@@ -75,36 +77,28 @@ class PropSimVerdict(Record):
         return a.scale(self.c) == inverse(self.witness) @ b @ self.witness
 
 
-def _is_nilpotent_char(coeffs: list) -> bool:
-    return all(c == 0 for c in coeffs[:-1])
-
-
 def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
-    from .frobenius import frobenius_form, invariant_factors, similar, similarity_witness
+    from .frobenius import frobenius_form, invariant_factors
 
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     if not a.is_square:
         raise DimensionMismatch("square matrices required")
     n = a.rows
-    if a.is_zero() or b.is_zero():
-        if a.is_zero() and b.is_zero():
-            return PropSimVerdict(True, 1, Mat.identity(n) if want_witness else None)
-        return PropSimVerdict(False)
     pa, pb = char_poly(a), char_poly(b)
-    if _is_nilpotent_char(pa) or _is_nilpotent_char(pb):
-        # scaling never changes a nilpotent Jordan structure
-        if _is_nilpotent_char(pa) != _is_nilpotent_char(pb):
+    nil_a, nil_b = not any(pa[:-1]), not any(pb[:-1])
+    if nil_a or nil_b:
+        # characteristic polynomial x^n: scaling never changes a nilpotent
+        # Jordan structure, so c = 1 is the one scale to try
+        if nil_a != nil_b:
             return PropSimVerdict(False)
-        if not want_witness:
-            return PropSimVerdict(True, 1) if similar(a, b) else PropSimVerdict(False)
-        cmat = similarity_witness(b, a)
-        return PropSimVerdict(False) if cmat is None else PropSimVerdict(True, 1, cmat)
-    k = next(k for k in range(1, n + 1) if pa[n - k] != 0)
-    bk = pb[n - k]
-    if bk == 0:
-        return PropSimVerdict(False)
-    ratio = exdiv(bk, pa[n - k])
+        k, ratio = 1, 1
+    else:
+        k = next(k for k in range(1, n + 1) if pa[n - k] != 0)
+        bk = pb[n - k]
+        if bk == 0:
+            return PropSimVerdict(False)
+        ratio = exdiv(bk, pa[n - k])
     if k % 2 == 1:
         signs = [scalar_sign(ratio)]
     else:

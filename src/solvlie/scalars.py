@@ -233,8 +233,19 @@ def sign_rational(x: Rational) -> int:
     return 0
 
 
+# Trial division stops at this divisor: the cube root of the largest
+# radicand a document may spell out (`jsonio.MAX_RADICAND`), so every
+# such radicand is factored in full.
+MAX_TRIAL_DIVISOR = 10**6
+
+
 def square_free_split(n: int) -> tuple[int, int]:
-    """Write n > 0 as s*s*d with d square-free; returns (s, d)."""
+    """Write n > 0 as s*s*d with d square-free; returns (s, d).
+
+    Primes are divided out up to MAX_TRIAL_DIVISOR at most.  A cofactor
+    left at least that bound cubed is resolved only when it is a square;
+    otherwise the split raises :class:`Unsupported`, since finding the
+    square-free part of an integer is as hard as factoring it."""
     if n <= 0:
         raise ValueError("square_free_split needs a positive integer")
     s, d = 1, 1
@@ -242,6 +253,14 @@ def square_free_split(n: int) -> tuple[int, int]:
     # After removing primes up to the cube root, the cofactor has at most
     # two prime factors, so it is a square, a prime, or square-free.
     while p * p * p <= n:
+        if p > MAX_TRIAL_DIVISOR:
+            r = isqrt(n)
+            if r * r != n:
+                raise Unsupported(
+                    f"radicand with a {n.bit_length()}-bit cofactor that has no prime factor"
+                    f" up to {MAX_TRIAL_DIVISOR}: its square-free part is not computed"
+                )
+            return s * r, d
         if n % p == 0:
             e = 0
             while n % p == 0:

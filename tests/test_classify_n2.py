@@ -11,7 +11,6 @@ from solvlie.classify_n2 import (
     _case1_shape,
     _case2_shape,
     _classify_frame,
-    _flat_adjoints,
     _invertible_action_pipeline,
     _plane_split_case,
     _residual_cleanup_a4_identity,
@@ -259,7 +258,7 @@ def test_line_normalization_refuses_a_surviving_adjoint(monkeypatch):
     # a_X4 = a_X3; with the step that subtracts X_3 from X_4 skipped,
     # a_X4 survives
     fr = _hand_frame(4, [(3, 1, {1: 1}), (4, 1, {1: 1})])
-    flat = _flat_adjoints(fr)
+    flat = fr.flat_adjoints()
     monkeypatch.setattr(Frame, "step_cols", lambda fr, repl: None)
     with pytest.raises(ImpossibleBranch, match="left a nonzero adjoint"):
         _adjoint_line_normalize(fr, flat)

@@ -166,6 +166,26 @@ def test_numbers_past_the_digit_bound_exit_2(tmp_path, capsys, digits):
     assert run(["validate", str(p)]) == 0
 
 
+@pytest.mark.parametrize("entry, want", [(10**24 + 7, 2), (10**40 + 7, 2), ((10**20 + 7) ** 2, 0)])
+def test_internal_radicands_are_factored_to_a_bound(tmp_path, capsys, entry, want):
+    # classify of the 3-dim action [[0, N], [1, 0]] takes the square root
+    # of its discriminant 4N; trial division stops at 10^6, so a 4N that is
+    # not a square and keeps a cofactor past 10^18 exits 2 at once, while a
+    # square 4N of the same size is classified
+    doc = {"dim": 3, "brackets": [{"i": 1, "j": 3, "coeffs": ["0", "-1", "0"]},
+                                  {"i": 2, "j": 3, "coeffs": [str(-entry), "0", "0"]}]}
+    p = tmp_path / "action.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = run(["classify", str(p)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == want, err
+    assert elapsed < 2.0, elapsed
+    if want == 2:
+        assert err.count("\n") == 1 and "Traceback" not in err and str(entry) not in err, err
+
+
 @pytest.mark.parametrize("spot", ['"i": "1_0"', '"i": "0_1"', '"i": "١"', '"i": "+ 1"', '"i": "1.0"',
                                   '"i": "0x1"', '"i": "1 2"', '"d": "1_7"', '"d": "٣"'])
 def test_integer_strings_take_the_grammar_integer_form(tmp_path, capsys, spot):

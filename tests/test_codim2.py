@@ -104,7 +104,7 @@ def test_adjoint_span_guard_on_fixtures():
 
     for name, az in codim2_az_fixtures():
         alg = codim2_algebra(az)
-        _, dim, _ = adjoint_algebra_t(alg.tensor)
+        _, dim = adjoint_algebra_t(alg.tensor)
         assert dim in (1, 2), name
 
 

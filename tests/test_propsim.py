@@ -7,9 +7,9 @@ import pytest
 import solvlie.frobenius
 from solvlie.cli import run
 from solvlie.errors import DimensionMismatch, FieldMismatch, SingularInput
-from solvlie.frobenius import companion, similarity_witness
+from solvlie.frobenius import companion, similar, similarity_witness
 from solvlie.jsonio import matrix_to_json
-from solvlie.matrices import Mat, det, inverse
+from solvlie.matrices import Mat, char_poly, det, inverse
 from solvlie.propsim import EXACT, PropSimVerdict, prop_similar, propsim_classify_gl2
 from solvlie.scalars import QuadExt
 
@@ -46,6 +46,50 @@ def test_nilpotent_pair_ignores_scale():
     assert v.equivalent and v.c == 1 and v.verify(a, b)
     assert not prop_similar(a, Mat([[1, 0], [0, 0]])).equivalent
     assert not prop_similar(Mat([[1, 0], [0, 0]]), a).equivalent
+
+
+def reference_prop_similar(a, b, want_witness):
+    """prop_similar with the zero and nilpotent branches it had in front
+    of its scale loop; any other pair goes to prop_similar itself."""
+    n = a.rows
+    if a.is_zero() or b.is_zero():
+        if a.is_zero() and b.is_zero():
+            return PropSimVerdict(True, 1, Mat.identity(n) if want_witness else None)
+        return PropSimVerdict(False)
+    nil_a, nil_b = (all(c == 0 for c in char_poly(m)[:-1]) for m in (a, b))
+    if nil_a or nil_b:
+        if nil_a != nil_b:
+            return PropSimVerdict(False)
+        if not want_witness:
+            return PropSimVerdict(True, 1) if similar(a, b) else PropSimVerdict(False)
+        cmat = similarity_witness(b, a)
+        return PropSimVerdict(False) if cmat is None else PropSimVerdict(True, 1, cmat)
+    return prop_similar(a, b, want_witness)
+
+
+def test_zero_and_nilpotent_pairs_match_the_former_branches():
+    # zero, nilpotent (strictly triangular, also conjugated), shifted
+    # nilpotent and random matrices, every ordered pair, with and without
+    # a witness: same verdict, same c (and its type), same witness
+    rng = random.Random(31)
+    calls = nilpotent = 0
+    for n in range(1, 5):
+        mats = [Mat([[0] * n for _ in range(n)])]
+        for _ in range(4):
+            nil = Mat([[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)])
+            p = _rand_gl(rng, n)
+            mats += [nil, inverse(p) @ nil @ p, nil + Mat.identity(n).scale(rng.choice((1, -2)))]
+        mats += [Mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]) for _ in range(3)]
+        for a in mats:
+            for b in mats:
+                for want in (True, False):
+                    got = prop_similar(a, b, want)
+                    ref = reference_prop_similar(a, b, want)
+                    assert got == ref and type(got.c) is type(ref.c), (a, b, want)
+                    calls += 1
+                    nilpotent += got.equivalent and not any(char_poly(a)[:-1])
+    assert calls == 2 * sum((1 + 4 * 3 + 3) ** 2 for _ in range(4))
+    assert nilpotent >= 100
 
 
 def test_quadratic_extension_scale():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from solvlie.errors import FieldMismatch
+from solvlie.errors import FieldMismatch, Unsupported
 from solvlie.scalars import (
     QuadExt,
     Rat,
@@ -30,6 +30,15 @@ def test_square_free_split():
     assert square_free_split(49 * 5) == (7, 5)
     with pytest.raises(ValueError):
         square_free_split(0)
+
+
+def test_square_free_split_stops_at_the_trial_divisor_bound():
+    # 10^18 - 1 is the largest input radicand; it is still split in full
+    p = 10**24 + 7  # its cofactor past 10^6 is neither small nor a square
+    assert square_free_split(10**18 - 1) == (9, (10**18 - 1) // 81)
+    assert square_free_split(2 * p * p) == (p, 2)  # a square cofactor is resolved
+    with pytest.raises(Unsupported, match="-bit cofactor"):
+        square_free_split(4 * p)
 
 
 def test_quadext_rejects_a_radicand_with_a_square_factor():

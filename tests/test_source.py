@@ -29,6 +29,26 @@ def test_no_assert_statements_in_library():
     assert not found, f"assert statements or AssertionError raises in solvlie: {found}"
 
 
+def _unread_from_imports(tree) -> list:
+    """The names a module binds with `from ... import` and never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_every_from_import_is_read():
+    """No module keeps a name it imports and never uses."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _unread_from_imports(tree)]
+    assert not found, f"unused imports in solvlie: {found}"
+
+
 def test_library_and_dependencies_name_no_mpmath():
     """Every verdict is exact, so no floating-point package is used or declared."""
     paths = sorted(SRC.glob("*.py")) + [SRC.parent.parent / "pyproject.toml"]
