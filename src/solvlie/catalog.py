@@ -299,15 +299,19 @@ class MorozovReport(Record):
         self._set(gamma, ok, detail)
 
 
-def morozov_check(gammas: Sequence[Scalar] = (1, 4, 2, -1, -3)) -> list[MorozovReport]:
-    """Exact verification of the six-dimensional family normalizations.
+MOROZOV_GAMMAS = (1, 4, 2, -1, -3)
+
+
+def morozov_check() -> list[MorozovReport]:
+    """Exact verification of the six-dimensional family normalizations at
+    each gamma of `MOROZOV_GAMMAS`.
 
     For gamma > 0 the printed transform must reduce the table to
     [e1,e2]=e3, [e4,e5]=e6 (two Heisenberg blocks); for gamma < 0 the
     diagonal transform must carry the table onto the gamma = -1 member.
     """
     out = []
-    for gamma in gammas:
+    for gamma in MOROZOV_GAMMAS:
         t = l6gamma(gamma)
         if scalar_sign(gamma) > 0:
             bc = BasisChange(morozov_transform_positive(gamma))
@@ -337,20 +341,12 @@ def codim2_az_fixtures(lam: Fraction = Fraction(2)) -> list[tuple[str, Mat]]:
     ]
 
 
-def codim2_algebra(a_z: Mat, bracket_zy_index: Optional[int] = None) -> LieAlgebra:
+def codim2_algebra(a_z: Mat) -> LieAlgebra:
     """Algebra on basis (X_1..X_k, Y, Z) with abelian span(X_i), a_Y = 0,
-    a_Z = a_z, and [Z, Y] = X_k (or the given 1-based index)."""
-    k = a_z.rows
-    n = k + 2
-    idx = k if bracket_zy_index is None else bracket_zy_index
-    br = [(n, n - 1, {idx: 1})]
-    for j in range(k):
-        col = a_z.col(j)
-        vec = [0] * n
-        for i in range(k):
-            vec[i] = col[i]
-        br.append((n, j + 1, vec))
-    t = tensor_from_brackets(n, br)
+    a_Z = a_z, and [Z, Y] = X_k: `codim2.codim2_tensor`, checked."""
+    from .codim2 import codim2_tensor
+
+    t = codim2_tensor(a_z)
     if not validate(t).ok:
         raise ImpossibleBranch("codimension-2 structure must satisfy Jacobi")
     return LieAlgebra(t)

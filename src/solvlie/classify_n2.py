@@ -4,11 +4,14 @@ The normalization runs as a pipeline of elementary basis changes on one
 `liealg.Frame`.  The steps are audited, not logged: at the end the
 running tensor must be the canonical tensor of the reported class, and
 transporting it back by the inverse of the accumulated transform must give
-the input tensor.  Dispatch is on the dimension of
-the adjoint-restriction span: 0 is the two-step nilpotent regime (labelled,
-not classified further; its witness is the opening's basis change, audited
-the same way against the opening tensor), 1 runs the singular/non-singular
-pipelines, 2 runs the commuting-pair pipeline.
+the input tensor.  Dispatch runs on the independent adjoints: one forward
+pass of an `Echelon` over the adjoint restrictions keeps the positions of
+those independent of the ones before them, and their number is the
+dimension of the adjoint-restriction span.  None is the two-step nilpotent
+regime (labelled, not classified further; its witness is the opening's
+basis change, audited the same way against the opening tensor), one runs
+the singular/non-singular pipelines on the first, two run the
+commuting-pair pipeline on both.
 
 The opening finds the derived ideal g' before it checks anything else.
 When dim g' = 2 the algebra is solvable whatever the brackets are: g''
@@ -35,21 +38,20 @@ from .liealg import (
     StructureTensor,
     derived_ideal_t,
     derived_series_t,
-    span_rows,
     validate,
 )
 from .matrices import (
-    Echelon,
     Mat,
     _mat,
     common_eigendirections_2x2,
     cyclic_conjugator_2x2,
     det,
+    first_non_kernel,
+    independent_rows,
     inverse,
     kernel_basis,
     solve,
     spectral_classify_2x2,
-    vec_is_zero,
 )
 from .propsim import propsim_classify_gl2
 from .records import Record
@@ -110,22 +112,22 @@ def _classify_frame(pipe: Frame) -> Classification:
         raise ImpossibleBranch("derived ideal of a validated solvable algebra must be abelian")
 
     flat = pipe.flat_adjoints()
-    dim_a = len(span_rows(flat, 4))
-    if dim_a > 2:
+    gens = independent_rows(flat)
+    if len(gens) > 2:
         raise ImpossibleBranch("adjoint span exceeds the commutative bound")
 
-    if dim_a == 0:
+    if not gens:
         label = ClassLabel(labels.TWO_STEP_NILPOTENT)
         return Classification(label, Witness(pipe.witness(), label, None))
 
-    if dim_a == 1:
-        a3 = _adjoint_line_normalize(pipe, flat)
+    if len(gens) == 1:
+        a3 = _adjoint_line_normalize(pipe, flat, gens[0])
         if det(a3) != 0:
             label = _invertible_action_pipeline(pipe, a3)
         else:
             label = _singular_action_pipeline(pipe, a3)
     else:
-        label = _adjoint_plane_pipeline(pipe, flat)
+        label = _adjoint_plane_pipeline(pipe, flat, gens)
 
     canonical = catalog.build_tensor(label)
     return Classification(label, Witness(pipe.witness(canonical), label, canonical))
@@ -151,11 +153,12 @@ def _fail(tensor: StructureTensor):
 # ----------------------------------------------------------------------
 
 
-def _adjoint_line_normalize(pipe: Frame, flat: list) -> Mat:
+def _adjoint_line_normalize(pipe: Frame, flat: list, gen: int) -> Mat:
     """Arrange a_{X_3} spanning the adjoint line and a_{X_i} = 0, i >= 4,
-    from the adjoints as `Frame.flat_adjoints` read them on entry."""
+    from the adjoints as `Frame.flat_adjoints` read them on entry; flat[gen]
+    is the first nonzero one."""
     n = pipe.n
-    pivot = next(i for i in range(2, n) if not vec_is_zero(flat[i - 2]))
+    pivot = gen + 2
     if pivot != 2:
         order = list(range(n))
         order[2], order[pivot] = order[pivot], order[2]
@@ -213,11 +216,22 @@ def _singular_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
     tr = a3.trace()
     if tr != 0:
         _case1_shape(pipe, a3, tr)
-        anchored, pairs, leftover = _chain_normalize(pipe, anchor=2, block=list(range(3, n)), comp=1)
-        return _case1_assemble(pipe, anchored, pairs, leftover)
+        anchored, p = _chain_assemble(pipe, anchor=2)
+        if anchored is not None:
+            if p == 0:
+                return ClassLabel(labels.G4_2_1, abelian_ext=n - 4)
+            return ClassLabel(labels.G6P2K_2_1, abelian_ext=n - 6 - 2 * (p - 1), k=p - 1)
+        if p == 0:
+            raise ImpossibleBranch("case 1 without anchor needs at least one pair")
+        return ClassLabel(labels.AFFR_PLUS_HEIS, abelian_ext=n - 3 - 2 * p, m=p)
     _case2_shape(pipe, a3)
-    anchored, pairs, leftover = _chain_normalize(pipe, anchor=3, block=list(range(4, n)), comp=1)
-    return _case2_assemble(pipe, anchored, pairs, leftover)
+    anchored, p = _chain_assemble(pipe, anchor=3)
+    if anchored is not None:
+        return ClassLabel(labels.G5P2K_2, abelian_ext=n - 5 - 2 * p, k=p)
+    if p == 0:
+        pipe.step_perm([1, 0] + list(range(2, n)))
+        return ClassLabel(labels.G4_2_2, abelian_ext=n - 4)
+    return ClassLabel(labels.G6P2K_2_2, abelian_ext=n - 6 - 2 * (p - 1), k=p - 1)
 
 
 def _case1_shape(pipe: Frame, a3: Mat, tr):
@@ -240,13 +254,7 @@ def _case2_shape(pipe: Frame, a3: Mat):
     """Nilpotent a_{X_3}: reach [X_3, X_1] = X_2, [X_3, X_4] = X_1 with all
     other [X_3, .] zero."""
     n = pipe.n
-    w = None
-    for cand in ((1, 0), (0, 1)):
-        if a3.apply(cand) != (0, 0):
-            w = cand
-            break
-    if w is None:
-        raise ImpossibleBranch("nonzero nilpotent adjoint acts nontrivially somewhere")
+    w = first_non_kernel(a3)
     pipe.step_cols(_embed_g1(_mat(zip(w, a3.apply(w)))))
     if pipe.adjoint(2) != Mat([[0, 0], [1, 0]]):
         raise ImpossibleBranch("nilpotent normalization failed")
@@ -267,17 +275,17 @@ def _case2_shape(pipe: Frame, a3: Mat):
         raise ImpossibleBranch("chain seed normalization failed")
 
 
-def _chain_normalize(pipe: Frame, anchor: int, block: list, comp: int):
-    """Greedy chain reduction of the component-`comp` skew data on `block`
-    seeded at `anchor`, followed by the parity telescopings and the same
-    procedure on the untouched residual.
+def _chain_normalize(pipe: Frame, anchor: int):
+    """Greedy chain reduction of the X_2-component skew data on the block
+    X_{anchor+2}..X_n seeded at `anchor`, followed by the parity
+    telescopings and the same procedure on the untouched residual.
 
     Returns (anchored_partner_or_None, list of pair index tuples, leftover
-    indices); afterwards the only nonzero component-`comp` brackets inside
+    indices); afterwards the only nonzero X_2-component brackets inside
     {anchor} + block are [anchor, partner] and the listed pairs, each with
     coefficient one.
     """
-
+    block = list(range(anchor + 1, pipe.n))
     remaining = list(block)
     chains: list[tuple[int, list[int]]] = []  # (head index, chain vertices)
 
@@ -287,18 +295,18 @@ def _chain_normalize(pipe: Frame, anchor: int, block: list, comp: int):
         current = head
         while True:
             row = pipe.row(current)
-            nxt = next((r for r in remaining if r in row and row[r][comp] != 0), None)
+            nxt = next((r for r in remaining if r in row and row[r][1] != 0), None)
             if nxt is None:
                 break
-            val = row[nxt][comp]
+            val = row[nxt][1]
             if val != 1:
                 # [X_current, X_k] for k != nxt lie in the front ideal, so
                 # rescaling X_nxt leaves them as read
                 pipe.step_cols({nxt: {nxt: exdiv(1, val)}})
             pipe.step_cols({
-                k: {k: 1, nxt: -row[k][comp]}
+                k: {k: 1, nxt: -row[k][1]}
                 for k in remaining
-                if k != nxt and k in row and row[k][comp] != 0
+                if k != nxt and k in row and row[k][1] != 0
             })
             chain.append(nxt)
             remaining.remove(nxt)
@@ -310,7 +318,7 @@ def _chain_normalize(pipe: Frame, anchor: int, block: list, comp: int):
         hot = {
             x
             for i, j in pipe.t.brackets
-            if i in rest and j in rest and pipe.bracket(i, j)[comp] != 0
+            if i in rest and j in rest and pipe.bracket(i, j)[1] != 0
             for x in (i, j)
         }
         seed = next((i for i in remaining if i in hot), None)
@@ -322,48 +330,40 @@ def _chain_normalize(pipe: Frame, anchor: int, block: list, comp: int):
     anchored = None
     pairs: list[tuple[int, int]] = []
     for head_idx, chain in chains:
-        verts = [head_idx] + chain
-        partner, chain_pairs = _telescope(pipe, verts, pinned=(head_idx == anchor), comp=comp)
+        partner, chain_pairs = _telescope(pipe, [head_idx] + chain, pinned=(head_idx == anchor))
         if head_idx == anchor:
             anchored = partner
         pairs.extend(chain_pairs)
     leftover = [i for i in block if all(i not in p for p in pairs) and i != anchored]
-    _assert_chain_clean(pipe, anchor, block, comp, anchored, pairs)
+    _assert_chain_clean(pipe, anchor, block, anchored, pairs)
     return anchored, pairs, leftover
 
 
-def _telescope(pipe: Frame, verts: list, pinned: bool, comp: int):
+def _telescope(pipe: Frame, verts: list, pinned: bool):
     """Decouple a path of unit skew edges into disjoint pairs.
 
     verts[0] is the path head; when `pinned` the head is the anchor and the
     telescoping keeps or frees the edge at the head depending on parity.
     Substitutions run from the far end toward the head so each one sees
-    already-decoupled tails.  Returns (anchored partner or None, pairs).
+    already-decoupled tails: they reach verts[0] only for an even number of
+    edges, which decouples the head entirely.  Returns (anchored partner or
+    None, pairs).
     """
     L = len(verts)
-    if L < 2:
-        return None, []
-    edges = L - 1
-    if edges % 2 == 1:
-        # odd number of edges: head keeps its partner, rest pair up
-        for pos in range(L - 3, 0, -2):
-            v, w = verts[pos], verts[pos + 2]
-            pipe.step_cols({v: {v: 1, w: 1}})
-        partner = verts[1]
-        pairs = [(verts[i], verts[i + 1]) for i in range(2, L - 1, 2)]
-        if pinned:
-            return partner, pairs
-        return None, [(verts[0], partner)] + pairs
-    # even number of edges: head decouples entirely
     for pos in range(L - 3, -1, -2):
         v, w = verts[pos], verts[pos + 2]
         pipe.step_cols({v: {v: 1, w: 1}})
-    pairs = [(verts[i], verts[i + 1]) for i in range(1, L - 1, 2)]
-    return None, pairs
+    if L % 2:
+        # even number of edges: the rest pair up after the head
+        return None, [(verts[i], verts[i + 1]) for i in range(1, L - 1, 2)]
+    # odd number of edges: the head keeps its partner, pinned or paired
+    partner = verts[1] if pinned else None
+    first = 2 if pinned else 0
+    return partner, [(verts[i], verts[i + 1]) for i in range(first, L - 1, 2)]
 
 
-def _assert_chain_clean(pipe, anchor, block, comp, anchored, pairs):
-    """The component-`comp` brackets inside {anchor} + block are exactly
+def _assert_chain_clean(pipe, anchor, block, anchored, pairs):
+    """The X_2-component brackets inside {anchor} + block are exactly
     [a, b] = 1 for the listed pairs and [anchor, anchored]."""
     want = {}
     for a, b in pairs + ([] if anchored is None else [(anchor, anchored)]):
@@ -371,50 +371,26 @@ def _assert_chain_clean(pipe, anchor, block, comp, anchored, pairs):
     idxs = {anchor, *block}
     found = {ij for ij in pipe.far(anchor) if ij[0] in idxs and ij[1] in idxs}
     for i, j in sorted(found | want.keys()):
-        val = pipe.bracket(i, j)[comp]
+        val = pipe.bracket(i, j)[1]
         if val != want.get((i, j), 0):
             raise ImpossibleBranch(f"chain normalization left [{i + 1},{j + 1}] component {val}")
 
 
-def _case1_assemble(pipe: Frame, anchored, pairs, leftover) -> ClassLabel:
-    n = pipe.n
-    order = [0, 1, 2]
+def _chain_assemble(pipe: Frame, anchor: int):
+    """Chain-normalize the block after `anchor` and order the basis as the
+    front X_1..X_{anchor+1}, the anchored partner, the pairs and the
+    leftover.  Returns (anchored partner or None, number of pairs)."""
+    anchored, pairs, leftover = _chain_normalize(pipe, anchor)
+    order = list(range(anchor + 1))
     if anchored is not None:
         order.append(anchored)
     for i, j in pairs:
         order += [i, j]
     order += leftover
-    if sorted(order) != list(range(n)):
-        raise ImpossibleBranch("case-1 assembly permutation is not a bijection")
+    if sorted(order) != list(range(pipe.n)):
+        raise ImpossibleBranch("chain assembly permutation is not a bijection")
     pipe.step_perm(order)
-    p = len(pairs)
-    if anchored is not None:
-        if p == 0:
-            return ClassLabel(labels.G4_2_1, abelian_ext=n - 4)
-        return ClassLabel(labels.G6P2K_2_1, abelian_ext=n - 6 - 2 * (p - 1), k=p - 1)
-    if p == 0:
-        raise ImpossibleBranch("case 1 without anchor needs at least one pair")
-    return ClassLabel(labels.AFFR_PLUS_HEIS, abelian_ext=n - 3 - 2 * p, m=p)
-
-
-def _case2_assemble(pipe: Frame, anchored, pairs, leftover) -> ClassLabel:
-    n = pipe.n
-    order = [0, 1, 2, 3]
-    if anchored is not None:
-        order = [0, 1, 2, 3, anchored]
-    for i, j in pairs:
-        order += [i, j]
-    order += leftover
-    if sorted(order) != list(range(n)):
-        raise ImpossibleBranch("case-2 assembly permutation is not a bijection")
-    pipe.step_perm(order)
-    p = len(pairs)
-    if anchored is not None:
-        return ClassLabel(labels.G5P2K_2, abelian_ext=n - 5 - 2 * p, k=p)
-    if p == 0:
-        pipe.step_perm([1, 0] + list(range(2, n)))
-        return ClassLabel(labels.G4_2_2, abelian_ext=n - 4)
-    return ClassLabel(labels.G6P2K_2_2, abelian_ext=n - 6 - 2 * (p - 1), k=p - 1)
+    return anchored, len(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -422,20 +398,13 @@ def _case2_assemble(pipe: Frame, anchored, pairs, leftover) -> ClassLabel:
 # ----------------------------------------------------------------------
 
 
-def _adjoint_plane_pipeline(pipe: Frame, flat: list) -> ClassLabel:
+def _adjoint_plane_pipeline(pipe: Frame, flat: list, gens: list) -> ClassLabel:
     """dim A_G = 2, from the adjoints as `Frame.flat_adjoints` read them
-    on entry.  Every 2x2 system is solved on the flats, row by row."""
+    on entry; flat[gens[0]] is the first nonzero one and flat[gens[1]] the
+    first independent of it.  Every 2x2 system is solved on the flats, row
+    by row."""
     n = pipe.n
-    pos3 = next(i for i in range(2, n) if not vec_is_zero(flat[i - 2]))
-    span = Echelon()
-    span.add(flat[pos3 - 2])
-    pos4 = None
-    for i in range(pos3 + 1, n):
-        if span.add(flat[i - 2]) is not None:
-            pos4 = i
-            break
-    if pos4 is None:
-        raise ImpossibleBranch("two independent adjoints must exist when dim A_G = 2")
+    pos3, pos4 = gens[0] + 2, gens[1] + 2
     order = list(range(n))
     order[2], order[pos3] = order[pos3], order[2]
     i4 = order.index(pos4)  # pos4 > pos3 >= 2, so it was not moved to slot 2
@@ -565,11 +534,7 @@ def _plane_one_eigenline_case(pipe: Frame, f3: tuple, f4: tuple) -> ClassLabel:
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     if a4 != Mat.identity(2) or a3.trace() != 0 or not (a3 @ a3).is_zero() or a3.is_zero():
         raise ImpossibleBranch("expected a nonzero nilpotent with the identity partner")
-    w = None
-    for cand in ((1, 0), (0, 1)):
-        if a3.apply(cand) != (0, 0):
-            w = cand
-            break
+    w = first_non_kernel(a3)
     pipe.step_cols(_embed_g1(_mat(zip(a3.apply(w), w))))
     if pipe.adjoint(2) != Mat([[0, 1], [0, 0]]) or pipe.adjoint(3) != Mat.identity(2):
         raise ImpossibleBranch("jordan-frame normalization failed")

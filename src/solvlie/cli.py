@@ -288,7 +288,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("codim2", help="normalize a codimension-2 derived ideal algebra")
     sp.add_argument("file")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_codim2)
 
     sp = sub.add_parser("codim2-iso", help="decide isomorphism of two codim-2 forms")

@@ -33,11 +33,10 @@ from .liealg import (
     StructureTensor,
     derived_ideal_t,
     derived_series_t,
-    span_rows,
     validate,
     vec_is_zero,
 )
-from .matrices import Echelon, Mat, _mat, det, inverse, kernel_basis, rank, row_space, solve
+from .matrices import Mat, _mat, det, independent_rows, inverse, kernel_basis, row_space, solve
 from .records import Record
 from .scalars import exdiv
 
@@ -116,7 +115,7 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
     codimension-2 derived ideal in front."""
     n = fr.n
     k = n - 2
-    dim_a = len(span_rows(fr.flat_adjoints(), k * k))
+    dim_a = len(independent_rows(fr.flat_adjoints()))
     if dim_a == 0:
         raise ImpossibleBranch("adjoint line cannot vanish when the derived ideal is large")
     if dim_a == 2:
@@ -137,7 +136,8 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
         a_z = fr.adjoint(n - 1)
 
     w = fr.bracket(n - 1, n - 2)  # [Z, Y] in derived coords
-    r = rank(a_z)
+    kern = kernel_basis(a_z)
+    r = k - len(kern)
     if r < k - 1:
         raise ImpossibleBranch("rank of a_Z cannot drop below n - 3")
 
@@ -170,7 +170,7 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
 
     if r != k - 1:
         raise ImpossibleBranch("indecomposable case requires a singular a_Z")
-    kvec = kernel_basis(a_z)[0]
+    kvec = kern[0]
     im_rows = row_space(a_z.transpose())
     im_mat = _mat(zip(*im_rows)) if im_rows else None
     in_im = solve(im_mat, kvec) is not None
@@ -192,12 +192,8 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
         shape = LEFT
     else:
         # B2: kernel sits inside the image
-        basis = [kvec]
-        span = Echelon()
-        span.add(kvec)
-        for row in im_rows:
-            if span.add(row) is not None:
-                basis.append(row)
+        cands = [kvec] + im_rows
+        basis = [cands[i] for i in independent_rows(cands)]
         if len(basis) != k - 1:
             raise ImpossibleBranch("image completion failed")
         basis.append(w)

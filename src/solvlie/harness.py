@@ -542,7 +542,7 @@ def codim2_sweep(seed, scrambles: int, fail_fast: bool = False) -> Report:
 
 def morozov_sweep() -> Report:
     rep = Report("morozov")
-    for r in catalog.morozov_check((1, 4, 2, -1, -3)):
+    for r in catalog.morozov_check():
         rep.check(r.ok, f"gamma={r.gamma}: {r.detail}")
     return rep
 

@@ -522,7 +522,7 @@ class Frame:
         return change
 
 
-def span_rows(vectors: Sequence[Vec], n: int) -> list[Vec]:
+def span_rows(vectors: Sequence[Vec]) -> list[Vec]:
     """Reduced-echelon basis of the span; zero vectors are dropped before
     the elimination."""
     nonzero = [v for v in vectors if not vec_is_zero(v)]
@@ -539,7 +539,7 @@ def bracket_span(t: StructureTensor, basis_a: Sequence[Vec], basis_b: Sequence[V
                 w = _bracket_from(row, v)
                 if any(w.values()):
                     vecs.append(_dense(w.items(), t.n))
-    return span_rows(vecs, t.n)
+    return span_rows(vecs)
 
 
 def standard_basis(n: int) -> list[Vec]:
@@ -548,7 +548,7 @@ def standard_basis(n: int) -> list[Vec]:
 
 def derived_ideal_t(t: StructureTensor) -> list[Vec]:
     """[g, g], the span of the table's bracket vectors [X_i, X_j]."""
-    return span_rows(list(t.brackets.values()), t.n)
+    return span_rows(list(t.brackets.values()))
 
 
 def derived_series_t(t: StructureTensor) -> list[list[Vec]]:
@@ -568,7 +568,7 @@ def derived_series_t(t: StructureTensor) -> list[list[Vec]]:
                     w = _bracket_from(row, v)
                     if any(w.values()):
                         vecs.append(_dense(w.items(), t.n))
-        nxt = span_rows(vecs, t.n)
+        nxt = span_rows(vecs)
     return series
 
 
@@ -608,7 +608,7 @@ def center_t(t: StructureTensor) -> list[Vec]:
     n = t.n
     rows = _center_system(_adjacency(t))
     kern = kernel_basis(_mat(rows)) if rows else standard_basis(n)
-    return span_rows(kern, n)
+    return span_rows(kern)
 
 
 def upper_central_dims_t(t: StructureTensor) -> list[int]:
@@ -649,7 +649,7 @@ def adjoint_algebra_t(t: StructureTensor):
     fr = Frame(t, g1)
     if any(j < k for _, j in fr.t.brackets):
         raise NonAbelianDerivedIdeal("derived ideal is not abelian")
-    rows = span_rows(fr.flat_adjoints(), k * k)
+    rows = span_rows(fr.flat_adjoints())
     mats = [_mat([row[r * k : (r + 1) * k] for r in range(k)]) for row in rows]
     return mats, len(mats)
 

@@ -255,6 +255,13 @@ class Echelon:
         return len(self.rows)
 
 
+def independent_rows(vectors: Sequence[Sequence[Scalar]]) -> list[int]:
+    """Positions of the vectors outside the span of those before them, in
+    one forward pass; their number is the dimension of the span."""
+    span = Echelon()
+    return [i for i, v in enumerate(vectors) if span.add(v) is not None]
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
     e = Echelon()
@@ -352,6 +359,15 @@ def kernel_basis(m: Mat) -> list[Vec]:
             v[pc] = -red.data[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def first_non_kernel(m: Mat) -> Vec:
+    """The first unit vector that m does not send to 0; ImpossibleBranch
+    on the zero matrix."""
+    for i in range(m.cols):
+        if any(row[i] for row in m.data):
+            return tuple(1 if k == i else 0 for k in range(m.cols))
+    raise ImpossibleBranch("zero matrix has no non-kernel vector")
 
 
 def row_space(m: Mat) -> list[Vec]:

@@ -13,7 +13,9 @@ coefficient by coefficient in the field of the entries, without c itself:
 a real q equals c^j exactly when q^k = (b_k / a_k)^j and sign(q) =
 sign(c)^j.  Every verdict is exact.  c is returned when c = b_1 / a_1
 (k = 1), or when c^k is rational and c has degree at most 2 over Q; for
-any other c the verdict comes without it.
+any other c, and for a c whose radicand cannot be split into its
+square-free part within the factoring bound, the verdict comes without
+it.  Only a pair whose arithmetic mixes two radicands is refused.
 
 The decision and the witness share one cyclic decomposition per matrix.
 When C is wanted and c is constructed, c*A is decomposed in place of A:
@@ -32,13 +34,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import DimensionMismatch, ImpossibleBranch, SingularInput
+from .errors import DimensionMismatch, ImpossibleBranch, SingularInput, Unsupported
 from .matrices import (
     Mat,
     _mat,
     char_poly,
     cyclic_conjugator_2x2,
     det,
+    first_non_kernel,
     inverse,
     kernel_basis,
     normalize_leading,
@@ -153,7 +156,8 @@ def _is_scaled(f: list, g: list, ratio: Scalar, k: int, sign: int) -> bool:
 
 def _exact_scale(ratio: Scalar, k: int, sign: int) -> Optional[Scalar]:
     """The real c with c^k = ratio and sign(c) = sign when it is ratio
-    itself (k = 1), or ratio is rational and c has degree <= 2; else None."""
+    itself (k = 1), or ratio is rational and c has degree <= 2 with a
+    radicand that `sqrt_exact` can split; else None."""
     if not is_rational(ratio):
         return ratio if k == 1 else None
     root = nth_root_rational(ratio, k)
@@ -162,7 +166,11 @@ def _exact_scale(ratio: Scalar, k: int, sign: int) -> Optional[Scalar]:
         # rational power, so only even k reach one
         half = nth_root_rational(ratio, k // 2)
         if half is not None:
-            root = sqrt_exact(half)
+            try:
+                root = sqrt_exact(half)
+            except Unsupported:
+                # the radicand cannot be split within the factoring bound
+                return None
     if root is None:
         return None
     return root if scalar_sign(root) == sign else -root
@@ -223,7 +231,7 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
     elif sc.kind == "repeated_jordan":
         mu = sc.mu1
         nil = a.scale(exdiv(1, mu)) - Mat.identity(2)
-        w = _first_non_kernel(nil)
+        w = first_non_kernel(nil)
         cmat = _mat(zip(nil.apply(w), w))
         cls = GL2Class("jordan", j, Mat([[1, 1], [0, 1]]), exdiv(1, mu), cmat)
     elif sc.kind == "repeated_diagonalizable":
@@ -251,10 +259,3 @@ def _eigvec(a: Mat, mu: Scalar):
     basis = kernel_basis(shifted)
     return normalize_leading(basis[0])
 
-
-def _first_non_kernel(m: Mat):
-    for i in range(m.cols):
-        e = tuple(1 if k == i else 0 for k in range(m.cols))
-        if not all(x == 0 for x in m.apply(e)):
-            return e
-    raise ImpossibleBranch("zero matrix has no non-kernel vector")

@@ -261,7 +261,7 @@ def test_line_normalization_refuses_a_surviving_adjoint(monkeypatch):
     flat = fr.flat_adjoints()
     monkeypatch.setattr(Frame, "step_cols", lambda fr, repl: None)
     with pytest.raises(ImpossibleBranch, match="left a nonzero adjoint"):
-        _adjoint_line_normalize(fr, flat)
+        _adjoint_line_normalize(fr, flat, 0)
 
 
 def test_invertible_action_refuses_a_far_bracket():
@@ -305,11 +305,11 @@ def test_chain_check_refuses_a_wrong_pair_list():
     # component X_2: [X_3, X_4] = 1 (anchored), [X_5, X_6] = 1 (a pair)
     fr = _hand_frame(7, [(3, 4, {2: 1}), (5, 6, {2: 1}), (6, 7, {1: 1})])
     block = [3, 4, 5, 6]
-    _assert_chain_clean(fr, 2, block, 1, 3, [(4, 5)])
+    _assert_chain_clean(fr, 2, block, 3, [(4, 5)])
     wrong = ((3, []), (3, [(4, 6)]), (3, [(5, 4)]), (None, [(4, 5)]), (3, [(4, 5), (3, 6)]))
     for anchored, pairs in wrong:
         with pytest.raises(ImpossibleBranch, match="chain normalization left"):
-            _assert_chain_clean(fr, 2, block, 1, anchored, pairs)
+            _assert_chain_clean(fr, 2, block, anchored, pairs)
 
 
 def test_a_square_discriminant_is_not_factored(monkeypatch):

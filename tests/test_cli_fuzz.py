@@ -13,6 +13,7 @@ import pytest
 from solvlie.catalog import codim2_algebra, codim2_az_fixtures
 from solvlie.cli import run
 from solvlie.jsonio import MAX_DIGITS, algebra_to_json
+from solvlie.matrices import Mat
 
 AFFC = {
     "dim": 4,
@@ -184,6 +185,30 @@ def test_internal_radicands_are_factored_to_a_bound(tmp_path, capsys, entry, wan
     assert elapsed < 2.0, elapsed
     if want == 2:
         assert err.count("\n") == 1 and "Traceback" not in err and str(entry) not in err, err
+
+
+@pytest.mark.parametrize("flags", [[], ["--witness"]])
+def test_a_scale_past_the_radicand_bound_is_answered_without_c(tmp_path, capsys, flags):
+    # c^2 = 10^24 + 7 keeps a cofactor past 10^18 after trial division, so
+    # c is not formed; the verdict is decided without it and comes with
+    # "c": null, for the matrices and for the codim-2 algebras built on them
+    big = 10**24 + 7
+    docs = {
+        "a.json": [["0", "1"], ["1", "0"]],
+        "b.json": [["0", str(big)], ["1", "0"]],
+        "fa.json": algebra_to_json(codim2_algebra(Mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))),
+        "fb.json": algebra_to_json(codim2_algebra(Mat([[0, big, 0], [1, 0, 0], [0, 0, 0]]))),
+    }
+    p = {}
+    for name, doc in docs.items():
+        p[name] = tmp_path / name
+        p[name].write_text(json.dumps(doc))
+    for cmd, a, b, key in (("propsim", "a.json", "b.json", "equivalent"),
+                           ("codim2-iso", "fa.json", "fb.json", "isomorphic")):
+        code = run([cmd, str(p[a]), str(p[b]), *flags])
+        captured = capsys.readouterr()
+        assert code == 0, (cmd, captured.err)
+        assert json.loads(captured.out) == {key: True, "c": None, "mode": "exact"}
 
 
 @pytest.mark.parametrize("spot", ['"i": "1_0"', '"i": "0_1"', '"i": "١"', '"i": "+ 1"', '"i": "1.0"',

@@ -452,7 +452,7 @@ def _reference_upper_central_dims(t):
         proj_rows = []
         for m in ads:
             proj_rows.extend(Mat.from_columns([span.reduce(m.col(i)) for i in range(n)]).data)
-        nxt = span_rows(kernel_basis(Mat(proj_rows)), n)
+        nxt = span_rows(kernel_basis(Mat(proj_rows)))
         if len(nxt) == len(current):
             break
         dims.append(len(nxt))
@@ -483,7 +483,7 @@ def _dense_center(t):
     from solvlie.matrices import kernel_basis
 
     stacked = [row for m in _dense_ad_columns(t) for row in m.data]
-    return span_rows(kernel_basis(Mat(stacked)), t.n)
+    return span_rows(kernel_basis(Mat(stacked)))
 
 
 def _dense_derived_series(t):
@@ -492,12 +492,12 @@ def _dense_derived_series(t):
     from solvlie.liealg import span_rows
 
     series = [standard_basis(t.n)]
-    nxt = span_rows(list(t.brackets.values()), t.n)
+    nxt = span_rows(list(t.brackets.values()))
     while len(nxt) < len(series[-1]):
         series.append(nxt)
         if not nxt:
             break
-        nxt = span_rows([t.bracket(u, v) for a, u in enumerate(nxt) for v in nxt[a + 1 :]], t.n)
+        nxt = span_rows([t.bracket(u, v) for a, u in enumerate(nxt) for v in nxt[a + 1 :]])
     return series
 
 
@@ -520,7 +520,7 @@ def test_series_and_center_match_the_dense_systems():
         full = standard_basis(t.n)
         for sub in lower_central_series_t(t)[1:]:
             dense = [t.bracket(u, v) for u in full for v in sub]
-            assert bracket_span(t, full, sub) == span_rows(dense, t.n)
+            assert bracket_span(t, full, sub) == span_rows(dense)
 
 
 def _dense_transform(t, tm, tinv):

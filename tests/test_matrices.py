@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from solvlie.errors import DimensionError, NonCommuting, SingularInput
+from solvlie.errors import DimensionError, ImpossibleBranch, NonCommuting, SingularInput
 from solvlie.matrices import (
     Echelon,
     Mat,
@@ -12,6 +12,7 @@ from solvlie.matrices import (
     cyclic_conjugator_2x2,
     det,
     eigendirections_2x2,
+    first_non_kernel,
     inverse,
     kernel_basis,
     rank,
@@ -60,6 +61,14 @@ def test_elimination_basics():
     assert row_space(Mat([[2, 4], [1, 2]])) == [(1, 2)]
     assert solve(Mat([[1, 1], [0, 1]]), (3, 2)) == (1, 2)
     assert solve(Mat([[1, 1], [1, 1]]), (0, 1)) is None
+
+
+def test_first_non_kernel_probes_unit_vectors_in_order():
+    assert first_non_kernel(Mat([[0, 1], [0, 0]])) == (0, 1)
+    assert first_non_kernel(Mat([[0, 0, 0], [2, 0, 1], [0, 0, 0]])) == (1, 0, 0)
+    for m in (Mat([[0, 0], [0, 0]]), Mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])):
+        with pytest.raises(ImpossibleBranch, match="zero matrix"):
+            first_non_kernel(m)
 
 
 def test_spectral_classify_variants():

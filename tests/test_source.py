@@ -49,6 +49,33 @@ def test_every_from_import_is_read():
     assert not found, f"unused imports in solvlie: {found}"
 
 
+def _unread_parameters(tree) -> list:
+    """(line, function, parameter) for each parameter of a non-dunder
+    function that its body, nested functions included, never reads;
+    `self` and `cls` are exempt."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, node.name, p.arg) for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    """No function takes an argument it ignores."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {fn}({arg})" for line, fn, arg in _unread_parameters(tree)]
+    assert not found, f"unread parameters in solvlie: {found}"
+
+
 def test_library_and_dependencies_name_no_mpmath():
     """Every verdict is exact, so no floating-point package is used or declared."""
     paths = sorted(SRC.glob("*.py")) + [SRC.parent.parent / "pyproject.toml"]
