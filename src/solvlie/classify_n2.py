@@ -17,9 +17,13 @@ The opening finds the derived ideal g' before it checks anything else.
 When dim g' = 2 the algebra is solvable whatever the brackets are: g''
 is spanned by the one bracket [u, v] of a basis u, v of g', so
 dim g'' <= 1 and g''' = 0.  So the derived series is not formed, and the
-Jacobi identity, which holds in every basis or in none, is checked on the
-`Frame`'s front-loaded tensor, whose brackets lie in the first two coordinates.
-An input that fails a check, or whose g' has another dimension, runs the
+Jacobi identity is not checked before the normalization: a result that
+is returned proves it.  With a canonical target the audited witness
+carries the input onto a canonical Lie algebra; in the two-step regime
+g' is central and holds every bracket, so every [[x, y], z] is 0.  When
+the normalization raises, the input is checked for the Jacobi identity:
+a failure is reported as JacobiFails, and otherwise the normalization's
+exception stands.  An input whose g' has another dimension runs the
 checks on the input in their documented order (Jacobi, solvability,
 dim g'), so each rejection is reported as the full checks report it.
 """
@@ -91,23 +95,28 @@ def classify_n2(a) -> Classification:
 
     Accepts a LieAlgebra or a bare StructureTensor.  The derived ideal g'
     comes first: it must be 2-dimensional, which makes the algebra
-    solvable.  Then the Jacobi identity is checked on the frame that moves
-    g' to the front.  On any failure the input is checked in the order
-    JacobiFails, NotSolvable, DerivedDimNot2, and the first failing check
-    is raised."""
+    solvable; otherwise the input is checked in the order JacobiFails,
+    NotSolvable, DerivedDimNot2, and the first failing check is raised.
+    The normalization runs on the frame that moves g' to the front.  A
+    classification it returns proves the Jacobi identity (see the module
+    docstring); if it raises, an input that fails Jacobi raises
+    JacobiFails in its place."""
     tensor = a.tensor if isinstance(a, LieAlgebra) else a
     g1 = derived_ideal_t(tensor)
     if len(g1) != 2:
         _fail(tensor)
-    pipe = Frame(tensor, g1)
-    if not validate(pipe.t).ok:
-        _fail(tensor)
-    return _classify_frame(pipe)
+    try:
+        return _classify_frame(Frame(tensor, g1))
+    except Exception:
+        if validate(tensor).ok:
+            raise
+    _fail(tensor)
 
 
 def _classify_frame(pipe: Frame) -> Classification:
-    """The normalization of a checked input whose frame has its 2-dim
-    derived ideal in front."""
+    """The normalization of an input whose frame has its 2-dim derived
+    ideal in front.  On an input that fails the Jacobi identity any step
+    may raise, an ImpossibleBranch check included."""
     if (0, 1) in pipe.t.brackets:
         raise ImpossibleBranch("derived ideal of a validated solvable algebra must be abelian")
 
@@ -164,14 +173,12 @@ def _adjoint_line_normalize(pipe: Frame, flat: list, gen: int) -> Mat:
         order[2], order[pivot] = order[pivot], order[2]
         pipe.step_perm(order)
         flat = [flat[o - 2] for o in order[2:]]
+    # dispatch found one independent adjoint, so every flat is alpha flat3
     flat3 = flat[0]
     lead = next(k for k, x in enumerate(flat3) if x != 0)
     reps = {}
     for i in range(3, n):
-        f = flat[i - 2]
-        alpha = exdiv(f[lead], flat3[lead])
-        if any(f[k] != alpha * flat3[k] for k in range(4)):
-            raise ImpossibleBranch("adjoint line is not one-dimensional")
+        alpha = exdiv(flat[i - 2][lead], flat3[lead])
         if alpha != 0:
             reps[i] = {i: 1, 2: -alpha}
     pipe.step_cols(reps)
@@ -280,86 +287,94 @@ def _chain_normalize(pipe: Frame, anchor: int):
     X_{anchor+2}..X_n seeded at `anchor`, followed by the parity
     telescopings and the same procedure on the untouched residual.
 
+    The moves run on the skew Gram matrix W of those components inside
+    {anchor} + block, read off the table once.  Every move replaces a
+    vector of {anchor} + block by a combination of them and leaves X_1,
+    X_2 alone, so W transforms by congruence: rescaling X_t by c scales
+    row and column t of W by c, and X_t += c X_s adds c times row and
+    column s to row and column t.  The moves are composed into one column
+    map and applied to the frame in one step, the exact product of the
+    moves, and the table is checked afterwards.
+
     Returns (anchored_partner_or_None, list of pair index tuples, leftover
     indices); afterwards the only nonzero X_2-component brackets inside
     {anchor} + block are [anchor, partner] and the listed pairs, each with
     coefficient one.
     """
-    block = list(range(anchor + 1, pipe.n))
-    remaining = list(block)
-    chains: list[tuple[int, list[int]]] = []  # (head index, chain vertices)
+    n = pipe.n
+    block = list(range(anchor + 1, n))
+    gram: dict = {i: {} for i in range(anchor, n)}  # nonzero entries only
+    for (i, j), vec in pipe.t.brackets.items():
+        if i >= anchor and vec[1] != 0:
+            gram[i][j] = vec[1]
+            gram[j][i] = -vec[1]
+    cols: dict = {}  # {t: {m: c}}: X_t is now sum c X_m of the X_m on entry
 
+    def move(t, comb):
+        # X_t := sum c X_m over comb, in current vectors: row and column t
+        # of W become the same combination of rows and columns (W[t][t]
+        # stays 0 by skew symmetry), and so does X_t over the entry basis
+        row, col = {}, {}
+        for m, c in comb.items():
+            for r, x in gram[m].items():
+                if r != t:
+                    row[r] = row.get(r, 0) + c * x
+            for r, x in cols.get(m, {m: 1}).items():
+                col[r] = col.get(r, 0) + c * x
+        for r in gram[t]:
+            del gram[r][t]
+        gram[t] = {r: x for r, x in row.items() if x != 0}
+        for r, x in gram[t].items():
+            gram[r][t] = -x
+        cols[t] = {r: x for r, x in col.items() if x != 0}
+
+    remaining = list(block)
+    chains: list[list[int]] = []  # head index, then the chain vertices
     head = anchor
     while True:
-        chain: list[int] = []
-        current = head
+        chain = [head]
         while True:
-            row = pipe.row(current)
-            nxt = next((r for r in remaining if r in row and row[r][1] != 0), None)
+            row = gram[chain[-1]]
+            nxt = next((r for r in remaining if r in row), None)
             if nxt is None:
                 break
-            val = row[nxt][1]
-            if val != 1:
-                # [X_current, X_k] for k != nxt lie in the front ideal, so
-                # rescaling X_nxt leaves them as read
-                pipe.step_cols({nxt: {nxt: exdiv(1, val)}})
-            pipe.step_cols({
-                k: {k: 1, nxt: -row[k][1]}
-                for k in remaining
-                if k != nxt and k in row and row[k][1] != 0
-            })
+            if row[nxt] != 1:
+                move(nxt, {nxt: exdiv(1, row[nxt])})
+            for k, x in [(k, row[k]) for k in remaining if k != nxt and k in row]:
+                move(k, {k: 1, nxt: -x})
             chain.append(nxt)
             remaining.remove(nxt)
-            current = nxt
-        if chain:
-            chains.append((head, chain))
+        if len(chain) > 1:
+            chains.append(chain)
         # earlier chains are fully decoupled from the residual; seed a pure one
         rest = set(remaining)
-        hot = {
-            x
-            for i, j in pipe.t.brackets
-            if i in rest and j in rest and pipe.bracket(i, j)[1] != 0
-            for x in (i, j)
-        }
-        seed = next((i for i in remaining if i in hot), None)
-        if seed is None:
+        head = next((i for i in remaining if any(j in rest for j in gram[i])), None)
+        if head is None:
             break
-        remaining.remove(seed)
-        head = seed
+        remaining.remove(head)
 
+    # telescoping: from the far end toward the head, X_v += X_w two steps
+    # down the path, so each one sees already-decoupled tails; they reach
+    # the head only for an even number of edges, which decouples it
     anchored = None
     pairs: list[tuple[int, int]] = []
-    for head_idx, chain in chains:
-        partner, chain_pairs = _telescope(pipe, [head_idx] + chain, pinned=(head_idx == anchor))
-        if head_idx == anchor:
-            anchored = partner
-        pairs.extend(chain_pairs)
+    for verts in chains:
+        L = len(verts)
+        for pos in range(L - 3, -1, -2):
+            move(verts[pos], {verts[pos]: 1, verts[pos + 2]: 1})
+        if L % 2:
+            # even number of edges: the rest pair up after the head
+            first = 1
+        elif verts[0] == anchor:
+            # odd number of edges: the anchor keeps its partner
+            anchored, first = verts[1], 2
+        else:
+            first = 0
+        pairs += [(verts[i], verts[i + 1]) for i in range(first, L - 1, 2)]
+    pipe.step_cols({t: col for t, col in cols.items() if col != {t: 1}})
     leftover = [i for i in block if all(i not in p for p in pairs) and i != anchored]
     _assert_chain_clean(pipe, anchor, block, anchored, pairs)
     return anchored, pairs, leftover
-
-
-def _telescope(pipe: Frame, verts: list, pinned: bool):
-    """Decouple a path of unit skew edges into disjoint pairs.
-
-    verts[0] is the path head; when `pinned` the head is the anchor and the
-    telescoping keeps or frees the edge at the head depending on parity.
-    Substitutions run from the far end toward the head so each one sees
-    already-decoupled tails: they reach verts[0] only for an even number of
-    edges, which decouples the head entirely.  Returns (anchored partner or
-    None, pairs).
-    """
-    L = len(verts)
-    for pos in range(L - 3, -1, -2):
-        v, w = verts[pos], verts[pos + 2]
-        pipe.step_cols({v: {v: 1, w: 1}})
-    if L % 2:
-        # even number of edges: the rest pair up after the head
-        return None, [(verts[i], verts[i + 1]) for i in range(1, L - 1, 2)]
-    # odd number of edges: the head keeps its partner, pinned or paired
-    partner = verts[1] if pinned else None
-    first = 2 if pinned else 0
-    return partner, [(verts[i], verts[i + 1]) for i in range(first, L - 1, 2)]
 
 
 def _assert_chain_clean(pipe, anchor, block, anchored, pairs):

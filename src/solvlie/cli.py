@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 malformed input, 2 out-of-regime input
-(not in class / unsupported), 3 property failure in a sweep.
+Exit codes: 0 success, 1 malformed input or command line, 2
+out-of-regime input (not in class / unsupported), 3 property failure in
+a sweep.
 
 Each command imports the library modules it reads inside its ``cmd_*``
 function, so a call compiles only those.
@@ -328,7 +329,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of out-of-regime
+        # input; a mistyped command is malformed input
+        if exc.code == 2:
+            return 1
+        raise
     try:
         return args.func(args)
     except FormatError as exc:

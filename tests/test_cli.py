@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from solvlie.cli import run
 
 
@@ -248,6 +250,20 @@ def test_invariants_of_a_large_sparse_table_in_time(tmp_path, capsys):
 def test_classify_not_in_class_exit_2(tmp_path, capsys):
     path = write(tmp_path, "h3.json", H3)
     assert run(["classify", path]) == 2
+
+
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    # 2 is out-of-regime input; a mistyped command line is malformed input
+    path = write(tmp_path, "affc.json", AFFC)
+    for argv in (["classify", path, "--bogus"], ["codim2", path, "--format", "json"],
+                 ["classify"], ["no-such-command"], []):
+        assert run(argv) == 1, argv
+        assert "usage: solvlie" in capsys.readouterr().err
+    for argv in (["--help"], ["classify", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 0, argv
+        assert "usage: solvlie" in capsys.readouterr().out
 
 
 def test_codim2_unsupported_exit_2(tmp_path, capsys):
