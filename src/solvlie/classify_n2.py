@@ -40,9 +40,8 @@ from .liealg import (
     Frame,
     LieAlgebra,
     StructureTensor,
+    checked_derived_series,
     derived_ideal_t,
-    derived_series_t,
-    validate,
 )
 from .matrices import (
     Mat,
@@ -90,7 +89,7 @@ def _embed_g1(c: Mat) -> dict:
 
 
 def classify_n2(a) -> Classification:
-    """Full classification of a validated solvable algebra with
+    """Full classification of a solvable algebra with
     2-dimensional derived ideal; raises NotInClass otherwise.
 
     Accepts a LieAlgebra or a bare StructureTensor.  The derived ideal g'
@@ -107,10 +106,10 @@ def classify_n2(a) -> Classification:
         _fail(tensor)
     try:
         return _classify_frame(Frame(tensor, g1))
-    except Exception:
-        if validate(tensor).ok:
-            raise
-    _fail(tensor)
+    except Exception as exc:
+        error = exc
+    checked_derived_series(tensor)  # JacobiFails in place of the error
+    raise error
 
 
 def _classify_frame(pipe: Frame) -> Classification:
@@ -145,13 +144,7 @@ def _classify_frame(pipe: Frame) -> Classification:
 def _fail(tensor: StructureTensor):
     """Raise NotInClass for the first check the input fails, in the order
     JacobiFails, NotSolvable, DerivedDimNot2."""
-    rep = validate(tensor)
-    if not rep.ok:
-        raise NotInClass("JacobiFails", f"first failing triple {rep.triple}")
-    series = derived_series_t(tensor)
-    if series[-1]:
-        raise NotInClass("NotSolvable")
-    g1 = series[1] if len(series) > 1 else []
+    g1 = checked_derived_series(tensor)[1]
     if len(g1) != 2:
         raise NotInClass("DerivedDimNot2", f"dim of derived ideal is {len(g1)}")
     raise ImpossibleBranch("the input passes the checks that its frame failed")

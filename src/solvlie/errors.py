@@ -40,9 +40,9 @@ class ParamOutOfDomain(SolvlieError):
 class NotInClass(SolvlieError):
     """Input is outside the regime a classifier handles.
 
-    ``reason`` is one of "JacobiFails", "NotSolvable", "DerivedDimNot2"
-    (classify_n2), "DimensionTooSmall", "DerivedDimNotCodim2" and
-    "DerivedNotAbelian" (normalize_codim2).
+    ``reason`` is "JacobiFails" or "NotSolvable" (both normal forms),
+    "DerivedDimNot2" (classify_n2), "DimensionTooSmall",
+    "DerivedDimNotCodim2" or "DerivedNotAbelian" (normalize_codim2).
     """
 
     def __init__(self, reason: str, detail: str = ""):

@@ -37,6 +37,7 @@ from .errors import (
     DimensionError,
     ImpossibleBranch,
     NonAbelianDerivedIdeal,
+    NotInClass,
     SingularInput,
     SingularTransform,
 )
@@ -569,6 +570,17 @@ def derived_series_t(t: StructureTensor) -> list[list[Vec]]:
                     if any(w.values()):
                         vecs.append(_dense(w.items(), t.n))
         nxt = span_rows(vecs)
+    return series
+
+
+def checked_derived_series(t: StructureTensor) -> list[list[Vec]]:
+    """The derived series g, g', ..., 0 of a solvable Lie algebra; else NotInClass."""
+    rep = validate(t)
+    if not rep.ok:
+        raise NotInClass("JacobiFails", f"first failing triple {rep.triple}")
+    series = derived_series_t(t)
+    if series[-1]:
+        raise NotInClass("NotSolvable")
     return series
 
 

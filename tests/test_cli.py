@@ -36,6 +36,9 @@ def test_validate_ok(tmp_path, capsys):
     path = write(tmp_path, "h3.json", H3)
     assert run(["validate", path]) == 0
     assert _capture(capsys) == "ok"
+    path = write(tmp_path, "r1.json", {"dim": 1, "brackets": []})  # the smallest dim
+    assert run(["validate", path]) == 0
+    assert _capture(capsys) == "ok"
 
 
 def test_validate_violation(tmp_path, capsys):
@@ -70,9 +73,12 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     assert run(["validate", path]) == 1
     path = write(tmp_path, "shape.json", {"dim": 2, "brackets": [{"i": 1}]})
     assert run(["classify", path]) == 1
-    for brackets in (5, None, {}, "", {"i": 1, "j": 2}):
+    twice = [{"i": 1, "j": 2, "coeffs": ["1", "0"]}] * 2  # one pair given twice
+    for brackets in (5, None, {}, "", {"i": 1, "j": 2}, twice):
         path = write(tmp_path, "brackets.json", {"dim": 2, "brackets": brackets})
         assert run(["validate", path]) == 1
+    path = write(tmp_path, "dim0.json", {"dim": 0, "brackets": []})
+    assert run(["validate", path]) == 1
     ragged = write(tmp_path, "ragged.json", [["1", "2"], ["3"]])
     square = write(tmp_path, "square.json", [["1", "2"], ["3", "4"]])
     assert run(["propsim", ragged, square]) == 1
@@ -202,14 +208,18 @@ def test_propsim_builds_the_witness_only_when_asked(tmp_path, capsys, monkeypatc
 
 
 def test_propsim_radicand_above_bound_exit_2(tmp_path, capsys):
+    from solvlie.jsonio import MAX_RADICAND
+
     # reading d factors it by trial division up to its cube root, which at
-    # forty digits would not finish; the bound refuses it first
-    big = {"a": "0", "b": "1", "d": 10**40 + 1}
-    a = write(tmp_path, "a.json", [[big, "1"], ["0", "1"]])
-    b = write(tmp_path, "b.json", [["1", "1"], ["0", big]])
-    assert run(["propsim", a, b]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    # forty digits would not finish; the bound refuses it first, and holds
+    # MAX_RADICAND itself
+    for d, code in ((10**40 + 1, 2), (MAX_RADICAND + 1, 2), (MAX_RADICAND, 0)):
+        big = {"a": "0", "b": "1", "d": d}
+        a = write(tmp_path, "a.json", [[big, "1"], ["0", "1"]])
+        b = write(tmp_path, "b.json", [["1", "1"], ["0", big]])
+        assert run(["propsim", a, b]) == code, d
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == (code != 0) and all(e.startswith("error: ") for e in err), d
 
 
 def test_dim_above_bound_exit_2(tmp_path, capsys):
