@@ -250,7 +250,7 @@ def cmd_sweep(args) -> int:
         raise ParamOutOfDomain(f"--scrambles must be at least 1, got {args.scrambles}")
     from . import harness
 
-    rep = harness.full_sweep(seed=args.seed, scrambles=args.scrambles, fail_fast=args.fail_fast)
+    rep = harness.full_sweep(seed=args.seed, scrambles=args.scrambles)
     if args.format == "json":
         print(dumps(rep))
     else:
@@ -322,7 +322,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run the property sweep")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--scrambles", type=int, default=20)
-    sp.add_argument("--fail-fast", action="store_true")
     sp.add_argument("--format", choices=("json", "text"), default="text")
     sp.set_defaults(func=cmd_sweep)
     return p
@@ -342,7 +341,7 @@ def run(argv=None) -> int:
     except FormatError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1
     except ParamOutOfDomain as exc:

@@ -121,7 +121,7 @@ def expected_key(lab: ClassLabel) -> tuple:
     return lab.key
 
 
-def idempotence_sweep(seed, scrambles: int, fail_fast: bool = False) -> Report:
+def idempotence_sweep(seed, scrambles: int) -> Report:
     rep = Report("corpus_idempotence")
     for lab in corpus_labels():
         t = catalog.build_tensor(lab)
@@ -134,8 +134,6 @@ def idempotence_sweep(seed, scrambles: int, fail_fast: bool = False) -> Report:
                 rep.check(got.label.key == want, f"{lab} scramble {s}: got {got.label}")
             except Exception as exc:  # noqa: BLE001 - report, do not crash the sweep
                 rep.check(False, f"{lab} scramble {s}: {exc!r}")
-            if fail_fast and not rep.ok:
-                return rep
     return rep
 
 
@@ -143,7 +141,7 @@ def _nilpotent(t: StructureTensor) -> bool:
     return not lower_central_series_t(t)[-1]
 
 
-def odd_dimension_sweep(seed, total: int, fail_fast: bool = False) -> Report:
+def odd_dimension_sweep(seed, total: int) -> Report:
     """No classification may be simultaneously indecomposable,
     non-nilpotent, and of odd ambient dimension >= 5."""
     rep = Report("odd_dimension_parity")
@@ -165,12 +163,10 @@ def odd_dimension_sweep(seed, total: int, fail_fast: bool = False) -> Report:
             and n % 2 == 1
         )
         rep.check(not bad, f"{lab}: odd indecomposable non-nilpotent result {got.label}")
-        if fail_fast and not rep.ok:
-            return rep
     return rep
 
 
-def derived_ideal_guard_sweep(seed, fuzz_count: int = 300, fail_fast: bool = False) -> Report:
+def derived_ideal_guard_sweep(seed, fuzz_count: int = 300) -> Report:
     """Derived-ideal facts on corpus and fuzzed algebras with dim G1 = 2:
     the ideal is abelian, the adjoint restrictions commute pairwise, and
     their span has dimension at most 2."""
@@ -185,16 +181,12 @@ def derived_ideal_guard_sweep(seed, fuzz_count: int = 300, fail_fast: bool = Fal
             mats, dim = adjoint_algebra_t(t)
         except NonAbelianDerivedIdeal:
             rep.check(False, "non-abelian 2-dim derived ideal on validated input")
-            if fail_fast:
-                return rep
             continue
         commuting = all(
             a @ b == b @ a for a, b in itertools.combinations(mats, 2)
         )
         # Schur-Jacobson bound on a 2-dim ideal: floor(4/4) + 1 = 2
         rep.check(dim <= 2 and commuting, f"dim {dim} commuting {commuting}")
-        if fail_fast and not rep.ok:
-            return rep
     return rep
 
 
@@ -381,7 +373,7 @@ def fuzz_stream(rng: random.Random, count: int, max_dim: int = 8) -> Iterable[St
         yield st
 
 
-def fuzz_completeness(seed, count: int, fail_fast: bool = False) -> Report:
+def fuzz_completeness(seed, count: int) -> Report:
     rep = Report("fuzz_completeness")
     rng = child_rng(seed, "fuzz")
     for t in fuzz_stream(rng, count):
@@ -392,8 +384,6 @@ def fuzz_completeness(seed, count: int, fail_fast: bool = False) -> Report:
             rep.check(False, f"fall-through: {exc}")
         except Exception as exc:  # noqa: BLE001
             rep.check(False, f"{type(exc).__name__}: {exc}")
-        if fail_fast and not rep.ok:
-            return rep
     return rep
 
 
@@ -413,7 +403,7 @@ def _rand_gl(rng, n, lo=-3, hi=3) -> Mat:
             return m
 
 
-def propsim_laws_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
+def propsim_laws_sweep(seed, pairs: int) -> Report:
     """Equivalence-relation laws with verified witnesses on random 2x2 and
     3x3 integer matrices."""
     rep = Report("propsim_laws")
@@ -441,12 +431,10 @@ def propsim_laws_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
         rep.check(v1.equivalent, f"constructed pair must be equivalent (c={c})")
         if v1.witness is not None:
             rep.check(v1.verify(a, bb), "constructed witness")
-        if fail_fast and not rep.ok:
-            return rep
     return rep
 
 
-def padded_block_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
+def padded_block_sweep(seed, pairs: int) -> Report:
     """Block facts: padding by a zero block preserves the left-corner
     equivalence both ways, and the left-corner form is never equivalent to
     the right-corner form."""
@@ -480,8 +468,6 @@ def padded_block_sweep(seed, pairs: int, fail_fast: bool = False) -> Report:
         )
         mixed = prop_similar(left_pad(a), right_pad(b), want_witness=False)
         rep.check(not mixed.equivalent, "fact (iii): mixed shapes compared equal")
-        if fail_fast and not rep.ok:
-            return rep
     return rep
 
 
@@ -517,7 +503,7 @@ def padded_block_counterexample() -> tuple[Mat, Mat]:
 # ----------------------------------------------------------------------
 
 
-def codim2_sweep(seed, scrambles: int, fail_fast: bool = False) -> Report:
+def codim2_sweep(seed, scrambles: int) -> Report:
     rep = Report("codim2_structure")
     forms = []
     for name, az in catalog.codim2_az_fixtures():
@@ -535,8 +521,6 @@ def codim2_sweep(seed, scrambles: int, fail_fast: bool = False) -> Report:
             v = codim2_isomorphic(f0, f1)
             ok = v.isomorphic and (v.c is None or v.m_f is not None)
             rep.check(ok, f"{name} scramble {s}: round-trip not isomorphic")
-            if fail_fast and not rep.ok:
-                return rep
     return rep
 
 
@@ -601,19 +585,19 @@ def _three_dim_from(a: Mat) -> StructureTensor:
 # ----------------------------------------------------------------------
 
 
-def full_sweep(seed=0, scrambles: int = 20, fail_fast: bool = False) -> dict:
+def full_sweep(seed=0, scrambles: int = 20) -> dict:
     """Run every property suite; sized for the CLI (the acceptance tests
     run the criteria at their stated larger sizes)."""
     reports = [
-        idempotence_sweep(seed, scrambles, fail_fast),
-        derived_ideal_guard_sweep(seed, fuzz_count=100, fail_fast=fail_fast),
-        odd_dimension_sweep(seed, total=max(200, scrambles * 10), fail_fast=fail_fast),
-        propsim_laws_sweep(seed, pairs=60, fail_fast=fail_fast),
-        padded_block_sweep(seed, pairs=30, fail_fast=fail_fast),
-        codim2_sweep(seed, scrambles=min(scrambles, 20), fail_fast=fail_fast),
+        idempotence_sweep(seed, scrambles),
+        derived_ideal_guard_sweep(seed, fuzz_count=100),
+        odd_dimension_sweep(seed, total=max(200, scrambles * 10)),
+        propsim_laws_sweep(seed, pairs=60),
+        padded_block_sweep(seed, pairs=30),
+        codim2_sweep(seed, scrambles=min(scrambles, 20)),
         morozov_sweep(),
         redundancy_witnesses(),
-        fuzz_completeness(seed, count=max(100, scrambles * 5), fail_fast=fail_fast),
+        fuzz_completeness(seed, count=max(100, scrambles * 5)),
     ]
     reports.sort(key=lambda r: r.name)
     return {

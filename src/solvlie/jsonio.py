@@ -42,11 +42,11 @@ MAX_RADICAND = 10**18
 # An algebra's series and center cost about n^2 at dimension n with few
 # brackets: `invariants` on an empty table takes about 0.4 s and 55 MB at
 # this bound, 2 s and 170 MB at twice it (CPython 3.11, one shared vCPU).
-# `classify` on the canonical G3_2_2 + R^997 takes about 0.5 s at this
-# bound (best of five, same machine); the n x 2n elimination that inverts
-# the witness in `Frame.witness` takes about four fifths of it (0.70 of
-# 0.89 s under cProfile), since the opening reads the input at two pivots
-# and the steps read the running table rather than the n^2 / 2 pairs.
+# `classify` on the canonical G3_2_2 + R^997 takes about 0.07 s at this
+# bound (best of five, CPython 3.11, two vCPUs); `Frame.witness` is three
+# fifths of it under cProfile, mostly forming its two dense n x n matrices,
+# since the opening reads the input at two pivots, the steps read the
+# running table and the witness inverts only the block of moved columns.
 # A larger dim is refused.
 MAX_DIM = 1000
 
@@ -223,14 +223,16 @@ def dumps(obj) -> str:
 
 
 def load_path(path: str):
+    """The JSON document in file `path` (stdin for "-"); FormatError when it
+    is not UTF-8, not JSON, or nested past the decoder's recursion limit."""
     import sys
 
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
     try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
         return json.loads(raw, parse_int=_int_text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc

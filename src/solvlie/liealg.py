@@ -12,10 +12,13 @@ an ideal that holds every bracket: in the basis of the ideal's
 reduced-echelon rows and the input vectors off their pivots, a bracket's
 coordinates are its entries at the pivots, so the opening tensor is read
 off the input there (``_front_loaded``) and the witness audit checks it
-with every later step.  ``StructureTensor(n, brackets)`` checks outside
-data; the tensors the program builds itself (``transform_sparse``,
-``permute``, ``_front_loaded``) hold the invariants by construction and
-skip the checks.
+with every later step.  Every inverse a ``Frame`` forms, of a step or of
+the witness total, is the block formula ``_inverse_columns``;
+``BasisChange(matrix)`` eliminates, for matrices from outside only.
+``StructureTensor(n, brackets)`` checks outside data; the tensors the
+program builds itself (``transform_sparse``, ``permute``,
+``_front_loaded``) hold the invariants by construction and skip the
+checks.
 The tensor layer reads a table through ``_adjacency``, the nonzero
 entries of each nonzero bracket under both of its index orders, built
 once per call and never cached on the tensor: ``validate`` visits only
@@ -302,8 +305,8 @@ def validate(t: StructureTensor) -> ValidationReport:
 class BasisChange:
     """Invertible change of basis; columns are the new basis vectors in old
     coordinates.  ``BasisChange(matrix)`` checks a matrix from outside and
-    computes its inverse by elimination; a change the program builds
-    together with its inverse comes from `_basis_change`."""
+    inverts it by elimination; a change built with its inverse, as a
+    `Frame`'s witness, comes from `_basis_change`."""
 
     __slots__ = ("matrix", "inverse")
 
@@ -370,6 +373,37 @@ def _front_loaded(t: StructureTensor, rows: Sequence[Vec], pivots: list, rest: l
     return _tensor(n, out)
 
 
+def _inverse_columns(repl: Mapping[int, Mapping[int, Scalar]], n: int) -> dict:
+    """{j: column j of the inverse} of the n x n basis change that differs
+    from the identity in the columns `repl` alone, each {i: entry in row i}.
+    With those columns first, the change is [[A, 0], [B, I]] and its
+    inverse [[A^-1, 0], [-B A^-1, I]]: only A is inverted, and a singular
+    A raises SingularInput."""
+    cols = sorted(repl)
+    block = [[repl[j].get(i, 0) for j in cols] for i in cols]
+    if all(x == 0 for p, row in enumerate(block) for q, x in enumerate(row) if p != q):
+        # diagonal, as the block of every shear and rescaling step:
+        # inverted entry by entry, to the values `inverse` would give
+        if any(row[p] == 0 for p, row in enumerate(block)):
+            raise SingularInput("matrix is not invertible")
+        a_inv = [[exdiv(1, x) if p == q else 0 for q, x in enumerate(row)]
+                 for p, row in enumerate(block)]
+    else:
+        a_inv = inverse(_mat(block)).data
+    # B by columns: the nonzero entries of each replaced column off the block
+    b = [[(r, x) for r, x in repl[i].items() if r not in repl and x] for i in cols]
+    inv_cols = {}
+    for j, a_col in zip(cols, zip(*a_inv)):
+        col: list = [0] * n
+        for i, f, b_col in zip(cols, a_col, b):
+            if f:
+                col[i] = f
+                for r, x in b_col:
+                    col[r] = col[r] - x * f
+        inv_cols[j] = col
+    return inv_cols
+
+
 class Frame:
     """Running tensor plus the accumulated basis change of a normalization.
 
@@ -408,53 +442,27 @@ class Frame:
         in current coordinates, each given as {i: coefficient of X_i}
         (an index not listed is 0); no columns is no step.
 
-        With the replaced columns R first, the step is [[A, 0], [B, I]]
-        and its inverse [[A^-1, 0], [-B A^-1, I]], so only the |R| x |R|
-        block A is inverted (a singular A raises SingularInput and leaves
-        the frame as it was) and the tensor always takes the sparse path.
+        Its inverse is `_inverse_columns` (a singular block raises
+        SingularInput and leaves the frame as it was), so the tensor
+        always takes the sparse path.
         """
         if not repl:
             return
         n = self.n
-        cols = sorted(repl)
-        block = [[repl[j].get(i, 0) for j in cols] for i in cols]
-        if all(x == 0 for p, row in enumerate(block) for q, x in enumerate(row) if p != q):
-            # diagonal, as the block of every shear and rescaling step:
-            # inverted entry by entry, to the values `inverse` would give
-            if any(row[p] == 0 for p, row in enumerate(block)):
-                raise SingularInput("matrix is not invertible")
-            a_inv = [
-                [exdiv(1, x) if p == q else 0 for q, x in enumerate(row)]
-                for p, row in enumerate(block)
-            ]
-        else:
-            a_inv = inverse(_mat(block)).data
-        inv_cols = {}
-        for q, j in enumerate(cols):
-            col: list = [0] * n
-            for p, i in enumerate(cols):
-                f = a_inv[p][q]
-                if f != 0:
-                    col[i] = f
-                    for r, x in repl[i].items():
-                        if x != 0 and r not in repl:
-                            col[r] = col[r] - x * f
-            inv_cols[j] = col
+        inv_cols = _inverse_columns(repl, n)
         self.t = self.t.transform_sparse(
             {j: _dense(v.items(), n) for j, v in repl.items()}, inv_cols
         )
         # total @ step differs from total only in the replaced columns
-        new_cols = {}
+        old = list(self._tot_cols)
         for j, v in repl.items():
             acc = [0] * n
             for i, c in v.items():
                 if c != 0:
-                    for r, x in enumerate(self._tot_cols[i]):
+                    for r, x in enumerate(old[i]):
                         if x != 0:
                             acc[r] = acc[r] + c * x
-            new_cols[j] = tuple(acc)
-        for j, col in new_cols.items():
-            self._tot_cols[j] = col
+            self._tot_cols[j] = tuple(acc)
 
     def step_perm(self, order: Sequence[int]):
         """Column j of the step is e_{order[j]}: new X_j := old X_{order[j]}."""
@@ -503,24 +511,29 @@ class Frame:
         Transport is invertible, so this proves the same identity as
         transporting the input forward by the total; it is run from the
         normal form, which has few and sparse brackets, and still checks
-        every pair (i, j) exactly.  Only the columns where the total
-        differs from the identity are replaced: its inverse differs in
-        the same columns."""
+        every pair (i, j) exactly.  The inverse comes from the total alone,
+        whose unmoved columns are e_j: `_inverse_columns` of the moved
+        ones, which alone the transport replaces.  A singular total raises
+        SingularTransform."""
         if target is not None and self.t != target:
             raise ImpossibleBranch(f"normalized to {self.t!r}, want {target!r}")
-        change = BasisChange(self.total)
-        moved = [
-            j for j, col in enumerate(self._tot_cols)
+        tot = self._tot_cols
+        moved = {
+            j: dict(enumerate(col))
+            for j, col in enumerate(tot)
             if col[j] != 1 or any(col[:j]) or any(col[j + 1 :])
-        ]
-        back = self.t.transform_sparse(
-            {j: change.inverse.col(j) for j in moved}, {j: change.matrix.col(j) for j in moved}
-        )
+        }
+        try:
+            inv = _inverse_columns(moved, self.n)
+        except SingularInput as exc:
+            raise SingularTransform(str(exc)) from exc
+        back = self.t.transform_sparse(inv, {j: tot[j] for j in moved})
         if back != self.input:
             raise ImpossibleBranch(
                 f"witness transport failed: got {back!r}, want {self.input!r}"
             )
-        return change
+        # an unmoved column of the inverse is e_j, the total's own column
+        return _basis_change(self.total, _mat(zip(*[inv.get(j, col) for j, col in enumerate(tot)])))
 
 
 def span_rows(vectors: Sequence[Vec]) -> list[Vec]:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -68,7 +69,7 @@ def test_validate_violation(tmp_path, capsys):
     )
 
 
-def test_malformed_input_exit_1(tmp_path, capsys):
+def test_malformed_input_exit_1(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "junk.json", "{not json")
     assert run(["validate", path]) == 1
     path = write(tmp_path, "shape.json", {"dim": 2, "brackets": [{"i": 1}]})
@@ -84,7 +85,24 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     assert run(["propsim", ragged, square]) == 1
     empty_row = write(tmp_path, "empty_row.json", [[]])
     assert run(["propsim", empty_row, square]) == 1
+    # unreadable documents: a directory, bytes that are not UTF-8 (in a
+    # file and on stdin) and an array nested past the decoder's recursion
+    # limit are refused without a traceback
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"dim": 1, "brackets": [], "note": "\xe9"}')
+    deep = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(not_utf8.read_bytes()), encoding="utf-8"))
     capsys.readouterr()
+    for argv in (
+        ["classify", str(tmp_path)],
+        ["classify", str(not_utf8)],
+        ["classify", "-"],
+        ["classify", deep],
+        ["propsim", deep, square],
+    ):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(("malformed input: ", "cannot read input: ")) and "Traceback" not in err, argv
     for argv in (["g3_2_1", "--lam", "abc"], ["g3_2_3", "--j", "1/0"], ["l6gamma", "--gamma", "x"]):
         assert run(["gen", *argv]) == 1
         assert capsys.readouterr().err.startswith("malformed input: ")

@@ -265,6 +265,20 @@ def _scrambled_corpus_frame(index, seed):
     return Frame(t, derived_series_t(t)[1])
 
 
+def _typed(m):
+    return [[(x, type(x)) for x in row] for row in m.data]
+
+
+def _assert_is_the_elimination_inverse(fr, got):
+    """`got`, the witness of `fr`, next to `BasisChange(fr.total)`, the
+    n x 2n rref inverse kept as the reference: matrix and inverse agree
+    entry by entry and type by type."""
+    want = BasisChange(fr.total)
+    assert _typed(got.matrix) == _typed(want.matrix)
+    assert _typed(got.inverse) == _typed(want.inverse)
+    return got
+
+
 def test_frame_steps_keep_tensor_and_total_consistent():
     rng = random.Random(5)
     for index, seed in ((15, 1), (27, 2), (47, 3)):
@@ -284,8 +298,9 @@ def test_frame_steps_keep_tensor_and_total_consistent():
             for j in (a, b):
                 repl[j] = dict(enumerate([0 if i in (a, b) else rng.randint(-2, 2) for i in range(n)]))
             if kind == "shear":
-                repl[a][a] = rng.choice((1, -1, 2, Fraction(1, 3)))
-                repl[b][b] = rng.choice((1, -2, Fraction(-3, 2)))
+                # canonical entries, as a frame's steps take them
+                repl[a][a] = rng.choice((1, -1, 2, Rat(1, 3)))
+                repl[b][b] = rng.choice((1, -2, Rat(-3, 2)))
             else:
                 # columns a, b become e_a + e_b and e_a - e_b (plus tails)
                 repl[a][a], repl[a][b] = 1, 1
@@ -293,7 +308,7 @@ def test_frame_steps_keep_tensor_and_total_consistent():
             fr.step_cols(repl)
             total = fr.total
             assert fr.t == fr.input.transform(total, inverse(total))
-        assert fr.witness().matrix == fr.total
+            _assert_is_the_elimination_inverse(fr, fr.witness())
         # three columns at once: the block A on them is neither diagonal
         # nor a permutation and holds a Q(sqrt 2) entry
         a, b, c = rng.sample(range(n), 3)
@@ -306,7 +321,8 @@ def test_frame_steps_keep_tensor_and_total_consistent():
         total = fr.total
         assert any(isinstance(x, QuadExt) for row in total.data for x in row)
         assert fr.t == fr.input.transform(total, inverse(total))
-        assert fr.witness().matrix == total
+        w = _assert_is_the_elimination_inverse(fr, fr.witness())
+        assert any(isinstance(x, QuadExt) for row in w.inverse.data for x in row)
         # a singular block A is refused before the frame changes
         before_t, before_total = fr.t, fr.total
         repl = {a: {a: 1}, b: {a: 2}}
@@ -389,6 +405,52 @@ def test_frame_inverts_a_diagonal_block_without_elimination(monkeypatch):
     assert fr.t is before_t and fr.total == before_total
 
 
+def test_witness_inverse_matches_the_elimination_on_normal_forms(monkeypatch):
+    """Every witness `classify_n2` and `normalize_codim2` return, on `fuzz`
+    inputs, scrambled corpus labels and scrambled codim-2 fixtures, has the
+    inverse the elimination of its total gives."""
+    from solvlie import catalog
+    from solvlie.classify_n2 import classify_n2
+    from solvlie.codim2 import normalize_codim2
+    from solvlie.errors import SolvlieError
+    from solvlie.harness import corpus_labels, fuzz_stream
+
+    real, audited = Frame.witness, []
+
+    def witness(fr, target=None):
+        audited.append(fr.n)
+        return _assert_is_the_elimination_inverse(fr, real(fr, target))
+
+    monkeypatch.setattr(Frame, "witness", witness)
+    for t in fuzz_stream(random.Random(7), 300, max_dim=8):
+        try:
+            classify_n2(t)
+        except SolvlieError:
+            pass
+    for i, lab in enumerate(corpus_labels()):
+        classify_n2(catalog.scramble_tensor(catalog.build_tensor(lab), i)[0])
+    for i, (_, a_z) in enumerate(catalog.codim2_az_fixtures()):
+        normalize_codim2(catalog.scramble_tensor(catalog.codim2_algebra(a_z).tensor, i)[0])
+    assert len(audited) >= 350
+
+
+def test_a_long_abelian_tail_reaches_no_large_inverse(monkeypatch):
+    """G3_2_2 + R^197: only the moved columns of the total are inverted,
+    so no matrix larger than the 3 x 3 core reaches an elimination."""
+    import solvlie.liealg
+    from solvlie import catalog, labels
+    from solvlie.classify_n2 import classify_n2
+    from solvlie.labels import ClassLabel
+
+    shapes = []
+    real = solvlie.liealg.inverse
+    monkeypatch.setattr(solvlie.liealg, "inverse", lambda m: shapes.append(m.shape) or real(m))
+    c = classify_n2(catalog.build_tensor(ClassLabel(labels.G3_2_2, abelian_ext=197)))
+    assert c.label.family == labels.G3_2_2 and c.label.abelian_ext == 197
+    assert c.witness.transform.inverse.shape == (200, 200)
+    assert all(r <= 3 and q <= 3 for r, q in shapes), shapes
+
+
 def test_frame_witness_rejects_a_broken_audit():
     fr = _scrambled_corpus_frame(27, 1)
     fr.witness(fr.t)
@@ -401,7 +463,7 @@ def test_frame_witness_rejects_a_broken_audit():
 
 def test_frame_witness_rejects_a_corrupted_total():
     rng = random.Random(13)
-    rejected = 0
+    rejected = singular = 0
     for index, seed in ((15, 1), (27, 2), (47, 3)):
         fr = _scrambled_corpus_frame(index, seed)
         good = list(fr._tot_cols)
@@ -412,6 +474,9 @@ def test_frame_witness_rejects_a_corrupted_total():
             fr._tot_cols = good[:j] + [tuple(col)] + good[j + 1 :]
             bad = fr.total
             if det(bad) == 0:
+                singular += 1
+                with pytest.raises(SingularTransform):
+                    fr.witness()
                 continue
             # a change of an entry along an automorphism of the running
             # tensor is still a witness; the audit must agree with the
@@ -422,9 +487,16 @@ def test_frame_witness_rejects_a_corrupted_total():
             rejected += 1
             with pytest.raises(ImpossibleBranch):
                 fr.witness()
+        # a repeated column makes the total singular, and so does a zero
+        # column among unit ones (a 1 x 1 diagonal block that is 0)
+        for cols in (good[:1] * 2 + good[2:], [(0,) * fr.n] + standard_basis(fr.n)[1:]):
+            fr._tot_cols = cols
+            singular += 1
+            with pytest.raises(SingularTransform):
+                fr.witness()
         fr._tot_cols = good
         assert fr.witness().matrix == fr.total
-    assert rejected >= 10
+    assert rejected >= 10 and singular >= 6
 
 
 def _dense_ad_columns(t):

@@ -76,6 +76,24 @@ def test_every_parameter_is_read():
     assert not found, f"unread parameters in solvlie: {found}"
 
 
+def test_normal_forms_build_no_checked_basis_change():
+    """`BasisChange(matrix)` inverts by elimination and is kept for
+    matrices from outside; the normalizations and the frame form every
+    inverse with the change (`_basis_change`), so no code in these
+    modules outside the class itself calls the checked constructor."""
+    found = []
+    for name in ("classify_n2.py", "codim2.py", "liealg.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+        tree.body = [n for n in tree.body if not (isinstance(n, ast.ClassDef) and n.name == "BasisChange")]
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "BasisChange"
+        ]
+    assert not found, f"BasisChange(...) called in the normal-form modules: {found}"
+
+
 def test_library_and_dependencies_name_no_mpmath():
     """Every verdict is exact, so no floating-point package is used or declared."""
     paths = sorted(SRC.glob("*.py")) + [SRC.parent.parent / "pyproject.toml"]
