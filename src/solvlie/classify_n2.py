@@ -11,7 +11,10 @@ dimension of the adjoint-restriction span.  None is the two-step nilpotent
 regime (labelled, not classified further; its witness is the opening's
 basis change, audited the same way against the opening tensor), one runs
 the singular/non-singular pipelines on the first, two run the
-commuting-pair pipeline on both.
+commuting-pair pipeline on both.  That pipeline still checks first that
+the pair commutes; then the type of A_G is read off the spectrum of one
+generator, since a commuting pair lies in the centralizer span(I, m) of
+any non-scalar m among them, so A_G = span(I, m).
 
 The opening finds the derived ideal g' before it checks anything else.
 When dim g' = 2 the algebra is solvable whatever the brackets are: g''
@@ -46,9 +49,9 @@ from .liealg import (
 from .matrices import (
     Mat,
     _mat,
-    common_eigendirections_2x2,
     cyclic_conjugator_2x2,
     det,
+    eigenvector_2x2,
     first_non_kernel,
     independent_rows,
     inverse,
@@ -410,7 +413,14 @@ def _adjoint_plane_pipeline(pipe: Frame, flat: list, gens: list) -> ClassLabel:
     """dim A_G = 2, from the adjoints as `Frame.flat_adjoints` read them
     on entry; flat[gens[0]] is the first nonzero one and flat[gens[1]] the
     first independent of it.  Every 2x2 system is solved on the flats, row
-    by row."""
+    by row.
+
+    The non-commuting check runs first.  The centralizer of a non-scalar
+    2x2 m is span(I, m), so a commuting independent pair spans
+    A_G = span(I, m) for m = a_{X_3}, or a_{X_4} when a_{X_3} is scalar,
+    and the type of A_G (R + R, C or R[e]/e^2) is m's spectral type, read
+    once: distinct real eigenvalues give the split case on m's two
+    eigenvectors, the common eigendirections of the pair."""
     n = pipe.n
     pos3, pos4 = gens[0] + 2, gens[1] + 2
     order = list(range(n))
@@ -434,14 +444,14 @@ def _adjoint_plane_pipeline(pipe: Frame, flat: list, gens: list) -> ClassLabel:
             reps[i] = {i: 1, 2: -alpha, 3: -beta}
     pipe.step_cols(reps)
 
-    s3 = spectral_classify_2x2(a3)
-    s4 = spectral_classify_2x2(a4)
-    if s3.kind == "complex_pair" or s4.kind == "complex_pair":
-        return _plane_complex_case(pipe, flat[0], flat[1])
-    dirs = common_eigendirections_2x2(a3, a4)
-    if dirs is None:
-        raise ImpossibleBranch("real commuting pair must share an eigenvector")
-    if len(dirs) >= 2:
+    # the pair is independent, so at most one of them is scalar
+    swap = a3 == Mat.identity(2).scale(a3[0, 0])
+    m = a4 if swap else a3
+    sc = spectral_classify_2x2(m)
+    if sc.kind == "complex_pair":
+        return _plane_complex_case(pipe, flat[0], flat[1], swap)
+    if sc.kind == "real_distinct":
+        dirs = sorted((eigenvector_2x2(m, sc.mu1), eigenvector_2x2(m, sc.mu2)), reverse=True)
         return _plane_split_case(pipe, dirs)
     return _plane_one_eigenline_case(pipe, flat[0], flat[1])
 
@@ -459,10 +469,11 @@ def _residual_cleanup_a4_identity(pipe: Frame):
         pipe.step_cols({2: {2: 1, 0: u[0], 1: u[1]}})
 
 
-def _plane_complex_case(pipe: Frame, f3: tuple, f4: tuple) -> ClassLabel:
-    """f3, f4: a_{X_3} and a_{X_4}, flattened row by row."""
+def _plane_complex_case(pipe: Frame, f3: tuple, f4: tuple, swap: bool) -> ClassLabel:
+    """f3, f4: a_{X_3} and a_{X_4}, flattened row by row; `swap` when
+    a_{X_3} is the scalar one, so that X_3 and X_4 trade places."""
     n = pipe.n
-    if spectral_classify_2x2(pipe.adjoint(2)).kind != "complex_pair":
+    if swap:
         pipe.step_perm([0, 1, 3, 2] + list(range(4, n)))
         f3, f4 = f4, f3
     # the centralizer of a complex-pair 2x2 is span(I, a3)

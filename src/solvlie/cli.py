@@ -221,7 +221,7 @@ TABLE_ROWS = [
     (labels.G3_2_3, "j = tr^2/det in [0, 4)", "[X3,X1] = X2, [X3,X2] = -j X1 + j X2 (quarter turn for j = 0)"),
     (labels.G4_2_1, "", "[X3,X1] = X1, [X3,X4] = X2"),
     (labels.G4_2_2, "", "[X3,X2] = X1, [X3,X4] = X2"),
-    (labels.G4_2_3, "lambda in R", "[X3,X2] = X1 + lambda X2, [X4,X1] = X1, [X4,X2] = X2"),
+    (labels.G4_2_3, "lambda = 0; lambda != 0 is AffR_plus_AffR", "[X3,X2] = X1 + lambda X2, [X4,X1] = X1, [X4,X2] = X2"),
     (labels.G4_2_4_AFFC, "", "[X3,X1] = -X2, [X3,X2] = X1, [X4,X1] = X1, [X4,X2] = X2"),
     (labels.G5P2K_2, "k >= 0", "[X3,X1] = X2, [X3,X4] = X1, [X4,X5] = ... = [X_{4+2k},X_{5+2k}] = X2"),
     (labels.G6P2K_2_1, "k >= 0", "[X3,X1] = X1, [X3,X4] = X2, [X5,X6] = ... = [X_{5+2k},X_{6+2k}] = X2"),

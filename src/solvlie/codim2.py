@@ -115,10 +115,10 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
     codimension-2 derived ideal in front; it is Lie iff [a_Y, a_Z] = 0."""
     n = fr.n
     k = n - 2
-    dim_a = len(independent_rows(fr.flat_adjoints()))
+    a_y, a_z = fr.adjoint(n - 2), fr.adjoint(n - 1)
+    dim_a = len(independent_rows([sum(a_y.data, ()), sum(a_z.data, ())]))
     if dim_a == 0:
         raise ImpossibleBranch("adjoint line cannot vanish when the derived ideal is large")
-    a_y, a_z = fr.adjoint(n - 2), fr.adjoint(n - 1)
     if dim_a == 2:
         if a_y @ a_z != a_z @ a_y:
             _fail(fr.input)
@@ -126,8 +126,9 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
 
     if a_z.is_zero():
         fr.step_perm(list(range(n - 2)) + [n - 1, n - 2])
-        a_y, a_z = fr.adjoint(n - 2), fr.adjoint(n - 1)
+        a_y, a_z = a_z, a_y
     if not a_y.is_zero():
+        # Y -= y Z leaves Z, so a_Z, alone
         lead = next(
             (r, c) for r in range(k) for c in range(k) if a_z[r, c] != 0
         )
@@ -135,7 +136,6 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
         fr.step_cols({n - 2: {n - 2: 1, n - 1: -y}})
         if not fr.adjoint(n - 2).is_zero():
             raise ImpossibleBranch("a_Y must vanish after the line correction")
-        a_z = fr.adjoint(n - 1)
 
     w = fr.bracket(n - 1, n - 2)  # [Z, Y] in derived coords
     kern = kernel_basis(a_z)
@@ -174,8 +174,7 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
         raise ImpossibleBranch("indecomposable case requires a singular a_Z")
     kvec = kern[0]
     im_rows = row_space(a_z.transpose())
-    im_mat = _mat(zip(*im_rows)) if im_rows else None
-    in_im = solve(im_mat, kvec) is not None
+    in_im = solve(_mat(zip(*im_rows)), kvec) is not None
 
     if not in_im:
         # B1: derived = Im + Ker; split [Z, Y] accordingly
@@ -207,16 +206,11 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
     want = tuple(1 if i == k - 1 else 0 for i in range(k))
     if w != want:
         raise ImpossibleBranch("[Z, Y] must be the last derived basis vector")
-    if shape == LEFT:
-        ok_shape = all(a_bar[i, k - 1] == 0 for i in range(k)) and all(
-            a_bar[k - 1, j] == 0 for j in range(k)
-        )
-        a_in = _mat([[a_bar[i, j] for j in range(k - 1)] for i in range(k - 1)])
-    else:
-        ok_shape = all(a_bar[i, 0] == 0 for i in range(k)) and all(
-            a_bar[k - 1, j] == 0 for j in range(k)
-        )
-        a_in = _mat([[a_bar[i, j + 1] for j in range(k - 1)] for i in range(k - 1)])
+    # LEFT is [A 0; 0 0] and RIGHT [0 A; 0 0]: the last row and one column
+    # are zero, and A sits in the other k - 1 columns
+    zero_col, off = (k - 1, 0) if shape == LEFT else (0, 1)
+    ok_shape = not any(a_bar[i, zero_col] for i in range(k)) and not any(a_bar.row(k - 1))
+    a_in = _mat([[a_bar[i, j + off] for j in range(k - 1)] for i in range(k - 1)])
     if not ok_shape or det(a_in) == 0:
         raise ImpossibleBranch(f"structure matrix is not in {shape} block shape")
     return Codim2Form(

@@ -224,12 +224,14 @@ def dumps(obj) -> str:
 
 def load_path(path: str):
     """The JSON document in file `path` (stdin for "-"); FormatError when it
-    is not UTF-8, not JSON, or nested past the decoder's recursion limit."""
+    is not UTF-8, not JSON, or nested past the decoder's recursion limit.
+    Stdin is read as bytes and decoded like a file, whatever the locale's
+    text encoding and error handler."""
     import sys
 
     try:
         if path == "-":
-            raw = sys.stdin.read()
+            raw = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()

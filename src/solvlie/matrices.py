@@ -472,10 +472,6 @@ class SpectralClass2x2(Record):
     ):
         self._set(kind, mu1, mu2, re, im2)
 
-    @property
-    def has_real_eigenvalues(self) -> bool:
-        return self.kind != "complex_pair"
-
 
 def spectral_classify_2x2(m: Mat) -> SpectralClass2x2:
     if m.shape != (2, 2):
@@ -507,6 +503,12 @@ def cyclic_conjugator_2x2(m: Mat, target: Mat) -> Mat:
     return krylov @ inverse(_mat(zip(e1, target.apply(e1))))
 
 
+def eigenvector_2x2(m: Mat, mu: Scalar) -> Vec:
+    """The canonical (leading entry 1) eigenvector of a non-scalar 2x2
+    matrix m for its eigenvalue mu, whose eigenspace is a line."""
+    return normalize_leading(kernel_basis(m - Mat.identity(2).scale(mu))[0])
+
+
 def eigendirections_2x2(m: Mat) -> list[tuple[Scalar, Vec]]:
     """All real eigendirections (eigenvalue, canonical vector); empty for a
     complex pair.  A scalar matrix contributes both standard directions."""
@@ -516,12 +518,7 @@ def eigendirections_2x2(m: Mat) -> list[tuple[Scalar, Vec]]:
     if sc.kind == "repeated_diagonalizable":
         return [(sc.mu1, (1, 0)), (sc.mu1, (0, 1))]
     eigs = [sc.mu1] if sc.kind == "repeated_jordan" else [sc.mu1, sc.mu2]
-    out = []
-    for mu in eigs:
-        shifted = m - Mat.identity(2).scale(mu)
-        for v in kernel_basis(shifted):
-            out.append((mu, normalize_leading(v)))
-    return out
+    return [(mu, eigenvector_2x2(m, mu)) for mu in eigs]
 
 
 def common_eigenvector(m1: Mat, m2: Mat) -> Optional[Vec]:
@@ -529,50 +526,14 @@ def common_eigenvector(m1: Mat, m2: Mat) -> Optional[Vec]:
 
     Returns None when either matrix has a complex eigenvalue pair.  When
     several directions qualify, the lexicographically largest normalized
-    one is returned (so (1, 0) beats (0, 1)).
+    one is returned (so (1, 0) beats (0, 1)).  A non-scalar member spans
+    the pair's algebra with I (its centralizer is span(I, m)), so the
+    common eigendirections are its own; two scalars share every direction.
     """
     if m1.shape != (2, 2) or m2.shape != (2, 2):
         raise DimensionError("2x2 matrices required")
     if m1 @ m2 != m2 @ m1:
         raise NonCommuting("matrices do not commute")
-    dirs = common_eigendirections_2x2(m1, m2)
-    if dirs is None:
-        return None
-    return dirs[0]
-
-
-def common_eigendirections_2x2(m1: Mat, m2: Mat) -> Optional[list[Vec]]:
-    """All common eigendirections of a commuting pair, sorted (largest
-    first); None when either spectrum is complex."""
-    s1 = spectral_classify_2x2(m1)
-    s2 = spectral_classify_2x2(m2)
-    if not (s1.has_real_eigenvalues and s2.has_real_eigenvalues):
-        return None
-    if s1.kind != "repeated_diagonalizable":
-        cands = [v for _, v in eigendirections_2x2(m1)]
-    elif s2.kind != "repeated_diagonalizable":
-        cands = [v for _, v in eigendirections_2x2(m2)]
-    else:
-        cands = [(1, 0), (0, 1)]
-    # commuting partners preserve 1-dim eigenspaces, but filter defensively
-    out = []
-    for v in cands:
-        w1, w2 = m1.apply(v), m2.apply(v)
-        if _is_multiple(w1, v) and _is_multiple(w2, v):
-            out.append(v)
-    seen = []
-    for v in out:
-        if v not in seen:
-            seen.append(v)
-    # int, Rat and QuadExt compare exactly with <, so tuples sort as they are
-    seen.sort(reverse=True)
-    return seen if seen else None
-
-
-def _is_multiple(w, v) -> bool:
-    # v is nonzero; check w = c v for some scalar c
-    for i, x in enumerate(v):
-        if x != 0:
-            c = exdiv(w[i], x)
-            return all(w[j] == c * v[j] for j in range(len(v)))
-    return False
+    m = m2 if m1 == Mat.identity(2).scale(m1[0, 0]) else m1
+    # int, Rat and QuadExt compare exactly with <, so tuples compare as they are
+    return max((v for _, v in eigendirections_2x2(m)), default=None)

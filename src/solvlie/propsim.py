@@ -41,10 +41,9 @@ from .matrices import (
     char_poly,
     cyclic_conjugator_2x2,
     det,
+    eigenvector_2x2,
     first_non_kernel,
     inverse,
-    kernel_basis,
-    normalize_leading,
     spectral_classify_2x2,
 )
 from .records import Record
@@ -244,18 +243,10 @@ def propsim_classify_gl2(a: Mat) -> GL2Class:
         else:
             base, other = mu2, mu1
         lam = exdiv(other, base)
-        v_base = _eigvec(a, base)
-        v_other = _eigvec(a, other)
-        cmat = _mat(zip(v_base, v_other))
+        cmat = _mat(zip(eigenvector_2x2(a, base), eigenvector_2x2(a, other)))
         rep = _mat([[1, 0], [0, lam]])
         cls = GL2Class("diag", j, rep, exdiv(1, base), cmat, lam=lam)
     if (inverse(cls.cmat) @ a @ cls.cmat).scale(cls.c) != cls.rep:
         raise ImpossibleBranch(f"GL2 normalization of {a!r} missed {cls.rep!r}")
     return cls
-
-
-def _eigvec(a: Mat, mu: Scalar):
-    shifted = a - Mat.identity(2).scale(mu)
-    basis = kernel_basis(shifted)
-    return normalize_leading(basis[0])
 

@@ -1,9 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import solvlie
 from solvlie.cli import run
+
+SRC = Path(solvlie.__file__).parent.parent
 
 
 def _capture(capsys):
@@ -401,12 +408,42 @@ def test_table_formats(capsys):
     assert len(rows) == 12
 
 
-def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
+def test_table_row_of_g4_2_3_names_the_one_class(tmp_path, capsys):
+    """Only lambda = 0 is a class of its own: `gen g4_2_3` with another
+    lambda classifies as AffR_plus_AffR, as the table row says."""
+    assert run(["table", "--format", "json"]) == 0
+    row = next(r for r in json.loads(_capture(capsys)) if r["family"] == "G4_2_3")
+    assert row["conditions"] == "lambda = 0; lambda != 0 is AffR_plus_AffR"
+    for lam in ("1", "-2", "1/2", "0"):
+        assert run(["gen", "g4_2_3", "--lam", lam]) == 0
+        path = write(tmp_path, "g.json", _capture(capsys))
+        assert run(["classify", path]) == 0
+        family = json.loads(_capture(capsys))["family"]
+        assert family == ("G4_2_3" if lam == "0" else "AffR_plus_AffR"), lam
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(H3)))
+
+def test_stdin_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(H3).encode()), encoding="utf-8"))
     assert run(["validate", "-"]) == 0
     assert _capture(capsys) == "ok"
+
+
+def test_stdin_bytes_are_decoded_as_strict_utf8_in_the_c_locale(tmp_path):
+    """Without a UTF-8 locale Python reads text stdin with the
+    surrogateescape handler, which would take bytes that are not UTF-8;
+    stdin is refused as malformed exactly as the same file given by path."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"dim": 2, "brackets": [], "x": "\xff\xfe"}')
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(LC_ALL="C", PYTHONPATH=str(SRC))
+    cmd = [sys.executable, "-m", "solvlie.cli", "classify"]
+    by_path = subprocess.run(cmd + [str(bad)], env=env, capture_output=True, timeout=120)
+    with bad.open("rb") as fh:
+        on_stdin = subprocess.run(cmd + ["-"], env=env, stdin=fh, capture_output=True, timeout=120)
+    for r in (by_path, on_stdin):
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith(b"malformed input: ") and b"Traceback" not in r.stderr
 
 
 def test_sweep_reports_are_byte_identical(capsys):

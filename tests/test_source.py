@@ -76,6 +76,33 @@ def test_every_parameter_is_read():
     assert not found, f"unread parameters in solvlie: {found}"
 
 
+def _private_definitions_and_reads(trees) -> tuple:
+    """The single-underscore functions, methods and classes the trees
+    define, as (module, line, name), and the names they read: a `Name`
+    load or an attribute access.  An import binds a name without reading
+    it, so import lines do not count."""
+    defined, read = [], set()
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return defined, read
+
+
+def test_every_private_function_is_read():
+    """No private helper is left defined with no reader in the library."""
+    trees = [(p.name, ast.parse(p.read_text(encoding="utf-8"), filename=str(p))) for p in sorted(SRC.glob("*.py"))]
+    defined, read = _private_definitions_and_reads(trees)
+    assert len(defined) > 50
+    found = [f"{module}:{line} {name}" for module, line, name in defined if name not in read]
+    assert not found, f"private helpers nothing in solvlie reads: {found}"
+
+
 def test_normal_forms_build_no_checked_basis_change():
     """`BasisChange(matrix)` inverts by elimination and is kept for
     matrices from outside; the normalizations and the frame form every
