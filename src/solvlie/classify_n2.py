@@ -14,7 +14,10 @@ the singular/non-singular pipelines on the first, two run the
 commuting-pair pipeline on both.  That pipeline still checks first that
 the pair commutes; then the type of A_G is read off the spectrum of one
 generator, since a commuting pair lies in the centralizer span(I, m) of
-any non-scalar m among them, so A_G = span(I, m).
+any non-scalar m among them, so A_G = span(I, m).  The type gives only
+data, and one tail normalizes all three types.  Brackets with an
+invertible adjoint, or an invertible sum of adjoints, are cleared in one
+step, `Frame.absorb`, that shifts the other vectors by elements of g'.
 
 The opening finds the derived ideal g' before it checks anything else.
 When dim g' = 2 the algebra is solvable whatever the brackets are: g''
@@ -189,13 +192,7 @@ def _invertible_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
     core is one of the three 3-dimensional families."""
     if pipe.far(3):
         raise ImpossibleBranch("brackets beyond X3 must vanish when a_X3 is invertible")
-    a3inv = inverse(a3)
-    reps = {}
-    for k, w in pipe.row(2).items():
-        if k >= 3:
-            y, z = a3inv.apply(w)
-            reps[k] = {k: 1, 0: -y, 1: -z}
-    pipe.step_cols(reps)
+    pipe.absorb([2], range(3, pipe.n))
     cls = propsim_classify_gl2(a3)
     if not is_rational(cls.j):
         raise Unsupported(f"irrational key j = {format_scalar(cls.j)} of the 3-dimensional action")
@@ -408,19 +405,18 @@ def _chain_assemble(pipe: Frame, anchor: int):
 # dim A_G = 2
 # ----------------------------------------------------------------------
 
+_I2 = Mat.identity(2)
+_QUARTER_TURN = Mat([[0, 1], [-1, 0]])
+
 
 def _adjoint_plane_pipeline(pipe: Frame, flat: list, gens: list) -> ClassLabel:
     """dim A_G = 2, from the adjoints as `Frame.flat_adjoints` read them
     on entry; flat[gens[0]] is the first nonzero one and flat[gens[1]] the
-    first independent of it.  Every 2x2 system is solved on the flats, row
-    by row.
-
-    The non-commuting check runs first.  The centralizer of a non-scalar
-    2x2 m is span(I, m), so a commuting independent pair spans
-    A_G = span(I, m) for m = a_{X_3}, or a_{X_4} when a_{X_3} is scalar,
-    and the type of A_G (R + R, C or R[e]/e^2) is m's spectral type, read
-    once: distinct real eigenvalues give the split case on m's two
-    eigenvectors, the common eigendirections of the pair."""
+    first independent of it.  After the non-commuting check and the shift
+    of the X_i, i >= 5, to a_{X_i} = 0, the type of A_G (R + R, C or
+    R[e]/e^2) is the spectral type of m = a_{X_3}, or a_{X_4} when a_{X_3}
+    is scalar (see the module docstring), read once; it gives the data of
+    the one tail, `_plane_normalize`."""
     n = pipe.n
     pos3, pos4 = gens[0] + 2, gens[1] + 2
     order = list(range(n))
@@ -445,117 +441,88 @@ def _adjoint_plane_pipeline(pipe: Frame, flat: list, gens: list) -> ClassLabel:
     pipe.step_cols(reps)
 
     # the pair is independent, so at most one of them is scalar
-    swap = a3 == Mat.identity(2).scale(a3[0, 0])
+    swap = a3 == _I2.scale(a3[0, 0])
     m = a4 if swap else a3
     sc = spectral_classify_2x2(m)
     if sc.kind == "complex_pair":
-        return _plane_complex_case(pipe, flat[0], flat[1], swap)
-    if sc.kind == "real_distinct":
-        dirs = sorted((eigenvector_2x2(m, sc.mu1), eigenvector_2x2(m, sc.mu2)), reverse=True)
-        return _plane_split_case(pipe, dirs)
-    return _plane_one_eigenline_case(pipe, flat[0], flat[1])
+        data = _plane_complex_data(m, swap, flat[0], flat[1], n - 4)
+    elif sc.kind == "real_distinct":
+        data = _plane_split_data(m, sc, a3, a4, n - 4)
+    else:
+        data = _plane_one_eigenline_data(a3, a4, flat[0], flat[1], n - 4)
+    return _plane_normalize(pipe, *data)
 
 
-def _residual_cleanup_a4_identity(pipe: Frame):
-    """With a_{X_4} = I (and a_{X_3} arbitrary in its centralizer), kill all
-    remaining brackets involving indices >= 3 except those inside G^1."""
-    pipe.step_cols({k: {k: 1, 0: -w[0], 1: -w[1]} for k, w in pipe.row(3).items() if k >= 4})
-    if any(k >= 4 for k in pipe.row(2)):
-        raise ImpossibleBranch("Jacobi should have cleared [X3, X_k] once [X4, X_k] = 0")
-    if pipe.far(4):
-        raise ImpossibleBranch("far brackets must vanish when a_X4 is the identity")
-    u = pipe.bracket(2, 3)
-    if u != (0, 0):
-        pipe.step_cols({2: {2: 1, 0: u[0], 1: u[1]}})
-
-
-def _plane_complex_case(pipe: Frame, f3: tuple, f4: tuple, swap: bool) -> ClassLabel:
-    """f3, f4: a_{X_3} and a_{X_4}, flattened row by row; `swap` when
-    a_{X_3} is the scalar one, so that X_3 and X_4 trade places."""
-    n = pipe.n
+def _plane_complex_data(m: Mat, swap: bool, f3: tuple, f4: tuple, ext: int) -> tuple:
+    """f3, f4: a_{X_3}, a_{X_4} flattened row by row, to be swapped when
+    a_{X_3} is the scalar one.  With m's vector as X_3, X_4 := (X_4 - t X_3)
+    / s makes a_{X_4} = I, then X_3 := alpha X_3 + beta X_4 a rotation."""
     if swap:
-        pipe.step_perm([0, 1, 3, 2] + list(range(4, n)))
         f3, f4 = f4, f3
-    # the centralizer of a complex-pair 2x2 is span(I, a3)
     coords = solve(_mat(zip((1, 0, 0, 1), f3)), f4)
-    if coords is None:
+    if coords is None or coords[0] == 0:
         raise ImpossibleBranch("commuting partner escaped the centralizer span")
     s, t = coords
-    if s == 0:
-        raise ImpossibleBranch("independent partner cannot be a pure multiple")
-    pipe.step_cols({3: {2: exdiv(-t, s), 3: exdiv(1, s)}})
-    if pipe.adjoint(3) != Mat.identity(2):
-        raise ImpossibleBranch("identity normalization failed")
-    _residual_cleanup_a4_identity(pipe)
-    a3 = pipe.adjoint(2)
-    dd = det(a3)
-    tau = a3.trace()
-    alpha = exdiv(1, sqrt_exact(dd - exdiv(tau * tau, 4)))
+    tau = m.trace()
+    alpha = exdiv(1, sqrt_exact(det(m) - exdiv(tau * tau, 4)))
     beta = exdiv(-alpha * tau, 2)
-    pipe.step_cols({2: {2: alpha, 3: beta}})
-    a3 = pipe.adjoint(2)
-    if a3.trace() != 0 or det(a3) != 1:
-        raise ImpossibleBranch("trace/determinant normalization failed")
-    target = Mat([[0, 1], [-1, 0]])
-    if a3 != target:
-        pipe.step_cols(_embed_g1(cyclic_conjugator_2x2(a3, target)))
-        if pipe.adjoint(2) != target:
-            raise ImpossibleBranch("quarter-turn conjugation failed")
-    return ClassLabel(labels.G4_2_4_AFFC, abelian_ext=n - 4)
+    change = _mat([[alpha - exdiv(beta * t, s), exdiv(-t, s)], [exdiv(beta, s), exdiv(1, s)]])
+    rot = m.scale(alpha) + _I2.scale(beta)
+    conj = None if rot == _QUARTER_TURN else cyclic_conjugator_2x2(rot, _QUARTER_TURN)
+    return swap, change, conj, (_QUARTER_TURN, _I2), ClassLabel(labels.G4_2_4_AFFC, abelian_ext=ext)
 
 
-def _plane_split_case(pipe: Frame, dirs) -> ClassLabel:
-    n = pipe.n
-    pipe.step_cols(_embed_g1(_mat(zip(dirs[0], dirs[1]))))
-    a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
-    for m in (a3, a4):
-        if m[0, 1] != 0 or m[1, 0] != 0:
-            raise ImpossibleBranch("simultaneous diagonalization failed")
-    mix = _mat([[a3[0, 0], a3[1, 1]], [a4[0, 0], a4[1, 1]]])
-    inv = inverse(mix)
-    pipe.step_cols({2: {2: inv[0, 0], 3: inv[0, 1]}, 3: {2: inv[1, 0], 3: inv[1, 1]}})
-    if pipe.adjoint(2) != Mat([[1, 0], [0, 0]]) or pipe.adjoint(3) != Mat([[0, 0], [0, 1]]):
-        raise ImpossibleBranch("weight mixing did not reach the projector pair")
-    row3, row4 = pipe.row(2), pipe.row(3)
-    reps = {}
-    for k in sorted(row3.keys() | row4.keys()):
-        if k < 4:
-            continue
-        w3, w4 = row3.get(k, (0, 0)), row4.get(k, (0, 0))
-        if w3[1] != 0 or w4[0] != 0:
-            raise ImpossibleBranch("cross components survive Jacobi in the split case")
-        reps[k] = {k: 1, 0: -w3[0], 1: -w4[1]}
-    pipe.step_cols(reps)
-    if pipe.far(4):
-        raise ImpossibleBranch("far brackets must vanish in the split case")
-    alpha, beta = pipe.bracket(2, 3)
-    if (alpha, beta) != (0, 0):
-        pipe.step_cols({2: {2: 1, 1: beta}, 3: {3: 1, 0: -alpha}})
-    if pipe.bracket(2, 3) != (0, 0):
-        raise ImpossibleBranch("[X3, X4] must vanish after the correction")
-    return ClassLabel(labels.AFFR_PLUS_AFFR, abelian_ext=n - 4)
+def _plane_split_data(m: Mat, sc, a3: Mat, a4: Mat, ext: int) -> tuple:
+    """g' onto m's two eigenvectors, the common ones of the pair, sorted
+    descending; X_3, X_4 onto the combinations that act on them with the
+    weights (1, 0) and (0, 1)."""
+    dirs = sorted((eigenvector_2x2(m, sc.mu1), eigenvector_2x2(m, sc.mu2)), reverse=True)
+    weights = _mat([[next(exdiv(y, x) for x, y in zip(d, a.apply(d)) if x) for a in (a3, a4)]
+                    for d in dirs])
+    pair = (Mat([[1, 0], [0, 0]]), Mat([[0, 0], [0, 1]]))
+    label = ClassLabel(labels.AFFR_PLUS_AFFR, abelian_ext=ext)
+    return False, inverse(weights), _mat(zip(*dirs)), pair, label
 
 
-def _plane_one_eigenline_case(pipe: Frame, f3: tuple, f4: tuple) -> ClassLabel:
-    """f3, f4: a_{X_3} and a_{X_4}, flattened row by row."""
-    n = pipe.n
-    a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
+def _plane_one_eigenline_data(a3: Mat, a4: Mat, f3: tuple, f4: tuple, ext: int) -> tuple:
+    """X_3 := the nilpotent combination mu4 X_3 - mu3 X_4 (mu: half the
+    trace) and X_4 := the combination that acts by I; g' onto the Jordan
+    basis (N w, w) of that nilpotent N."""
     idc = solve(_mat(zip(f3, f4)), (1, 0, 0, 1))
     if idc is None:
         raise ImpossibleBranch("identity must lie in the span in the one-eigenline case")
-    x, y = idc
-    mu3 = exdiv(a3.trace(), 2)
-    mu4 = exdiv(a4.trace(), 2)
-    combo = _mat([[mu4, x], [-mu3, y]])
-    if det(combo) == 0:
-        raise ImpossibleBranch("nilpotent/identity combination is singular")
-    pipe.step_cols({2: {2: mu4, 3: -mu3}, 3: {2: x, 3: y}})
-    a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
-    if a4 != Mat.identity(2) or a3.trace() != 0 or not (a3 @ a3).is_zero() or a3.is_zero():
-        raise ImpossibleBranch("expected a nonzero nilpotent with the identity partner")
-    w = first_non_kernel(a3)
-    pipe.step_cols(_embed_g1(_mat(zip(a3.apply(w), w))))
-    if pipe.adjoint(2) != Mat([[0, 1], [0, 0]]) or pipe.adjoint(3) != Mat.identity(2):
-        raise ImpossibleBranch("jordan-frame normalization failed")
-    _residual_cleanup_a4_identity(pipe)
-    return ClassLabel(labels.G4_2_3, abelian_ext=n - 4, lam=0)
+    mu3, mu4 = exdiv(a3.trace(), 2), exdiv(a4.trace(), 2)
+    nil = a3.scale(mu4) - a4.scale(mu3)
+    w = first_non_kernel(nil)
+    change = _mat([[mu4, idc[0]], [-mu3, idc[1]]])
+    label = ClassLabel(labels.G4_2_3, abelian_ext=ext, lam=0)
+    return False, change, _mat(zip(nil.apply(w), w)), (Mat([[0, 1], [0, 0]]), _I2), label
+
+
+def _plane_normalize(pipe: Frame, swap: bool, change: Mat, conj: Optional[Mat],
+                     pair: tuple, label: ClassLabel) -> ClassLabel:
+    """The shared tail, on a type's data: whether X_3 and X_4 trade places;
+    the 2x2 change of X_3, X_4 whose column j is the new X_{3+j} over
+    them; the change of basis of g' (None for none); the pair (a_{X_3},
+    a_{X_4}) they reach, checked; the label.  Then it absorbs the brackets
+    of X_3, X_4 with the X_t, t >= 5, checks that none is left beyond X_4,
+    and clears [X_3 + p, X_4 + q] = [X_3, X_4] + a_3 q - a_4 p by p, q in
+    g' with the free coordinates zero."""
+    n = pipe.n
+    c3, c4 = pair
+    if swap:
+        pipe.step_perm([0, 1, 3, 2] + list(range(4, n)))
+    pipe.step_cols({2: {2: change[0, 0], 3: change[1, 0]}, 3: {2: change[0, 1], 3: change[1, 1]}})
+    if conj is not None:
+        pipe.step_cols(_embed_g1(conj))
+    if pipe.adjoint(2) != c3 or pipe.adjoint(3) != c4:
+        raise ImpossibleBranch(f"the adjoint pair did not reach its {label.family} form")
+    pipe.absorb([2, 3], range(4, n))
+    if pipe.far(4):
+        raise ImpossibleBranch("far brackets must vanish once the adjoint pair is normal")
+    w = pipe.bracket(2, 3)
+    if any(w):
+        system = _mat([(-c4[r, 0], -c4[r, 1], c3[r, 0], c3[r, 1]) for r in range(2)])
+        p0, p1, q0, q1 = solve(system, [-x for x in w])
+        pipe.step_cols({j: {j: 1, 0: y, 1: z} for j, y, z in ((2, p0, p1), (3, q0, q1)) if y or z})
+    return label

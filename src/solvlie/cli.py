@@ -15,8 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import labels
-from .errors import NotInClass, ParamOutOfDomain, SolvlieError
+from .errors import NotInClass, ParamOutOfDomain, SolvlieError, Unsupported
 from .jsonio import (
+    MAX_DIM,
     FormatError,
     algebra_from_json,
     algebra_to_json,
@@ -182,14 +183,21 @@ def cmd_gen(args) -> int:
     from .liealg import LieAlgebra
 
     name = args.family.lower()
+    if name not in GENERATORS and name not in FAMILY_ALIASES:
+        print(f"unknown family {args.family}", file=sys.stderr)
+        return 1
+    # the dimension from the parameters alone, before anything is built
+    k, m = args.k or 0, 1 if args.m is None else args.m
+    core = {"heisenberg": 2 * m + 1, "aff_r": 2, "l6gamma": 6, "g5p2k_2": 5 + 2 * k,
+            "g6p2k_2_1": 6 + 2 * k, "g6p2k_2_2": 6 + 2 * k, "aff_r_plus_heis": 3 + 2 * m}
+    n = core.get(name, 3 if name.startswith("g3") else 4) + (args.d or 0)
+    if n > MAX_DIM:
+        raise Unsupported(f"dim {n} above {MAX_DIM}")
     if name in GENERATORS:
         tensor = GENERATORS[name](catalog, args)
         alg = LieAlgebra(catalog.with_abelian_ext(tensor, args.d or 0))
     else:
-        fam = FAMILY_ALIASES.get(name)
-        if fam is None:
-            print(f"unknown family {args.family}", file=sys.stderr)
-            return 1
+        fam = FAMILY_ALIASES[name]
         lab = ClassLabel(
             fam,
             abelian_ext=args.d or 0,

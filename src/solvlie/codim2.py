@@ -137,18 +137,14 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
         if not fr.adjoint(n - 2).is_zero():
             raise ImpossibleBranch("a_Y must vanish after the line correction")
 
-    w = fr.bracket(n - 1, n - 2)  # [Z, Y] in derived coords
     kern = kernel_basis(a_z)
     r = k - len(kern)
     if r < k - 1:
         raise ImpossibleBranch("rank of a_Z cannot drop below n - 3")
-
-    if not vec_is_zero(w) and r == k:
-        u = solve(a_z, w)
-        fr.step_cols({n - 2: {n - 2: 1, **{i: -x for i, x in enumerate(u)}}})
-        w = fr.bracket(n - 1, n - 2)
-        if not vec_is_zero(w):
-            raise ImpossibleBranch("[Z, Y] must vanish after the inverse correction")
+    if r == k:
+        # Y -= a_Z^-1 [Z, Y] clears [Z, Y]
+        fr.absorb([n - 1], [n - 2])
+    w = fr.bracket(n - 1, n - 2)  # [Z, Y] in derived coords
 
     if vec_is_zero(w):
         # decomposable: move the split line (Y) to the last position

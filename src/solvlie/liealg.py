@@ -28,7 +28,9 @@ series and the center set up their linear systems from the nonzero
 brackets alone.  The bracket of two vectors has one path: u's row
 ``_ad_row``, then ``_bracket_from`` against v.  The adjoint restrictions
 to an ideal have one reader, the ``Frame`` that moves the ideal to the
-front (``Frame.adjoint``, ``Frame.flat_adjoints``).
+front (``Frame.adjoint``, ``Frame.flat_adjoints``).  Clearing brackets
+with vectors whose summed adjoint is invertible, by shifting the other
+vectors by elements of the ideal, has one path too, ``Frame.absorb``.
 """
 
 from __future__ import annotations
@@ -416,7 +418,9 @@ class Frame:
     updates the tensor and the total together, and `witness` audits the
     total, the opening included, by transporting the normal form back to
     the input by its inverse.  The adjoint restrictions a_{X_i} to the
-    ideal are read off the running table (`adjoint`, `flat_adjoints`).
+    ideal are read off the running table (`adjoint`, `flat_adjoints`),
+    and `absorb` clears the brackets of vectors with acting vectors whose
+    summed adjoint is invertible, in one step.
     """
 
     __slots__ = ("input", "t", "n", "k", "_tot_cols")
@@ -463,6 +467,29 @@ class Frame:
                         if x != 0:
                             acc[r] = acc[r] + c * x
             self._tot_cols[j] = tuple(acc)
+
+    def absorb(self, acting: Sequence[int], targets: Sequence[int]):
+        """Clear every [X_i, X_t], i in `acting`, t in `targets`, by one
+        step X_t += u_t with u_t in the front ideal.
+
+        [X_i, X_t + u] = [X_i, X_t] + a_i u, so when s = sum_i a_{X_i} is
+        invertible, u_t = -s^-1 sum_i [X_i, X_t] is the only u that can
+        clear them all (a singular s raises SingularInput and leaves the
+        frame as it was).  ImpossibleBranch when a bracket is left, as
+        when no u clears them all."""
+        sums = {}
+        for t in targets:
+            w = self.bracket(acting[0], t)
+            for i in acting[1:]:
+                w = [x + y for x, y in zip(w, self.bracket(i, t))]
+            if any(w):
+                sums[t] = w
+        if sums:
+            s_inv = inverse(sum((self.adjoint(i) for i in acting[1:]), self.adjoint(acting[0])))
+            self.step_cols({t: {t: 1, **{r: -x for r, x in enumerate(s_inv.apply(w)) if x}}
+                            for t, w in sums.items()})
+        if any(any(self.bracket(i, t)) for i in acting for t in targets):
+            raise ImpossibleBranch("a bracket with an acting vector is left after absorbing")
 
     def step_perm(self, order: Sequence[int]):
         """Column j of the step is e_{order[j]}: new X_j := old X_{order[j]}."""

@@ -12,16 +12,15 @@ from solvlie.classify_n2 import (
     _case2_shape,
     _classify_frame,
     _invertible_action_pipeline,
-    _plane_split_case,
-    _residual_cleanup_a4_identity,
+    _plane_normalize,
     classify_n2,
 )
 from solvlie.catalog import build, build_tensor, scramble_tensor, tensor_from_brackets
-from solvlie.errors import ImpossibleBranch, NotInClass
+from solvlie.errors import ImpossibleBranch, NotInClass, SingularInput
 from solvlie.harness import corpus_labels, expected_key
 from solvlie.labels import ClassLabel
 from solvlie.liealg import Frame, LieAlgebra, StructureTensor, derived_ideal_t, standard_basis, validate
-from solvlie.matrices import Mat
+from solvlie.matrices import Mat, inverse
 
 
 def test_two_step_nilpotent_regime():
@@ -281,24 +280,71 @@ def test_singular_shapes_refuse_an_x1_component_in_a_far_bracket(shape, a3_brack
         shape(*args)
 
 
-@pytest.mark.parametrize(
-    "bracket, message",
-    [((3, 5, {1: 1}), "should have cleared"), ((5, 6, {2: 1}), "identity")],
-)
-def test_identity_cleanup_refuses_leftover_brackets(bracket, message):
-    fr = _hand_frame(6, [(4, 1, {1: 1}), (4, 2, {2: 1}), bracket])
-    with pytest.raises(ImpossibleBranch, match=message):
-        _residual_cleanup_a4_identity(fr)
+# (a_X3, a_X4) on span(X_1, X_2): (0, I) and (diag(1, 0), diag(0, 1))
+IDENTITY_PAIR = [(4, 1, {1: 1}), (4, 2, {2: 1})]
+SPLIT_PAIR = [(3, 1, {1: 1}), (4, 2, {2: 1})]
+LEFT = "is left after absorbing"
+FAR = "far brackets must vanish"
 
 
 @pytest.mark.parametrize(
-    "bracket, message", [((3, 5, {2: 1}), "cross components"), ((5, 6, {1: 1}), "split case")]
+    "pair, bracket, message",
+    [
+        (IDENTITY_PAIR, (3, 5, {1: 1}), LEFT),
+        (IDENTITY_PAIR, (5, 6, {2: 1}), FAR),
+        (SPLIT_PAIR, (3, 5, {2: 1}), LEFT),
+        (SPLIT_PAIR, (5, 6, {1: 1}), FAR),
+    ],
+    ids=["identity-pair-bracket", "identity-pair-far", "split-pair-bracket", "split-pair-far"],
 )
-def test_split_case_refuses_leftover_brackets(bracket, message):
-    # a_X3 = diag(1, 0) and a_X4 = diag(0, 1) on span(X_1, X_2)
-    fr = _hand_frame(6, [(3, 1, {1: 1}), (4, 2, {2: 1}), bracket])
+def test_plane_tail_refuses_leftover_brackets(pair, bracket, message):
+    """A bracket of X_3 with X_5 that no shift of X_5 clears, or one
+    beyond X_4, is refused; the data leave the pair as it is."""
+    fr = _hand_frame(6, pair + [bracket])
+    label = ClassLabel(labels.AFFR_PLUS_AFFR, abelian_ext=2)
     with pytest.raises(ImpossibleBranch, match=message):
-        _plane_split_case(fr, [(1, 0), (0, 1)])
+        _plane_normalize(fr, False, Mat.identity(2), None, (fr.adjoint(2), fr.adjoint(3)), label)
+
+
+@pytest.mark.parametrize(
+    "brackets",
+    [
+        IDENTITY_PAIR + [(3, 5, {1: 1})],
+        SPLIT_PAIR + [(3, 5, {2: 1})],
+        # the brackets cancel in the sum, so no shift is made
+        IDENTITY_PAIR + [(3, 5, {1: 1}), (4, 5, {1: -1})],
+    ],
+    ids=["identity-pair", "split-pair", "cancelling-sum"],
+)
+def test_absorb_refuses_a_bracket_it_cannot_clear(brackets):
+    fr = _hand_frame(6, brackets)
+    with pytest.raises(ImpossibleBranch, match=LEFT):
+        fr.absorb([2, 3], range(4, 6))
+
+
+def test_absorb_refuses_a_singular_sum():
+    # a_X3 = diag(1, 0) and a_X4 = 0 sum to a singular s
+    fr = _hand_frame(5, [(3, 1, {1: 1}), (3, 5, {2: 1})])
+    t, total = fr.t, fr.total
+    with pytest.raises(SingularInput):
+        fr.absorb([2, 3], [4])
+    assert fr.t is t and fr.total == total
+
+
+def test_absorb_shifts_y_by_the_inverse_image_of_the_z_bracket():
+    """The codimension-2 step: with a_Z invertible on the 3-dimensional
+    ideal, Y becomes Y - a_Z^-1 [Z, Y], and [Z, Y] vanishes."""
+    a_z = Mat([[1, 2, 0], [0, 1, 1], [1, 0, 3]])
+    w = (2, -1, 4)
+    br = [(5, c + 1, {r + 1: a_z[r, c] for r in range(3)}) for c in range(3)]
+    br.append((5, 4, {r + 1: x for r, x in enumerate(w)}))
+    fr = Frame(tensor_from_brackets(5, br), standard_basis(5)[:3])
+    assert fr.adjoint(4) == a_z and fr.bracket(4, 3) == w
+    fr.absorb([4], [3])
+    u = inverse(a_z).apply(w)
+    assert fr.total.col(3) == (-u[0], -u[1], -u[2], 1, 0)
+    assert fr.bracket(4, 3) == (0, 0, 0)
+    assert fr.witness().matrix == fr.total
 
 
 def test_chain_check_refuses_a_wrong_pair_list():

@@ -334,6 +334,33 @@ def test_gen_scrambled_still_classifies(tmp_path, capsys):
     assert json.loads(_capture(capsys))["family"] == "G4_2_4_AffC"
 
 
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["g3_2_1", "--d", "997"], 1000),
+        (["g3_2_1", "--d", "998"], 1001),
+        (["g6p2k_2_1", "--k", "497"], 1000),
+        (["g5p2k_2", "--k", "498"], 1001),
+        (["heisenberg", "--m", "499", "--d", "1"], 1000),
+        (["aff_r_plus_heis", "--m", "499"], 1001),
+    ],
+)
+def test_gen_refuses_a_dimension_the_reader_refuses(argv, dim, capsys, monkeypatch):
+    """gen prints up to jsonio.MAX_DIM dimensions, what classify reads; a
+    larger member exits 2 with nothing on stdout, and nothing is built."""
+    from solvlie import catalog
+    from solvlie.jsonio import MAX_DIM
+
+    if dim > MAX_DIM:
+        monkeypatch.setattr(catalog, "tensor_from_brackets", lambda *a: pytest.fail("built a table"))
+    rc = run(["gen", *argv])
+    out = capsys.readouterr()
+    if dim <= MAX_DIM:
+        assert rc == 0 and json.loads(out.out)["dim"] == dim
+    else:
+        assert rc == 2 and out.out == "" and f"dim {dim} above {MAX_DIM}" in out.err
+
+
 def test_propsim_cli(tmp_path, capsys):
     a = write(tmp_path, "a.json", [["1", "0"], ["0", "2"]])
     b = write(tmp_path, "b.json", [["3", "0"], ["0", "6"]])

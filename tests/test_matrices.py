@@ -172,7 +172,8 @@ def test_cyclic_conjugator_matches_the_frobenius_witness():
             if t != 0:
                 j = exdiv(t * t, det(a))
                 pairs.append((a.scale(exdiv(j, t)), Mat([[0, -j], [1, j]])))
-            # _plane_complex_case's pair: a unit rotation onto the quarter turn
+            # classify_n2._plane_complex_data's pair: a unit rotation onto
+            # the quarter turn
             p = _invertible(rng, entry)
             pairs.append((inverse(p) @ quarter_turn @ p, quarter_turn))
     assert len(pairs) >= 100

@@ -108,10 +108,13 @@ class Reached(Exception):
 
 
 def record_cases(monkeypatch):
-    """Stop the pipeline at the case it dispatches to, with what it passes."""
-    monkeypatch.setattr(cn2, "_plane_complex_case", lambda pipe, f3, f4, swap: _stop("complex", swap))
-    monkeypatch.setattr(cn2, "_plane_split_case", lambda pipe, dirs: _stop("split", list(dirs)))
-    monkeypatch.setattr(cn2, "_plane_one_eigenline_case", lambda pipe, f3, f4: _stop("one_eigenline", None))
+    """Stop the pipeline where the type's data is produced, with the case
+    and its detail: the complex case's X_3 / X_4 swap, the split case's
+    directions (the columns of its change of basis of g')."""
+    split = cn2._plane_split_data
+    monkeypatch.setattr(cn2, "_plane_complex_data", lambda m, swap, *rest: _stop("complex", swap))
+    monkeypatch.setattr(cn2, "_plane_split_data", lambda *args: _stop("split", split(*args)[2].columns()))
+    monkeypatch.setattr(cn2, "_plane_one_eigenline_data", lambda *args: _stop("one_eigenline", None))
 
 
 def _stop(case, detail):
