@@ -375,14 +375,15 @@ def _front_loaded(t: StructureTensor, rows: Sequence[Vec], pivots: list, rest: l
     return _tensor(n, out)
 
 
-def _inverse_columns(repl: Mapping[int, Mapping[int, Scalar]], n: int) -> dict:
+def _inverse_columns(repl: Mapping[int, Sequence[Scalar]], n: int) -> dict:
     """{j: column j of the inverse} of the n x n basis change that differs
-    from the identity in the columns `repl` alone, each {i: entry in row i}.
+    from the identity in the columns `repl` alone, each given dense.
     With those columns first, the change is [[A, 0], [B, I]] and its
     inverse [[A^-1, 0], [-B A^-1, I]]: only A is inverted, and a singular
-    A raises SingularInput."""
+    A raises SingularInput.  When every column moves, B is empty and the
+    columns are A^-1's."""
     cols = sorted(repl)
-    block = [[repl[j].get(i, 0) for j in cols] for i in cols]
+    block = [[repl[j][i] for j in cols] for i in cols]
     if all(x == 0 for p, row in enumerate(block) for q, x in enumerate(row) if p != q):
         # diagonal, as the block of every shear and rescaling step:
         # inverted entry by entry, to the values `inverse` would give
@@ -392,8 +393,10 @@ def _inverse_columns(repl: Mapping[int, Mapping[int, Scalar]], n: int) -> dict:
                  for p, row in enumerate(block)]
     else:
         a_inv = inverse(_mat(block)).data
+    if len(cols) == n:
+        return dict(zip(cols, zip(*a_inv)))
     # B by columns: the nonzero entries of each replaced column off the block
-    b = [[(r, x) for r, x in repl[i].items() if r not in repl and x] for i in cols]
+    b = [[(r, x) for r, x in enumerate(repl[i]) if x and r not in repl] for i in cols]
     inv_cols = {}
     for j, a_col in zip(cols, zip(*a_inv)):
         col: list = [0] * n
@@ -453,10 +456,8 @@ class Frame:
         if not repl:
             return
         n = self.n
-        inv_cols = _inverse_columns(repl, n)
-        self.t = self.t.transform_sparse(
-            {j: _dense(v.items(), n) for j, v in repl.items()}, inv_cols
-        )
+        dense = {j: _dense(v.items(), n) for j, v in repl.items()}
+        self.t = self.t.transform_sparse(dense, _inverse_columns(dense, n))
         # total @ step differs from total only in the replaced columns
         old = list(self._tot_cols)
         for j, v in repl.items():
@@ -546,15 +547,13 @@ class Frame:
             raise ImpossibleBranch(f"normalized to {self.t!r}, want {target!r}")
         tot = self._tot_cols
         moved = {
-            j: dict(enumerate(col))
-            for j, col in enumerate(tot)
-            if col[j] != 1 or any(col[:j]) or any(col[j + 1 :])
+            j: col for j, col in enumerate(tot) if col[j] != 1 or any(col[:j]) or any(col[j + 1 :])
         }
         try:
             inv = _inverse_columns(moved, self.n)
         except SingularInput as exc:
             raise SingularTransform(str(exc)) from exc
-        back = self.t.transform_sparse(inv, {j: tot[j] for j in moved})
+        back = self.t.transform_sparse(inv, moved)
         if back != self.input:
             raise ImpossibleBranch(
                 f"witness transport failed: got {back!r}, want {self.input!r}"

@@ -12,15 +12,20 @@ elimination gives.  A matrix is invertible exactly when its
 determinant is nonzero, which is always checked and never assumed.
 ``char_poly`` does not eliminate: it runs the trace recursion on the
 matrix with its denominators cleared, in integer (or integral Q(sqrt(d)))
-arithmetic, and scales back once at the end.  A 2x2 matrix is conjugated
-onto a target with the same characteristic polynomial through its cyclic
-vector e1 (``cyclic_conjugator_2x2``), with no canonical form.
+arithmetic, and scales each coefficient back.  The recursion is one
+generator, ``char_coefficients``, which yields the coefficients as they
+become known: proportional similarity compares two matrices' coefficients
+as they are yielded and rules a pair out at the first coefficient that no
+scale matches, and ``char_poly`` is the list of all of them.  A 2x2
+matrix is conjugated onto a target with the same characteristic
+polynomial through its cyclic vector e1 (``cyclic_conjugator_2x2``), with
+no canonical form.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, ImpossibleBranch, NonCommuting, SingularInput
 from .records import Record
@@ -394,18 +399,21 @@ def solve(m: Mat, b: Sequence[Scalar]) -> Optional[Vec]:
     return tuple(x)
 
 
-def char_poly(m: Mat) -> list:
-    """Coefficients of det(xI - m), low degree first, leading coefficient 1.
+def char_coefficients(m: Mat) -> Iterator[Scalar]:
+    """c_1, c_2, ..., c_n of det(xI - m), c_k the coefficient of x^(n-k),
+    each yielded as soon as it is known.
 
     Uses the trace recursion (Faddeev-LeVerrier): M_1 = A, c_1 = -tr M_1,
-    M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k, c_k being the
-    coefficient of x^(n-k).  It runs on A = L m, L the least common
-    multiple of every denominator in m (a Q(sqrt(d)) entry's common
-    denominator D), as nested lists: A's entries are integers or Q(sqrt(d))
-    values with integer parts, and so is every c_k, since it is a
-    polynomial in them with integer coefficients.  So the division by k is
-    exact, and a remainder raises ImpossibleBranch.  c_k of L m is L^k
-    times c_k of m, which is divided out once at the end.
+    M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k.  The trace is
+    read as sum A_il (M_(k-1) + c_(k-1) I)_li, so c_k needs no product; the
+    product M_k is formed only when c_(k+1) is asked for, and a caller
+    that stops after c_k never forms it.  It runs on A = L m, L the least
+    common multiple of every denominator in m (a Q(sqrt(d)) entry's
+    common denominator D), as nested lists: A's entries are integers or
+    Q(sqrt(d)) values with integer parts, and so is every c_k, since it is
+    a polynomial in them with integer coefficients.  So the division by k
+    is exact, and a remainder raises ImpossibleBranch.  c_k of L m is L^k
+    times c_k of m, which is divided out as each c_k is yielded.
     """
     m._require_square()
     n = m.rows
@@ -418,14 +426,10 @@ def char_poly(m: Mat) -> list:
     nz = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     mk = a
     ck = -sum(row[i] for i, row in enumerate(a))
-    coeffs_high = [1, ck]  # x^n, then x^(n-1), ...
+    yield exdiv(ck, den) if den != 1 else ck
     for k in range(2, n + 1):
-        for i, row in enumerate(mk):  # M_(k-1) + c_(k-1) I, in place
-            row[i] = row[i] + ck
-        if k == n:
-            # only the trace of M_n is read
-            tr = sum(x * mk[l][i] for i, anz in enumerate(nz) for l, x in anz)
-        else:
+        if k > 2:
+            # M_(k-1) = A (M_(k-2) + c_(k-2) I), formed now that c_k is wanted
             shifted = [[(j, y) for j, y in enumerate(row) if y] for row in mk]
             mk = []
             for anz in nz:
@@ -434,12 +438,23 @@ def char_poly(m: Mat) -> list:
                     for j, y in shifted[l]:
                         acc[j] = acc[j] + x * y
                 mk.append(acc)
-            tr = sum(row[i] for i, row in enumerate(mk))
+        for i, row in enumerate(mk):  # M_(k-1) + c_(k-1) I, in place
+            row[i] = row[i] + ck
+        tr = sum(x * mk[l][i] for i, anz in enumerate(nz) for l, x in anz)
         ck = _exact_quotient(-tr, k)
-        coeffs_high.append(ck)
-    if den != 1:
-        coeffs_high = [exdiv(c, den**k) for k, c in enumerate(coeffs_high)]
-    return coeffs_high[::-1]
+        yield exdiv(ck, den**k) if den != 1 else ck
+
+
+def char_poly(m: Mat) -> list:
+    """Coefficients of det(xI - m), low degree first, leading coefficient
+    1: the list of ``char_coefficients``, reversed, then the 1.  A caller
+    that compares coefficients, as ``prop_similar`` does, reads the
+    generator instead, so that a pair is ruled out at the first
+    coefficient that no scale matches without the rest being computed."""
+    coeffs = list(char_coefficients(m))
+    coeffs.reverse()
+    coeffs.append(1)
+    return coeffs
 
 
 def _exact_quotient(x: Scalar, k: int) -> Scalar:

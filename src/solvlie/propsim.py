@@ -4,9 +4,13 @@ with c != 0 and C invertible, producing explicit witnesses.
 The scaling c is pinned by characteristic coefficients: if a_k is the first
 nonzero coefficient (of x^(n-k)) of A's characteristic polynomial, matching
 coefficients forces c^k = b_k / a_k, leaving at most two real candidates,
-told apart by their sign.  When both polynomials are x^n (the zero and the
-nilpotent matrices) scaling changes nothing, and the same loop runs with
-k = 1 and c = 1.  Invariant factors do not depend on the field, so
+told apart by their sign.  The coefficients of both polynomials are
+compared as the trace recursion yields them (``char_coefficients``): each
+one after a_k keeps the candidate signs it matches, and a pair is ruled
+out at the first coefficient that no scale matches, before the rest of
+either polynomial is computed.  When both polynomials are x^n (the zero
+and the nilpotent matrices) scaling changes nothing, and the same loop
+ends with k = 1 and c = 1.  Invariant factors do not depend on the field, so
 c*A ~ B holds over R exactly when every invariant factor g of B is
 c^deg(f) f(x / c) for the matching factor f of A.  That is tested
 coefficient by coefficient in the field of the entries, without c itself:
@@ -15,7 +19,11 @@ sign(c)^j.  Every verdict is exact.  c is returned when c = b_1 / a_1
 (k = 1), or when c^k is rational and c has degree at most 2 over Q; for
 any other c, and for a c whose radicand cannot be split into its
 square-free part within the factoring bound, the verdict comes without
-it.  Only a pair whose arithmetic mixes two radicands is refused.
+it.  Only a pair whose arithmetic mixes two radicands is refused, and it
+is refused wherever the whole polynomials would refuse it: a matrix whose
+entries hold two radicands has all its coefficients computed first, and
+a difference among the zero coefficients before a_k is read only once
+b_k / a_k is formed.
 
 The decision and the witness share one cyclic decomposition per matrix.
 When C is wanted and c is constructed, c*A is decomposed in place of A:
@@ -38,7 +46,7 @@ from .errors import DimensionMismatch, ImpossibleBranch, SingularInput, Unsuppor
 from .matrices import (
     Mat,
     _mat,
-    char_poly,
+    char_coefficients,
     cyclic_conjugator_2x2,
     det,
     eigenvector_2x2,
@@ -86,29 +94,38 @@ def prop_similar(a: Mat, b: Mat, want_witness: bool = True) -> PropSimVerdict:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     if not a.is_square:
         raise DimensionMismatch("square matrices required")
-    n = a.rows
-    pa, pb = char_poly(a), char_poly(b)
-    nil_a, nil_b = not any(pa[:-1]), not any(pb[:-1])
-    if nil_a or nil_b:
+    # the coefficients of det(xI - A) and det(xI - B), compared as they are
+    # yielded: k is the index of A's first nonzero coefficient, and each
+    # later one keeps the signs of c it matches
+    k = ratio = None
+    zeros_differ = False
+    for j, (aj, bj) in enumerate(zip(_coefficients(a), _coefficients(b)), 1):
+        if ratio is None:
+            if aj == 0:
+                # the verdict on the zeros before k waits for the ratio
+                zeros_differ = zeros_differ or bj != 0
+                continue
+            if bj == 0:
+                return PropSimVerdict(False)
+            k, ratio = j, exdiv(bj, aj)
+            if zeros_differ:
+                return PropSimVerdict(False)
+            if k % 2 == 1:
+                signs = [scalar_sign(ratio)]
+            else:
+                signs = [1, -1] if scalar_sign(ratio) > 0 else []
+        else:
+            signs = [s for s in signs if _coefficient_scaled(aj, bj, ratio, k, j, s)]
+        if not signs:
+            return PropSimVerdict(False)
+    if ratio is None:
         # characteristic polynomial x^n: scaling never changes a nilpotent
         # Jordan structure, so c = 1 is the one scale to try
-        if nil_a != nil_b:
+        if zeros_differ:
             return PropSimVerdict(False)
-        k, ratio = 1, 1
-    else:
-        k = next(k for k in range(1, n + 1) if pa[n - k] != 0)
-        bk = pb[n - k]
-        if bk == 0:
-            return PropSimVerdict(False)
-        ratio = exdiv(bk, pa[n - k])
-    if k % 2 == 1:
-        signs = [scalar_sign(ratio)]
-    else:
-        signs = [1, -1] if scalar_sign(ratio) > 0 else []
+        k, ratio, signs = 1, 1, [1]
     fa = fb = None
     for sign in signs:
-        if not _is_scaled(pa, pb, ratio, k, sign):
-            continue
         c = _exact_scale(ratio, k, sign)
         if want_witness and c is not None and _one_field(c, a, b):
             # c is known before any factor is compared, so c*A is decomposed
@@ -135,22 +152,34 @@ def _one_field(c: Scalar, a: Mat, b: Mat) -> bool:
     return all(x.d == c.d for m in (a, b) for row in m.data for x in row if isinstance(x, QuadExt))
 
 
+def _coefficients(m: Mat):
+    """The coefficients c_1..c_n of det(xI - m) as they are asked for; all
+    of them at once when m's entries hold two radicands, so that the mixed
+    arithmetic is refused wherever it lies, as when the whole polynomial is
+    computed."""
+    coeffs = char_coefficients(m)
+    if len({x.d for row in m.data for x in row if isinstance(x, QuadExt)}) > 1:
+        return list(coeffs)
+    return coeffs
+
+
 def _is_scaled(f: list, g: list, ratio: Scalar, k: int, sign: int) -> bool:
     """g(x) = c^d f(x / c), d = deg f, for the real c with c^k = ratio and
     sign(c) = sign: each coefficient g_j of x^(d-j) is c^j f_j."""
     d = len(f) - 1
     if len(g) != len(f):
         return False
-    for j in range(1, d + 1):
-        fj, gj = f[d - j], g[d - j]
-        if fj == 0 or gj == 0:
-            if fj != gj:
-                return False
-            continue
-        q = exdiv(gj, fj)
-        if q**k != ratio**j or scalar_sign(q) != sign**j:
-            return False
-    return True
+    return all(_coefficient_scaled(f[d - j], g[d - j], ratio, k, j, sign) for j in range(1, d + 1))
+
+
+def _coefficient_scaled(fj: Scalar, gj: Scalar, ratio: Scalar, k: int, j: int, sign: int) -> bool:
+    """gj = c^j fj for the real c with c^k = ratio and sign(c) = sign,
+    tested without c: q = gj / fj is c^j exactly when q^k = ratio^j and
+    sign(q) = sign^j."""
+    if fj == 0 or gj == 0:
+        return fj == gj
+    q = exdiv(gj, fj)
+    return q**k == ratio**j and scalar_sign(q) == sign**j
 
 
 def _exact_scale(ratio: Scalar, k: int, sign: int) -> Optional[Scalar]:

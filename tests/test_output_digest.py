@@ -17,6 +17,8 @@ def test_output_digest_prints_one_line_per_group():
         capture_output=True, text=True, check=True, timeout=600,
     )
     lines = out.stdout.splitlines()
-    assert [line.split(" ")[:2] for line in lines] == [["classify", "1764"], ["codim2", "25"], ["sweep", "1"]]
+    assert [line.split(" ")[:2] for line in lines] == [
+        ["classify", "1764"], ["codim2", "30"], ["propsim", "680"], ["sweep", "1"]
+    ]
     for line in lines:
         assert re.fullmatch(r"[a-z0-9]+ [0-9]+ [0-9a-f]{16}", line), line
