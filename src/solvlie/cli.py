@@ -21,6 +21,7 @@ from .jsonio import (
     FormatError,
     algebra_from_json,
     algebra_to_json,
+    classification_to_json,
     dumps,
     load_path,
     matrix_from_json,
@@ -102,15 +103,7 @@ def cmd_classify(args) -> int:
 
     t = _load_algebra(args.file)
     c = classify_n2(t)
-    out = {
-        "family": c.label.family,
-        "params": c.label.params(),
-        "abelian_ext": c.label.abelian_ext,
-    }
-    out["witness"] = matrix_to_json(c.witness.transform.matrix)
-    out["canonical"] = (
-        algebra_to_json(c.witness.canonical) if c.witness.canonical is not None else None
-    )
+    out = classification_to_json(c)
     if args.format == "json":
         print(dumps(out))
     else:

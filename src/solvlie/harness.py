@@ -256,6 +256,24 @@ def _rand_vec(rng, n, lo=-2, hi=2):
     return tuple(rng.randint(lo, hi) for _ in range(n))
 
 
+def _fuzz_table(n: int, mats: list, us: list, kernel_part=None) -> StructureTensor:
+    """The table with a_{X_i} = mats[i - 3] on the ideal span(X_1, X_2),
+    [X_1, X_2] = 0 and [X_i, X_j] = a_i(u_j) - a_j(u_i), plus
+    `kernel_part()` when given, for 3 <= i < j."""
+    pad = (0,) * (n - 2)
+    table: dict = {}
+    for idx, m in enumerate(mats):
+        if not m.is_zero():
+            table[(0, 2 + idx)] = tuple(-x for x in m.col(0)) + pad
+            table[(1, 2 + idx)] = tuple(-x for x in m.col(1)) + pad
+    for x, y in itertools.combinations(range(n - 2), 2):
+        w = tuple(p - q for p, q in zip(mats[x].apply(us[y]), mats[y].apply(us[x])))
+        if kernel_part is not None:
+            w = tuple(p + q for p, q in zip(w, kernel_part()))
+        table[(2 + x, 2 + y)] = w + pad
+    return StructureTensor(n, table)
+
+
 def fuzz_dim1_tensor(rng: random.Random, n: int) -> Optional[StructureTensor]:
     """Jacobi-consistent random table with a one-dimensional adjoint line:
     a_{X_i} = alpha_i A and [X_i, X_j] = a_i(u_j) - a_j(u_i) + kernel part."""
@@ -265,31 +283,14 @@ def fuzz_dim1_tensor(rng: random.Random, n: int) -> Optional[StructureTensor]:
     alphas = [Fraction(1)] + [Fraction(rng.randint(-2, 2)) for _ in range(n - 3)]
     us = [_rand_vec(rng, 2) for _ in range(n - 2)]
     kern = kernel_basis(a)
-    table: dict = {}
-    for idx, al in enumerate(alphas):
-        i = 2 + idx
-        if al == 0:
-            continue
-        col0 = a.col(0)
-        col1 = a.col(1)
-        table[(0, i)] = tuple(-al * col0[r] for r in range(2)) + (0,) * (n - 2)
-        table[(1, i)] = tuple(-al * col1[r] for r in range(2)) + (0,) * (n - 2)
-    for x in range(n - 2):
-        for y in range(x + 1, n - 2):
-            i, j = 2 + x, 2 + y
-            ai = a.scale(alphas[x])
-            aj = a.scale(alphas[y])
-            w = tuple(
-                ai.apply(us[y])[r] - aj.apply(us[x])[r] for r in range(2)
-            )
-            if kern and rng.random() < 0.5:
-                kv = kern[0]
-                coef = rng.randint(-2, 2)
-                w = (w[0] + coef * kv[0], w[1] + coef * kv[1])
-            if w != (0, 0):
-                table[(i, j)] = (w[0], w[1]) + (0,) * (n - 2)
-    t = StructureTensor(n, table)
-    return t
+
+    def kernel_part():
+        if kern and rng.random() < 0.5:
+            coef = rng.randint(-2, 2)
+            return (coef * kern[0][0], coef * kern[0][1])
+        return (0, 0)
+
+    return _fuzz_table(n, [a.scale(al) for al in alphas], us, kernel_part)
 
 
 def fuzz_dim2_tensor(rng: random.Random, n: int) -> Optional[StructureTensor]:
@@ -310,22 +311,7 @@ def fuzz_dim2_tensor(rng: random.Random, n: int) -> Optional[StructureTensor]:
     ]
     mats = [a.scale(al) + b.scale(be) for al, be in coeffs]
     us = [_rand_vec(rng, 2) for _ in range(n - 2)]
-    table: dict = {}
-    for idx, m in enumerate(mats):
-        i = 2 + idx
-        if m.is_zero():
-            continue
-        table[(0, i)] = tuple(-m.col(0)[r] for r in range(2)) + (0,) * (n - 2)
-        table[(1, i)] = tuple(-m.col(1)[r] for r in range(2)) + (0,) * (n - 2)
-    for x in range(n - 2):
-        for y in range(x + 1, n - 2):
-            i, j = 2 + x, 2 + y
-            w = tuple(
-                mats[x].apply(us[y])[r] - mats[y].apply(us[x])[r] for r in range(2)
-            )
-            if w != (0, 0):
-                table[(i, j)] = (w[0], w[1]) + (0,) * (n - 2)
-    return StructureTensor(n, table)
+    return _fuzz_table(n, mats, us)
 
 
 def fuzz_sparse_tensor(rng: random.Random, n: int) -> Optional[StructureTensor]:

@@ -30,6 +30,7 @@ from .scalars import QuadExt, Rational, Scalar, _rational, format_rational, squa
 # the algebra readers and writers import liealg when called, so that the
 # matrix commands (`solvlie propsim`) do not compile it
 if TYPE_CHECKING:
+    from .classify_n2 import Classification
     from .liealg import LieAlgebra, StructureTensor
 
 # Reading a radicand factors it by trial division up to its cube root, so
@@ -179,6 +180,20 @@ def algebra_to_json(a: Union[LieAlgebra, StructureTensor]) -> dict:
             {"i": i + 1, "j": j + 1, "coeffs": [scalar_to_json(x) for x in vec]}
         )
     return {"dim": t.n, "brackets": brackets}
+
+
+def classification_to_json(c: Classification) -> dict:
+    """The `classify` document: family, params, abelian_ext, the witness
+    matrix and the canonical algebra (null in the two-step nilpotent
+    regime)."""
+    canonical = c.witness.canonical
+    return {
+        "family": c.label.family,
+        "params": c.label.params(),
+        "abelian_ext": c.label.abelian_ext,
+        "witness": matrix_to_json(c.witness.transform.matrix),
+        "canonical": algebra_to_json(canonical) if canonical is not None else None,
+    }
 
 
 def algebra_from_json(d) -> StructureTensor:

@@ -22,22 +22,6 @@ AFFR_PLUS_AFFR = "AffR_plus_AffR"
 AFFR_PLUS_HEIS = "AffR_plus_Heis"
 TWO_STEP_NILPOTENT = "TwoStepNilpotent_OutOfScope"
 
-FAMILIES = (
-    G3_2_1,
-    G3_2_2,
-    G3_2_3,
-    G4_2_1,
-    G4_2_2,
-    G4_2_3,
-    G4_2_4_AFFC,
-    G5P2K_2,
-    G6P2K_2_1,
-    G6P2K_2_2,
-    AFFR_PLUS_AFFR,
-    AFFR_PLUS_HEIS,
-    TWO_STEP_NILPOTENT,
-)
-
 # families that are direct sums even with no abelian extension
 DIRECT_SUM_FAMILIES = (AFFR_PLUS_AFFR, AFFR_PLUS_HEIS)
 

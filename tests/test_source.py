@@ -8,6 +8,7 @@ from pathlib import Path
 import solvlie
 
 SRC = Path(solvlie.__file__).parent
+SCRIPTS = SRC.parent.parent / "scripts"
 
 
 def _raises_assertion_error(node) -> bool:
@@ -40,13 +41,17 @@ def _unread_from_imports(tree) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def _library_and_scripts() -> list:
+    return sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+
+
 def test_every_from_import_is_read():
-    """No module keeps a name it imports and never uses."""
+    """No module or script keeps a name it imports and never uses."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _library_and_scripts():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unread_from_imports(tree)]
-    assert not found, f"unused imports in solvlie: {found}"
+    assert not found, f"unused imports in solvlie or scripts: {found}"
 
 
 def _unread_parameters(tree) -> list:
@@ -68,12 +73,12 @@ def _unread_parameters(tree) -> list:
 
 
 def test_every_parameter_is_read():
-    """No function takes an argument it ignores."""
+    """No function of the library or the scripts takes an argument it ignores."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _library_and_scripts():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {fn}({arg})" for line, fn, arg in _unread_parameters(tree)]
-    assert not found, f"unread parameters in solvlie: {found}"
+    assert not found, f"unread parameters in solvlie or scripts: {found}"
 
 
 def _private_definitions_and_reads(trees) -> tuple:
