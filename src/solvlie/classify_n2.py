@@ -4,14 +4,14 @@ The normalization runs as a pipeline of elementary basis changes on one
 `liealg.Frame`.  The steps are audited, not logged: at the end the
 running tensor must be the canonical tensor of the reported class, and
 transporting it back by the inverse of the accumulated transform must give
-the input tensor.  Dispatch runs on the independent adjoints: one forward
-pass of an `Echelon` over the adjoint restrictions keeps the positions of
-those independent of the ones before them, and their number is the
-dimension of the adjoint-restriction span.  None is the two-step nilpotent
-regime (labelled, not classified further; its witness is the opening's
-basis change, audited the same way against the opening tensor), one runs
-the singular/non-singular pipelines on the first, two run the
-commuting-pair pipeline on both.  That pipeline still checks first that
+the input tensor.  Dispatch runs on the generators of the
+adjoint-restriction span: one step, `Frame.clear_adjoints`, moves them to
+X_3 (and X_4) and shifts every other X_i by its combination of them to
+a_{X_i} = 0, and their number is the dimension of the span.  None is the
+two-step nilpotent regime (labelled, not classified further; its witness
+is the opening's basis change, audited the same way against the opening
+tensor), one runs the singular/non-singular pipelines on a_{X_3}, two run
+the commuting-pair pipeline on both.  That pipeline still checks first that
 the pair commutes; then the type of A_G is read off the spectrum of one
 generator, since a commuting pair lies in the centralizer span(I, m) of
 any non-scalar m among them, so A_G = span(I, m).  The type gives only
@@ -56,10 +56,10 @@ from .matrices import (
     det,
     eigenvector_2x2,
     first_non_kernel,
-    independent_rows,
     inverse,
     kernel_basis,
     solve,
+    span_coordinates,
     spectral_classify_2x2,
 )
 from .propsim import propsim_classify_gl2
@@ -125,23 +125,19 @@ def _classify_frame(pipe: Frame) -> Classification:
     if (0, 1) in pipe.t.brackets:
         raise ImpossibleBranch("derived ideal of a validated solvable algebra must be abelian")
 
-    flat = pipe.flat_adjoints()
-    gens = independent_rows(flat)
-    if len(gens) > 2:
-        raise ImpossibleBranch("adjoint span exceeds the commutative bound")
-
-    if not gens:
+    dim = pipe.clear_adjoints(range(2, pipe.n), (2, 3))
+    if not dim:
         label = ClassLabel(labels.TWO_STEP_NILPOTENT)
         return Classification(label, Witness(pipe.witness(), label, None))
 
-    if len(gens) == 1:
-        a3 = _adjoint_line_normalize(pipe, flat, gens[0])
+    if dim == 1:
+        a3 = pipe.adjoint(2)
         if det(a3) != 0:
             label = _invertible_action_pipeline(pipe, a3)
         else:
             label = _singular_action_pipeline(pipe, a3)
     else:
-        label = _adjoint_plane_pipeline(pipe, flat, gens)
+        label = _adjoint_plane_pipeline(pipe)
 
     canonical = catalog.build_tensor(label)
     return Classification(label, Witness(pipe.witness(canonical), label, canonical))
@@ -159,32 +155,6 @@ def _fail(tensor: StructureTensor):
 # ----------------------------------------------------------------------
 # dim A_G = 1
 # ----------------------------------------------------------------------
-
-
-def _adjoint_line_normalize(pipe: Frame, flat: list, gen: int) -> Mat:
-    """Arrange a_{X_3} spanning the adjoint line and a_{X_i} = 0, i >= 4,
-    from the adjoints as `Frame.flat_adjoints` read them on entry; flat[gen]
-    is the first nonzero one."""
-    n = pipe.n
-    pivot = gen + 2
-    if pivot != 2:
-        order = list(range(n))
-        order[2], order[pivot] = order[pivot], order[2]
-        pipe.step_perm(order)
-        flat = [flat[o - 2] for o in order[2:]]
-    # dispatch found one independent adjoint, so every flat is alpha flat3
-    flat3 = flat[0]
-    lead = next(k for k, x in enumerate(flat3) if x != 0)
-    reps = {}
-    for i in range(3, n):
-        alpha = exdiv(flat[i - 2][lead], flat3[lead])
-        if alpha != 0:
-            reps[i] = {i: 1, 2: -alpha}
-    pipe.step_cols(reps)
-    # a_{X_i} is zero exactly when no bracket [X_j, X_i] with j < 2 is in the table
-    if any(j < 2 < i for j, i in pipe.t.brackets):
-        raise ImpossibleBranch("line normalization left a nonzero adjoint")
-    return pipe.adjoint(2)
 
 
 def _invertible_action_pipeline(pipe: Frame, a3: Mat) -> ClassLabel:
@@ -264,10 +234,9 @@ def _case2_shape(pipe: Frame, a3: Mat):
     k0 = next((k for k, (z, _) in pipe.row(2).items() if k >= 3 and z != 0), None)
     if k0 is None:
         raise ImpossibleBranch("derived ideal cannot be 2-dimensional without a z-coefficient")
-    if k0 != 3:
-        order = list(range(n))
-        order[3], order[k0] = order[k0], order[3]
-        pipe.step_perm(order)
+    order = list(range(n))
+    order[3], order[k0] = order[k0], order[3]
+    pipe.step_perm(order)
     pipe.step_cols({3: {3: exdiv(1, pipe.bracket(2, 3)[0])}})
     pipe.step_cols({k: {k: 1, 3: -z} for k, (z, _) in pipe.row(2).items() if k >= 4 and z != 0})
     row = pipe.row(2)
@@ -409,57 +378,36 @@ _I2 = Mat.identity(2)
 _QUARTER_TURN = Mat([[0, 1], [-1, 0]])
 
 
-def _adjoint_plane_pipeline(pipe: Frame, flat: list, gens: list) -> ClassLabel:
-    """dim A_G = 2, from the adjoints as `Frame.flat_adjoints` read them
-    on entry; flat[gens[0]] is the first nonzero one and flat[gens[1]] the
-    first independent of it.  After the non-commuting check and the shift
-    of the X_i, i >= 5, to a_{X_i} = 0, the type of A_G (R + R, C or
-    R[e]/e^2) is the spectral type of m = a_{X_3}, or a_{X_4} when a_{X_3}
-    is scalar (see the module docstring), read once; it gives the data of
-    the one tail, `_plane_normalize`."""
+def _adjoint_plane_pipeline(pipe: Frame) -> ClassLabel:
+    """dim A_G = 2, with a_{X_3}, a_{X_4} spanning it and a_{X_i} = 0,
+    i >= 5 (`Frame.clear_adjoints`).  After the non-commuting check the
+    type of A_G (R + R, C or R[e]/e^2) is the spectral type of
+    m = a_{X_3}, or a_{X_4} when a_{X_3} is scalar (see the module
+    docstring), read once; it gives the data of the one tail,
+    `_plane_normalize`."""
     n = pipe.n
-    pos3, pos4 = gens[0] + 2, gens[1] + 2
-    order = list(range(n))
-    order[2], order[pos3] = order[pos3], order[2]
-    i4 = order.index(pos4)  # pos4 > pos3 >= 2, so it was not moved to slot 2
-    order[3], order[i4] = order[i4], order[3]
-    pipe.step_perm(order)
-    flat = [flat[o - 2] for o in order[2:]]
     a3, a4 = pipe.adjoint(2), pipe.adjoint(3)
     if a3 @ a4 != a4 @ a3:
         raise ImpossibleBranch("adjoint pair must commute")
-
-    reps = {}
-    stacked = _mat(zip(flat[0], flat[1]))
-    for i in range(4, n):
-        coords = solve(stacked, flat[i - 2])
-        if coords is None:
-            raise ImpossibleBranch("adjoint outside the two-dimensional span")
-        alpha, beta = coords
-        if alpha != 0 or beta != 0:
-            reps[i] = {i: 1, 2: -alpha, 3: -beta}
-    pipe.step_cols(reps)
-
     # the pair is independent, so at most one of them is scalar
     swap = a3 == _I2.scale(a3[0, 0])
     m = a4 if swap else a3
     sc = spectral_classify_2x2(m)
     if sc.kind == "complex_pair":
-        data = _plane_complex_data(m, swap, flat[0], flat[1], n - 4)
+        data = _plane_complex_data(m, swap, a3, a4, n - 4)
     elif sc.kind == "real_distinct":
         data = _plane_split_data(m, sc, a3, a4, n - 4)
     else:
-        data = _plane_one_eigenline_data(a3, a4, flat[0], flat[1], n - 4)
+        data = _plane_one_eigenline_data(a3, a4, n - 4)
     return _plane_normalize(pipe, *data)
 
 
-def _plane_complex_data(m: Mat, swap: bool, f3: tuple, f4: tuple, ext: int) -> tuple:
-    """f3, f4: a_{X_3}, a_{X_4} flattened row by row, to be swapped when
-    a_{X_3} is the scalar one.  With m's vector as X_3, X_4 := (X_4 - t X_3)
-    / s makes a_{X_4} = I, then X_3 := alpha X_3 + beta X_4 a rotation."""
-    if swap:
-        f3, f4 = f4, f3
-    coords = solve(_mat(zip((1, 0, 0, 1), f3)), f4)
+def _plane_complex_data(m: Mat, swap: bool, a3: Mat, a4: Mat, ext: int) -> tuple:
+    """With m's vector as X_3 (the pair swapped when a_{X_3} is the scalar
+    one) and its partner s I + t m, X_4 := (X_4 - t X_3) / s makes
+    a_{X_4} = I, then X_3 := alpha X_3 + beta X_4 a rotation."""
+    partner = a3 if swap else a4
+    coords = span_coordinates([(1, 0, 0, 1), sum(m.data, ()), sum(partner.data, ())])[1].get(2)
     if coords is None or coords[0] == 0:
         raise ImpossibleBranch("commuting partner escaped the centralizer span")
     s, t = coords
@@ -484,11 +432,11 @@ def _plane_split_data(m: Mat, sc, a3: Mat, a4: Mat, ext: int) -> tuple:
     return False, inverse(weights), _mat(zip(*dirs)), pair, label
 
 
-def _plane_one_eigenline_data(a3: Mat, a4: Mat, f3: tuple, f4: tuple, ext: int) -> tuple:
+def _plane_one_eigenline_data(a3: Mat, a4: Mat, ext: int) -> tuple:
     """X_3 := the nilpotent combination mu4 X_3 - mu3 X_4 (mu: half the
     trace) and X_4 := the combination that acts by I; g' onto the Jordan
     basis (N w, w) of that nilpotent N."""
-    idc = solve(_mat(zip(f3, f4)), (1, 0, 0, 1))
+    idc = span_coordinates([sum(a3.data, ()), sum(a4.data, ()), (1, 0, 0, 1)])[1].get(2)
     if idc is None:
         raise ImpossibleBranch("identity must lie in the span in the one-eigenline case")
     mu3, mu4 = exdiv(a3.trace(), 2), exdiv(a4.trace(), 2)

@@ -179,6 +179,8 @@ def cmd_gen(args) -> int:
     if name not in GENERATORS and name not in FAMILY_ALIASES:
         print(f"unknown family {args.family}", file=sys.stderr)
         return 1
+    if args.steps is not None and args.steps < 0:
+        raise ParamOutOfDomain(f"--steps must be at least 0, got {args.steps}")
     # the dimension from the parameters alone, before anything is built
     k, m = args.k or 0, 1 if args.m is None else args.m
     core = {"heisenberg": 2 * m + 1, "aff_r": 2, "l6gamma": 6, "g5p2k_2": 5 + 2 * k,

@@ -17,6 +17,8 @@ series is not formed: with dim g' = n - 2 the `Frame` moves g' to the
 front, where every bracket goes through Y or Z and lies in g'.  The one
 Jacobi sum that can be nonzero, [a_Z, a_Y] X_i of (Y, Z, X_i), vanishes
 when the adjoint span is a line and is read off [a_Y, a_Z] on a plane.
+On a line, `Frame.clear_adjoints` keeps Z when a_Z != 0 (else Y takes
+its place) and shifts the other by a multiple of it to a_Y = 0.
 An input that fails a check, or whose g' has another dimension, runs the
 checks on the input in their documented order, so each rejection is
 reported as the full checks report it.
@@ -36,7 +38,7 @@ from .liealg import (
     derived_ideal_t,
     vec_is_zero,
 )
-from .matrices import Mat, _mat, det, independent_rows, inverse, kernel_basis, row_space, solve
+from .matrices import Mat, _mat, det, inverse, kernel_basis, row_space, solve, span_coordinates
 from .records import Record
 from .scalars import exdiv
 
@@ -115,27 +117,15 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
     codimension-2 derived ideal in front; it is Lie iff [a_Y, a_Z] = 0."""
     n = fr.n
     k = n - 2
-    a_y, a_z = fr.adjoint(n - 2), fr.adjoint(n - 1)
-    dim_a = len(independent_rows([sum(a_y.data, ()), sum(a_z.data, ())]))
+    dim_a = fr.clear_adjoints([n - 1, n - 2], [n - 1, n - 2])
     if dim_a == 0:
         raise ImpossibleBranch("adjoint line cannot vanish when the derived ideal is large")
+    a_z = fr.adjoint(n - 1)
     if dim_a == 2:
+        a_y = fr.adjoint(n - 2)
         if a_y @ a_z != a_z @ a_y:
             _fail(fr.input)
         raise Unsupported("two-dimensional adjoint span on a codimension-2 derived ideal")
-
-    if a_z.is_zero():
-        fr.step_perm(list(range(n - 2)) + [n - 1, n - 2])
-        a_y, a_z = a_z, a_y
-    if not a_y.is_zero():
-        # Y -= y Z leaves Z, so a_Z, alone
-        lead = next(
-            (r, c) for r in range(k) for c in range(k) if a_z[r, c] != 0
-        )
-        y = exdiv(a_y[lead[0], lead[1]], a_z[lead[0], lead[1]])
-        fr.step_cols({n - 2: {n - 2: 1, n - 1: -y}})
-        if not fr.adjoint(n - 2).is_zero():
-            raise ImpossibleBranch("a_Y must vanish after the line correction")
 
     kern = kernel_basis(a_z)
     r = k - len(kern)
@@ -190,7 +180,7 @@ def _normalize_frame(fr: Frame) -> Codim2Form:
     else:
         # B2: kernel sits inside the image
         cands = [kvec] + im_rows
-        basis = [cands[i] for i in independent_rows(cands)]
+        basis = [cands[i] for i in span_coordinates(cands)[0]]
         if len(basis) != k - 1:
             raise ImpossibleBranch("image completion failed")
         basis.append(w)

@@ -30,7 +30,10 @@ brackets alone.  The bracket of two vectors has one path: u's row
 to an ideal have one reader, the ``Frame`` that moves the ideal to the
 front (``Frame.adjoint``, ``Frame.flat_adjoints``).  Clearing brackets
 with vectors whose summed adjoint is invertible, by shifting the other
-vectors by elements of the ideal, has one path too, ``Frame.absorb``.
+vectors by elements of the ideal, has one path too, ``Frame.absorb``; so
+has clearing adjoints, by moving the generators of their span to given
+slots and shifting every other vector by its combination of them,
+``Frame.clear_adjoints``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .matrices import (
     inverse,
     kernel_basis,
     row_space,
+    span_coordinates,
     vec_is_zero,
 )
 from .records import Record
@@ -421,9 +425,10 @@ class Frame:
     updates the tensor and the total together, and `witness` audits the
     total, the opening included, by transporting the normal form back to
     the input by its inverse.  The adjoint restrictions a_{X_i} to the
-    ideal are read off the running table (`adjoint`, `flat_adjoints`),
-    and `absorb` clears the brackets of vectors with acting vectors whose
-    summed adjoint is invertible, in one step.
+    ideal are read off the running table (`adjoint`, `flat_adjoints`).
+    `absorb` clears the brackets of vectors with acting vectors whose
+    summed adjoint is invertible, and `clear_adjoints` every adjoint
+    outside the span's generators, each in one step.
     """
 
     __slots__ = ("input", "t", "n", "k", "_tot_cols")
@@ -492,8 +497,41 @@ class Frame:
         if any(any(self.bracket(i, t)) for i in acting for t in targets):
             raise ImpossibleBranch("a bracket with an acting vector is left after absorbing")
 
+    def clear_adjoints(self, candidates: Sequence[int], slots: Sequence[int]) -> int:
+        """Move the generators of the span of the a_{X_c}, c in
+        `candidates`, to `slots` and make every other candidate's adjoint
+        0; returns their number.
+
+        The generators are the candidates, in the order given, whose
+        adjoint is outside the span of those before (`span_coordinates`,
+        on one read of the adjoints).  Each moves to its slot by a
+        transposition, and every other candidate X_c becomes X_c minus
+        its combination of the generators, in one step.  More generators
+        than slots is ImpossibleBranch, and so is an adjoint that
+        survives the shift."""
+        k = self.k
+        flat = self.flat_adjoints()
+        gens, coords = span_coordinates([flat[c - k] for c in candidates])
+        if len(gens) > len(slots):
+            raise ImpossibleBranch("adjoint span exceeds the commutative bound")
+        order = list(range(self.n))
+        for g, s in zip(gens, slots):
+            p = order.index(candidates[g])
+            order[s], order[p] = order[p], order[s]
+        self.step_perm(order)
+        where = {c: j for j, c in enumerate(order)}
+        rest = {where[candidates[i]]: xs for i, xs in coords.items()}
+        self.step_cols({j: {j: 1, **{s: -x for s, x in zip(slots, xs) if x}}
+                        for j, xs in rest.items() if any(xs)})
+        if any(j < k and i in rest for j, i in self.t.brackets):
+            raise ImpossibleBranch("clearing the adjoints left a nonzero adjoint")
+        return len(gens)
+
     def step_perm(self, order: Sequence[int]):
-        """Column j of the step is e_{order[j]}: new X_j := old X_{order[j]}."""
+        """Column j of the step is e_{order[j]}: new X_j := old X_{order[j]};
+        the identity order is no step."""
+        if all(o == j for j, o in enumerate(order)):
+            return
         self.t = self.t.permute(order)
         self._tot_cols = [self._tot_cols[o] for o in order]
 

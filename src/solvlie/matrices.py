@@ -260,11 +260,27 @@ class Echelon:
         return len(self.rows)
 
 
-def independent_rows(vectors: Sequence[Sequence[Scalar]]) -> list[int]:
-    """Positions of the vectors outside the span of those before them, in
-    one forward pass; their number is the dimension of the span."""
+def span_coordinates(vectors: Sequence[Sequence[Scalar]]) -> tuple[list[int], dict]:
+    """The positions of the vectors outside the span of those before them,
+    the span's generators, and {position: coordinates over the generators}
+    for every other vector, in one forward pass.
+
+    Each vector of length m is reduced with a tag of m + 1 entries, 1 at
+    the slot of the next generator: a generator's row carries its own
+    slot, and a vector in the span reduces to 0 with minus its
+    coordinates in the generators' slots."""
     span = Echelon()
-    return [i for i, v in enumerate(vectors) if span.add(v) is not None]
+    gens: list[int] = []
+    coords = {}
+    for i, v in enumerate(vectors):
+        m, g = len(v), len(gens)
+        w = span.reduce([*v, *(0,) * g, 1, *(0,) * (m - g)])
+        if any(w[:m]):
+            span.add_reduced(w)
+            gens.append(i)
+        else:
+            coords[i] = tuple([-x for x in w[m : m + g]])
+    return gens, coords
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:

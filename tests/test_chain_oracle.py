@@ -11,7 +11,6 @@ from fractions import Fraction
 from solvlie import catalog, labels
 from solvlie.catalog import scramble_tensor
 from solvlie.classify_n2 import (
-    _adjoint_line_normalize,
     _assert_chain_clean,
     _case1_shape,
     _case2_shape,
@@ -20,7 +19,6 @@ from solvlie.classify_n2 import (
 from solvlie.harness import corpus_labels
 from solvlie.labels import ClassLabel
 from solvlie.liealg import Frame, StructureTensor, derived_ideal_t, standard_basis
-from solvlie.matrices import independent_rows
 from solvlie.scalars import QuadExt, exdiv
 
 CHAIN_FAMILIES = (labels.G5P2K_2, labels.G6P2K_2_1, labels.G6P2K_2_2, labels.AFFR_PLUS_HEIS)
@@ -108,8 +106,8 @@ def frame_before_chain(tensor):
     """The frame of a chain-family input as `_singular_action_pipeline`
     hands it to the chain reduction, and the anchor."""
     pipe = Frame(tensor, derived_ideal_t(tensor))
-    flat = pipe.flat_adjoints()
-    a3 = _adjoint_line_normalize(pipe, flat, independent_rows(flat)[0])
+    pipe.clear_adjoints(range(2, pipe.n), (2, 3))
+    a3 = pipe.adjoint(2)
     tr = a3.trace()
     if tr != 0:
         _case1_shape(pipe, a3, tr)

@@ -6,7 +6,6 @@ import pytest
 
 from solvlie import catalog, labels
 from solvlie.classify_n2 import (
-    _adjoint_line_normalize,
     _assert_chain_clean,
     _case1_shape,
     _case2_shape,
@@ -257,10 +256,18 @@ def test_line_normalization_refuses_a_surviving_adjoint(monkeypatch):
     # a_X4 = a_X3; with the step that subtracts X_3 from X_4 skipped,
     # a_X4 survives
     fr = _hand_frame(4, [(3, 1, {1: 1}), (4, 1, {1: 1})])
-    flat = fr.flat_adjoints()
     monkeypatch.setattr(Frame, "step_cols", lambda fr, repl: None)
     with pytest.raises(ImpossibleBranch, match="left a nonzero adjoint"):
-        _adjoint_line_normalize(fr, flat, 0)
+        fr.clear_adjoints(range(2, 4), (2, 3))
+
+
+def test_adjoint_clearing_refuses_three_independent_adjoints():
+    # a_X3 = E11, a_X4 = E21, a_X5 = E12: three generators, two slots
+    fr = _hand_frame(5, [(3, 1, {1: 1}), (4, 1, {2: 1}), (5, 2, {1: 1})])
+    before = (fr.t, fr.total)
+    with pytest.raises(ImpossibleBranch, match="adjoint span exceeds the commutative bound"):
+        fr.clear_adjoints(range(2, 5), (2, 3))
+    assert (fr.t, fr.total) == before
 
 
 def test_invertible_action_refuses_a_far_bracket():

@@ -490,6 +490,13 @@ def test_sweep_rejects_scrambles_below_one(capsys):
         assert out.out == "" and out.err.startswith("parameter out of domain: ")
 
 
+def test_gen_rejects_negative_scramble_steps(capsys):
+    assert run(["gen", "g3_2_1", "--scramble", "1", "--steps", "-3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("parameter out of domain: ")
+    assert run(["gen", "g3_2_1", "--scramble", "1", "--steps", "0"]) == 0
+
+
 def test_non_integral_or_boolean_json_integers_exit_1(tmp_path, capsys):
     sqrt2 = {"a": "0", "b": "1", "d": 2}
 

@@ -21,7 +21,7 @@ from solvlie.catalog import codim2_algebra, codim2_az_fixtures, scramble_tensor,
 from solvlie.errors import NotInClass, Unsupported
 from solvlie.harness import corpus_labels
 from solvlie.liealg import Frame, StructureTensor, derived_ideal_t, validate
-from solvlie.matrices import Mat, independent_rows
+from solvlie.matrices import Mat, span_coordinates
 from solvlie.scalars import QuadExt
 
 # the modules, not the functions the package exports under the same names
@@ -124,7 +124,7 @@ CODIM2_CASES = {
 
 
 def adjoint_span_dim(table) -> int:
-    return len(independent_rows(Frame(table, derived_ideal_t(table)).flat_adjoints()))
+    return len(span_coordinates(Frame(table, derived_ideal_t(table)).flat_adjoints())[0])
 
 
 @pytest.mark.parametrize("name", sorted(CODIM2_CASES))

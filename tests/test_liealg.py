@@ -309,6 +309,10 @@ def test_frame_steps_keep_tensor_and_total_consistent():
             total = fr.total
             assert fr.t == fr.input.transform(total, inverse(total))
             _assert_is_the_elimination_inverse(fr, fr.witness())
+        # the identity order is no step: no relabelled table is built
+        before_t = fr.t
+        fr.step_perm(list(range(n)))
+        assert fr.t is before_t
         # three columns at once: the block A on them is neither diagonal
         # nor a permutation and holds a Q(sqrt 2) entry
         a, b, c = rng.sample(range(n), 3)
@@ -772,7 +776,9 @@ def test_built_tensors_hold_the_checked_invariants(monkeypatch):
     for t in fuzz_stream(random.Random(7), 60, max_dim=8):
         classify_n2(t)
     for i, lab in enumerate(corpus_labels()):
-        for seed in (i, 100 + i):  # two scrambles: the steps permute, the opening does not
+        # four scrambles: the steps permute, the opening does not, and an
+        # identity order is no step
+        for seed in (i, 100 + i, 200 + i, 300 + i):
             t, _ = catalog.scramble_tensor(catalog.build_tensor(lab), seed)
             classify_n2(t)
     for i, (_, a_z) in enumerate(catalog.codim2_az_fixtures()):
